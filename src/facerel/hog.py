@@ -55,6 +55,13 @@ def cell_histograms(image: np.ndarray, cfg: HogConfig) -> np.ndarray:
             f"image {h}x{w} is smaller than one {cfg.block}x{cfg.block}-cell block"
         )
 
+    if not np.isfinite(img).all():
+        bad = np.argwhere(~np.isfinite(img))
+        raise ValueError(
+            f"image has {len(bad)} non-finite pixel(s), first at row {bad[0, 0]}, "
+            f"column {bad[0, 1]}"
+        )
+
     gy, gx = np.gradient(img)
     mag = np.hypot(gx, gy)
     theta = np.mod(np.arctan2(gy, gx), np.pi)  # unsigned orientation in [0, pi)

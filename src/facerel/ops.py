@@ -5,10 +5,16 @@ Every forward returns ``(output, ctx)`` where ``ctx`` carries exactly what the
 matching backward needs.  Inputs may be single samples (``C,H,W`` / ``D,``) or
 batches with one leading axis; outputs follow suit.
 
-Determinism contract: forward accumulation for conv and fc runs element by
+Determinism contract.  Forward accumulation for conv and fc runs element by
 element in ascending (channel, kernel-row, kernel-col) / ascending input-index
-order, with the bias added last.  Output bits therefore do not depend on batch
-size or on how the arithmetic is vectorized.
+order, with the bias added last, and every product and sum is rounded on its
+own.  Forward output is therefore bitwise equal to the naive loops and batch
+invariant: a sample's bits do not depend on the batch around it, nor on the
+sample blocks the conv kernels cut the batch into.  The backward passes are
+BLAS GEMMs (for conv, two per input channel and sample block), whose
+summation order the BLAS picks: they are deterministic for a given shape, but
+not batch invariant, and the tests hold them to the naive loops at a relative
+tolerance, not bitwise.
 """
 
 from __future__ import annotations
@@ -39,6 +45,18 @@ def _as_batched_images(x: np.ndarray, who: str) -> tuple[np.ndarray, bool]:
     if x.ndim == 4:
         return x, True
     raise ValueError(f"{who}: expected a (C,H,W) or (N,C,H,W) array, got ndim={x.ndim}")
+
+
+#: Bytes of per-block scratch the conv kernels may hold.  They walk the batch
+#: in blocks of as many samples as fit, so scratch stays bounded at any batch.
+SCRATCH_BYTES = 1 << 21
+
+
+def _sample_blocks(n: int, per_sample_bytes: int):
+    """Yield ``(lo, hi)`` sample ranges whose scratch fits ``SCRATCH_BYTES``."""
+    step = max(1, SCRATCH_BYTES // max(1, per_sample_bytes))
+    for lo in range(0, n, step):
+        yield lo, min(n, lo + step)
 
 
 def conv_forward(
@@ -72,13 +90,22 @@ def conv_forward(
 
     ho = (h - k) // stride + 1
     wo = (wd - k) // stride + 1
-    out = np.zeros((n, f, ho, wo), dtype=np.result_type(x4, w, b))
-    for c in range(c_in):
-        for i in range(k):
-            for j in range(k):
-                patch = x4[:, c, i : i + ho * stride : stride, j : j + wo * stride : stride]
-                out += w[:, c, i, j][None, :, None, None] * patch[:, None, :, :]
-    out += b[None, :, None, None]
+    # Filter-major accumulator: each tap is one (F, 1) x (1, block) product
+    # over a contiguous row, so every element still sums its taps in
+    # ascending (c, i, j) order, then the bias.
+    out = np.empty((f, n, ho, wo), dtype=np.result_type(x4, w, b))
+    taps = w.reshape(f, c_in * k * k, 1)
+    for lo, hi in _sample_blocks(n, (2 * f + 1) * ho * wo * out.itemsize):
+        acc = np.zeros((f, (hi - lo) * ho * wo), dtype=out.dtype)
+        row = np.empty((hi - lo, ho, wo), dtype=x4.dtype)
+        tmp = np.empty(acc.shape, dtype=np.result_type(x4, w))
+        for t, (c, i, j) in enumerate(np.ndindex(c_in, k, k)):
+            np.copyto(row, x4[lo:hi, c, i : i + ho * stride : stride, j : j + wo * stride : stride])
+            np.multiply(taps[:, t], row.reshape(1, -1), out=tmp)
+            acc += tmp
+        acc += b[:, None]
+        out[:, lo:hi] = acc.reshape(f, hi - lo, ho, wo)
+    out = out.transpose(1, 0, 2, 3)
 
     ctx = ConvCtx(x4, w, stride, out.shape, batched)
     return (out if batched else out[0]), ctx
@@ -97,19 +124,22 @@ def conv_backward(
             f"forward output {ctx.out_shape}"
         )
     x4, w, s = ctx.x, ctx.w, ctx.stride
-    _, _, k, _ = w.shape
+    f, c_in, k, _ = w.shape
     _, _, ho, wo = ctx.out_shape
 
     db = up4.sum(axis=(0, 2, 3))
     dw = np.zeros_like(w)
     dx = np.zeros_like(x4)
-    for i in range(k):
-        for j in range(k):
-            for c in range(x4.shape[1]):
-                patch = x4[:, c, i : i + ho * s : s, j : j + wo * s : s]
-                dw[:, c, i, j] = np.tensordot(up4, patch, axes=([0, 2, 3], [0, 1, 2]))
-            contrib = np.tensordot(up4, w[:, :, i, j], axes=([1], [0]))  # (N,Ho,Wo,C)
-            dx[:, :, i : i + ho * s : s, j : j + wo * s : s] += contrib.transpose(0, 3, 1, 2)
+    for lo, hi in _sample_blocks(len(x4), (f + 2 * k * k) * ho * wo * x4.itemsize):
+        up = up4[lo:hi].transpose(1, 0, 2, 3).reshape(f, -1)
+        windows = np.lib.stride_tricks.sliding_window_view(x4[lo:hi], (k, k), axis=(2, 3))
+        for c in range(c_in):
+            cols = windows[:, c, : ho * s : s, : wo * s : s].reshape(-1, k * k)
+            dw[:, c] += (up @ cols).reshape(f, k, k)
+            dcols = (w[:, c].reshape(f, k * k).T @ up).reshape(k, k, hi - lo, ho, wo)
+            for i in range(k):
+                for j in range(k):
+                    dx[lo:hi, c, i : i + ho * s : s, j : j + wo * s : s] += dcols[i, j]
 
     if not ctx.batched:
         dx = dx[0]
@@ -184,9 +214,10 @@ def maxpool_backward(argmax: PoolArgmax, upstream: np.ndarray) -> np.ndarray:
     if idx.size and (idx.min() < 0 or idx.max() >= flat_size):
         raise ValueError("maxpool_backward: argmax index out of range")
 
-    dx = np.zeros((n, flat_size), dtype=up4.dtype)
-    np.add.at(dx, (np.arange(n)[:, None], idx), up4.reshape(n, -1))
-    dx = dx.reshape(n, c, h, wd)
+    # One bincount over sample-offset indices sums where windows overlap.
+    flat = (idx + np.arange(n)[:, None] * flat_size).reshape(-1)
+    dx = np.bincount(flat, weights=up4.reshape(-1), minlength=n * flat_size)
+    dx = dx.astype(up4.dtype, copy=False).reshape(n, c, h, wd)
     return dx if argmax.batched else dx[0]
 
 

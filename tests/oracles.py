@@ -25,6 +25,28 @@ def naive_conv(x, w, b, stride=1):
     return out
 
 
+def naive_conv_backward(x, w, upstream, stride=1):
+    """Gradients of ``naive_conv`` w.r.t. x, w and b for one (C,H,W) sample."""
+    c_in, h, wd = x.shape
+    f, _, k, _ = w.shape
+    _, ho, wo = upstream.shape
+    dx = np.zeros((c_in, h, wd))
+    dw = np.zeros((f, c_in, k, k))
+    db = np.zeros(f)
+    for fi in range(f):
+        for oy in range(ho):
+            for ox in range(wo):
+                g = upstream[fi, oy, ox]
+                db[fi] += g
+                for c in range(c_in):
+                    for i in range(k):
+                        for j in range(k):
+                            iy, ix = oy * stride + i, ox * stride + j
+                            dw[fi, c, i, j] += g * x[c, iy, ix]
+                            dx[c, iy, ix] += g * w[fi, c, i, j]
+    return dx, dw, db
+
+
 def naive_maxpool(x, kernel, stride):
     c_in, h, wd = x.shape
     ho = (h - kernel) // stride + 1

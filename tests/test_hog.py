@@ -65,3 +65,15 @@ def test_cell_histograms_shape():
 def test_rejects_non_2d():
     with pytest.raises(ValueError, match="2-D"):
         compute_hog(np.zeros((3, 32, 32)), CFG)
+
+
+def test_rejects_all_nan_image():
+    with pytest.raises(ValueError, match="2304 non-finite pixel"):
+        cell_histograms(np.full((48, 48), np.nan), CFG)
+
+
+def test_rejects_single_inf_pixel():
+    img = np.zeros((48, 48))
+    img[3, 7] = np.inf
+    with pytest.raises(ValueError, match="1 non-finite pixel.*row 3, column 7"):
+        compute_hog(img, CFG)

@@ -16,8 +16,17 @@ from facerel.ops import (
     relu_backward,
     sigmoid,
 )
+from facerel import ops
 
-from oracles import central_diff_grad, max_rel_err, naive_conv, naive_fc, naive_lrn, naive_maxpool
+from oracles import (
+    central_diff_grad,
+    max_rel_err,
+    naive_conv,
+    naive_conv_backward,
+    naive_fc,
+    naive_lrn,
+    naive_maxpool,
+)
 
 
 class TestConvForward:
@@ -69,6 +78,18 @@ class TestConvForward:
             single, _ = conv_forward(xs[i], w, b, stride=2)
             np.testing.assert_array_equal(batched[i], single)
 
+    def test_batched_equals_per_sample_across_blocks(self):
+        rng = np.random.default_rng(15)
+        for stride, shape, f in ((1, (20, 1, 48, 48), 16), (2, (16, 3, 40, 40), 64)):
+            xs = rng.normal(size=shape)
+            w = rng.normal(size=(f, shape[1], 5, 5))
+            b = rng.normal(size=f)
+            batched, _ = conv_forward(xs, w, b, stride=stride)
+            assert batched.nbytes > ops.SCRATCH_BYTES  # several sample blocks
+            for i in range(len(xs)):
+                single, _ = conv_forward(xs[i], w, b, stride=stride)
+                np.testing.assert_array_equal(batched[i], single)
+
     def test_rejects_channel_mismatch(self):
         with pytest.raises(ValueError, match="channel"):
             conv_forward(np.zeros((2, 4, 4)), np.zeros((1, 3, 2, 2)), np.zeros(1))
@@ -95,6 +116,68 @@ class TestConvBackward:
         assert max_rel_err(dx, central_diff_grad(loss, x)) < 1e-6
         assert max_rel_err(dw, central_diff_grad(loss, w)) < 1e-6
         assert max_rel_err(db, central_diff_grad(loss, b)) < 1e-6
+
+    @staticmethod
+    def _random_case(rng, n=None):
+        c = int(rng.integers(1, 4))
+        k = int(rng.integers(1, 4))
+        s = int(rng.integers(1, 3))
+        h = int(rng.integers(k, k + 6))
+        wd = int(rng.integers(k, k + 6))
+        f = int(rng.integers(1, 4))
+        lead = () if n is None else (n,)
+        x = rng.normal(size=lead + (c, h, wd))
+        w = rng.normal(size=(f, c, k, k))
+        out, ctx = conv_forward(x, w, rng.normal(size=f), stride=s)
+        return x, w, s, ctx, rng.normal(size=out.shape)
+
+    @staticmethod
+    def _naive_batch(x, w, up, s):
+        grads = [naive_conv_backward(xi, w, ui, s) for xi, ui in zip(x, up)]
+        return np.stack([g[0] for g in grads]), sum(g[1] for g in grads), sum(g[2] for g in grads)
+
+    def test_matches_naive_oracle_across_random_shapes(self):
+        rng = np.random.default_rng(16)
+        for _ in range(30):
+            x, w, s, ctx, up = self._random_case(rng)
+            for got, want in zip(conv_backward(ctx, up), naive_conv_backward(x, w, up, s)):
+                assert got.shape == want.shape
+                assert max_rel_err(got, want) < 1e-12
+
+    def test_batched_matches_naive_oracle(self):
+        rng = np.random.default_rng(17)
+        for _ in range(15):
+            x, w, s, ctx, up = self._random_case(rng, n=int(rng.integers(1, 5)))
+            for got, want in zip(conv_backward(ctx, up), self._naive_batch(x, w, up, s)):
+                assert got.shape == want.shape
+                assert max_rel_err(got, want) < 1e-12
+
+    def test_multi_block_batch_matches_naive_oracle(self, monkeypatch):
+        # shrink the scratch so that a small batch spans several sample blocks
+        monkeypatch.setattr(ops, "SCRATCH_BYTES", 2048)
+        rng = np.random.default_rng(18)
+        for _ in range(10):
+            x, w, s, ctx, up = self._random_case(rng, n=7)
+            for got, want in zip(conv_backward(ctx, up), self._naive_batch(x, w, up, s)):
+                assert max_rel_err(got, want) < 1e-12
+
+    def test_multi_block_batch_matches_per_sample(self):
+        rng = np.random.default_rng(19)
+        xs = rng.normal(size=(16, 2, 30, 30))
+        w = rng.normal(size=(32, 2, 5, 5))
+        out, ctx = conv_forward(xs, w, rng.normal(size=32), stride=1)
+        assert out.nbytes > ops.SCRATCH_BYTES  # several sample blocks
+        up = rng.normal(size=out.shape)
+        dx, dw, db = conv_backward(ctx, up)
+        dw_sum, db_sum = np.zeros_like(dw), np.zeros_like(db)
+        for i in range(len(xs)):
+            _, ctx_i = conv_forward(xs[i], w, np.zeros(32), stride=1)
+            dx_i, dw_i, db_i = conv_backward(ctx_i, up[i])
+            assert max_rel_err(dx[i], dx_i) < 1e-12
+            dw_sum += dw_i
+            db_sum += db_i
+        assert max_rel_err(dw, dw_sum) < 1e-12
+        assert max_rel_err(db, db_sum) < 1e-12
 
     def test_zero_upstream_gives_zero_grads(self):
         x = np.random.default_rng(3).normal(size=(1, 4, 4))
