@@ -47,12 +47,13 @@ def _as_batched_images(x: np.ndarray, who: str) -> tuple[np.ndarray, bool]:
     raise ValueError(f"{who}: expected a (C,H,W) or (N,C,H,W) array, got ndim={x.ndim}")
 
 
-#: Bytes of per-block scratch the conv kernels may hold.  They walk the batch
-#: in blocks of as many samples as fit, so scratch stays bounded at any batch.
+#: Bytes of per-block scratch the conv and fc forward kernels and the batched
+#: HOG may hold.  They walk their inputs in blocks of as many samples (fc: input
+#: indices) as fit, so scratch stays bounded at any batch.
 SCRATCH_BYTES = 1 << 21
 
 
-def _sample_blocks(n: int, per_sample_bytes: int):
+def sample_blocks(n: int, per_sample_bytes: int):
     """Yield ``(lo, hi)`` sample ranges whose scratch fits ``SCRATCH_BYTES``."""
     step = max(1, SCRATCH_BYTES // max(1, per_sample_bytes))
     for lo in range(0, n, step):
@@ -95,7 +96,7 @@ def conv_forward(
     # ascending (c, i, j) order, then the bias.
     out = np.empty((f, n, ho, wo), dtype=np.result_type(x4, w, b))
     taps = w.reshape(f, c_in * k * k, 1)
-    for lo, hi in _sample_blocks(n, (2 * f + 1) * ho * wo * out.itemsize):
+    for lo, hi in sample_blocks(n, (2 * f + 1) * ho * wo * out.itemsize):
         acc = np.zeros((f, (hi - lo) * ho * wo), dtype=out.dtype)
         row = np.empty((hi - lo, ho, wo), dtype=x4.dtype)
         tmp = np.empty(acc.shape, dtype=np.result_type(x4, w))
@@ -130,7 +131,7 @@ def conv_backward(
     db = up4.sum(axis=(0, 2, 3))
     dw = np.zeros_like(w)
     dx = np.zeros_like(x4)
-    for lo, hi in _sample_blocks(len(x4), (f + 2 * k * k) * ho * wo * x4.itemsize):
+    for lo, hi in sample_blocks(len(x4), (f + 2 * k * k) * ho * wo * x4.itemsize):
         up = up4[lo:hi].transpose(1, 0, 2, 3).reshape(f, -1)
         windows = np.lib.stride_tricks.sliding_window_view(x4[lo:hi], (k, k), axis=(2, 3))
         for c in range(c_in):
@@ -312,11 +313,25 @@ def fc_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray,
     if b.shape != (d_out,):
         raise ValueError(f"fc_forward: bias must have shape ({d_out},), got {b.shape}")
 
-    out = np.zeros(x.shape[:-1] + (d_out,), dtype=np.result_type(x, w, b))
-    for i in range(d_in):
-        out += x[..., i : i + 1] * w[i]
-    out += b
-    return out, FcCtx(x, w, x.ndim == 2)
+    # The sum runs in the naive loop's order.  Row 0 of the scratch carries the
+    # running sum and rows 1.. the products of one chunk of inputs; a reduce
+    # over axis 0 adds them one row at a time.  numpy does so only while the
+    # row has more than one element (a single one it sums pairwise), so the
+    # row is padded to at least two.
+    x2 = x if x.ndim == 2 else x[None]
+    n = x2.shape[0]
+    width = d_out if n * d_out > 1 else 2
+    running = np.zeros((n, width), dtype=np.result_type(x, w, b))
+    scratch = None
+    for lo, hi in sample_blocks(d_in, running.nbytes):
+        if scratch is None:
+            scratch = np.zeros((hi - lo + 1,) + running.shape, running.dtype)
+        rows = scratch[: hi - lo + 1]
+        rows[0] = running
+        np.multiply(x2[:, lo:hi].T[:, :, None], w[lo:hi, None, :], out=rows[1:, :, :d_out])
+        np.add.reduce(rows, axis=0, out=running)
+    out = running[:, :d_out] + b
+    return (out if x.ndim == 2 else out[0]), FcCtx(x, w, x.ndim == 2)
 
 
 def fc_backward(ctx: FcCtx, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

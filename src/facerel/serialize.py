@@ -11,6 +11,8 @@ stored in sorted-name order, little-endian, C-contiguous.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -55,25 +57,54 @@ def save_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -
 
 
 def load_container(path) -> tuple[str, dict, dict[str, np.ndarray]]:
+    """Read a container back; any malformed part raises ``ValueError`` naming it."""
     path = Path(path)
     with open(path, "rb") as f:
         magic = f.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"{path}: not a facerel container (bad magic)")
-        (header_len,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(header_len).decode("utf-8"))
+        length = f.read(8)
+        if len(length) != 8:
+            raise ValueError(f"{path}: truncated header length")
+        (header_len,) = struct.unpack("<Q", length)
+        # sizes are checked against the bytes left before any read, so a
+        # corrupt size cannot ask for a huge allocation
+        size = os.fstat(f.fileno()).st_size
+        if header_len > size - f.tell():
+            raise ValueError(f"{path}: truncated header ({header_len} bytes declared)")
+        try:
+            header = json.loads(f.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise ValueError(f"{path}: header is not UTF-8 JSON: {e}") from None
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: header is a JSON {type(header).__name__}, not an object")
         if header.get("format_version") != FORMAT_VERSION:
             raise ValueError(
                 f"{path}: unsupported container format version {header.get('format_version')}"
             )
+        for field, want in (("kind", str), ("meta", dict), ("arrays", list)):
+            if not isinstance(header.get(field), want):
+                raise ValueError(f"{path}: header field {field!r} is missing or not a {want.__name__}")
         arrays = {}
-        for entry in header["arrays"]:
-            if entry["dtype"] not in _ALLOWED_DTYPES:
-                raise ValueError(f"{path}: unsupported dtype {entry['dtype']}")
-            count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-            dt = np.dtype(entry["dtype"])
-            raw = f.read(count * dt.itemsize)
-            if len(raw) != count * dt.itemsize:
-                raise ValueError(f"{path}: truncated array data for {entry['name']!r}")
-            arrays[entry["name"]] = np.frombuffer(raw, dtype=dt).reshape(entry["shape"]).copy()
+        for i, entry in enumerate(header["arrays"]):
+            name, shape, code = _entry(path, i, entry)
+            dt = np.dtype(code)
+            nbytes = math.prod(shape) * dt.itemsize
+            if nbytes > size - f.tell():
+                raise ValueError(f"{path}: truncated array data for {name!r}")
+            arrays[name] = np.frombuffer(f.read(nbytes), dtype=dt).reshape(shape).copy()
     return header["kind"], header["meta"], arrays
+
+
+def _entry(path, i: int, entry) -> tuple[str, list[int], str]:
+    """The (name, shape, dtype) of array entry ``i`` of the header, checked."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{path}: array entry {i} is not an object")
+    name, shape, code = entry.get("name"), entry.get("shape"), entry.get("dtype")
+    if not isinstance(name, str):
+        raise ValueError(f"{path}: array entry {i} has no string name")
+    if code not in _ALLOWED_DTYPES:
+        raise ValueError(f"{path}: unsupported dtype {code} for {name!r}")
+    if not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
+        raise ValueError(f"{path}: shape {shape} of {name!r} is not a list of sizes >= 0")
+    return name, shape, code

@@ -116,3 +116,41 @@ def max_rel_err(a, b, floor=1e-8):
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
+
+
+def naive_hog(img, cell, block, bins, eps):
+    """HOG of one 2-D image, pixel by pixel and block by block.
+
+    Gradients are central differences inside and one-sided at the borders;
+    each pixel's magnitude is added to its cell's orientation bin in
+    row-major pixel order.  A block's squared entries are summed by
+    ``np.sum`` over its flat (cell row, cell column, bin) vector: that
+    summation order is part of the recipe the library must match bit for bit.
+    """
+    h, w = img.shape
+    cy, cx = h // cell, w // cell
+    hist = np.zeros((cy, cx, bins))
+    for y in range(cy * cell):
+        for x in range(cx * cell):
+            if y == 0:
+                gy = img[1, x] - img[0, x]
+            elif y == h - 1:
+                gy = img[h - 1, x] - img[h - 2, x]
+            else:
+                gy = (img[y + 1, x] - img[y - 1, x]) / 2.0
+            if x == 0:
+                gx = img[y, 1] - img[y, 0]
+            elif x == w - 1:
+                gx = img[y, w - 1] - img[y, w - 2]
+            else:
+                gx = (img[y, x + 1] - img[y, x - 1]) / 2.0
+            theta = np.mod(np.arctan2(gy, gx), np.pi)
+            b = min(int(theta / (np.pi / bins)), bins - 1)
+            hist[y // cell, x // cell, b] += np.hypot(gx, gy)
+    out = []
+    for by in range(cy - block + 1):
+        for bx in range(cx - block + 1):
+            v = np.array([hist[by + i, bx + j, k]
+                          for i in range(block) for j in range(block) for k in range(bins)])
+            out.extend(v / np.sqrt(np.sum(v * v) + eps * eps))
+    return np.array(out)

@@ -1,18 +1,23 @@
 """Cluster-tree construction and descriptor extraction."""
 
+import re
+
 import numpy as np
 import pytest
 
+from facerel import bridge
 from facerel.bridge import (
     DEFAULT_SCHEMA,
     build_cluster_tree,
+    descriptors,
     extract_descriptor,
     load_bank,
     network_descriptor,
     save_bank,
     standardize_descriptor,
 )
-from facerel.hog import HogConfig
+from facerel.hog import HogConfig, compute_hog, compute_hog_batch
+from facerel.serialize import load_container, save_container
 
 CFG = HogConfig(cell=8, block=2, bins=9, eps=1e-5)
 
@@ -189,3 +194,100 @@ class TestBankIO:
         save_bank(p1, tree)
         save_bank(p2, tree)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def pruned_bank(seed):
+    """A T=4, U=L=6 bank on 40 faces in 3 modes, and its corpus."""
+    corpus, _ = make_corpus(40, 3, seed)
+    return corpus, build_cluster_tree(corpus, 4, 6, 6, seed=0, hog_cfg=CFG)
+
+
+def corpus_hogs(corpus):
+    return compute_hog_batch(np.stack([img for _, img in corpus]), CFG)
+
+
+class TestDescriptorPath:
+    def test_build_computes_each_hog_once(self, monkeypatch):
+        images = []
+        single, batch = bridge.compute_hog, bridge.compute_hog_batch
+        monkeypatch.setattr(bridge, "compute_hog",
+                            lambda img, cfg=None: images.append(1) or single(img, cfg))
+        monkeypatch.setattr(bridge, "compute_hog_batch",
+                            lambda imgs, cfg=None: images.append(len(imgs)) or batch(imgs, cfg))
+        corpus, _ = make_corpus(30, n_modes=3, seed=20)
+        build_cluster_tree(corpus, 3, 2, 2, seed=0, hog_cfg=CFG)
+        assert sum(images) == len(corpus)
+
+    def test_build_statistics_come_from_query_time_descriptors(self):
+        corpus, tree = pruned_bank(1)
+        assert tree.pruned_nodes()
+        hs = np.stack([extract_descriptor(img, tree) for _, img in corpus])
+        np.testing.assert_array_equal(descriptors(corpus_hogs(corpus), tree), hs)
+        constant = np.all(hs == hs[0], axis=0)
+        np.testing.assert_array_equal(tree.h_mean[~constant], hs.mean(axis=0)[~constant])
+        np.testing.assert_array_equal(tree.h_mean[constant], hs[0, constant])
+        np.testing.assert_array_equal(tree.h_std, hs.std(axis=0))
+        assert tree.sentinel == hs[:, tree.slots].max()  # the largest exact distance
+
+    def test_descriptor_is_the_per_template_norm(self):
+        corpus, tree = pruned_bank(1)
+        hog = compute_hog(corpus[0][1], CFG)
+        want = np.full(tree.descriptor_length, tree.sentinel)
+        want[: tree.t_top] = np.linalg.norm(tree.top_templates - hog, axis=1)
+        for region, first, width in (("upper", tree.t_top, tree.u_max),
+                                     ("lower", tree.t_top * (1 + tree.u_max), tree.l_max)):
+            for t, g in enumerate(getattr(tree, region)):
+                start = first + t * width
+                want[start : start + g.count] = np.linalg.norm(g.templates - hog, axis=1)
+        np.testing.assert_array_equal(extract_descriptor(corpus[0][1], tree), want)
+
+    def test_constant_slots_standardize_to_exactly_zero(self):
+        pruned = 0
+        for seed in range(8):
+            corpus, tree = pruned_bank(seed)
+            raw = np.stack([extract_descriptor(img, tree) for _, img in corpus])
+            sentinel_slots = np.all(raw == tree.sentinel, axis=0)
+            pruned += bool(sentinel_slots.any())
+            hs = standardize_descriptor(raw, tree)
+            np.testing.assert_array_equal(hs[:, sentinel_slots], 0.0)
+        assert pruned >= 3
+
+    def test_pruned_bank_roundtrip_keeps_descriptors(self, tmp_path):
+        corpus, tree = pruned_bank(1)
+        assert tree.pruned_nodes()
+        path = tmp_path / "bank.bin"
+        save_bank(path, tree)
+        loaded = load_bank(path)
+        np.testing.assert_array_equal(loaded.templates, tree.templates)
+        np.testing.assert_array_equal(loaded.slots, tree.slots)
+        hogs = corpus_hogs(corpus)
+        np.testing.assert_array_equal(descriptors(hogs, loaded), descriptors(hogs, tree))
+
+
+def _repeat_rows(arrays, name):
+    arrays[name] = np.concatenate([arrays[name]] * 4)  # more than u_max=3 rows
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda meta, arrays: arrays.pop("upper_1.templates"), "upper_1.templates"),
+        (lambda meta, arrays: meta.pop("sentinel"), "sentinel"),
+        (lambda meta, arrays: [_repeat_rows(arrays, f"upper_0.{part}")
+                               for part in ("centroids", "templates")], "upper_0.centroids"),
+        (lambda meta, arrays: arrays.update(h_mean=arrays["h_mean"][:-1]), "h_mean"),
+        (lambda meta, arrays: arrays.update({"lower_1.templates": arrays["lower_1.templates"][:, 1:]}),
+         "lower_1.templates"),
+    ],
+    ids=["missing-templates", "missing-sentinel", "too-many-children", "short-h-mean",
+         "template-width"],
+)
+def test_load_bank_rejects_malformed_field(tmp_path, edit, field):
+    corpus, _ = make_corpus(24, seed=15)
+    path = tmp_path / "bank.bin"
+    save_bank(path, build_cluster_tree(corpus, 2, 3, 3, seed=0, hog_cfg=CFG))
+    kind, meta, arrays = load_container(path)
+    edit(meta, arrays)
+    save_container(path, kind, meta, arrays)
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*{re.escape(field)}"):
+        load_bank(path)

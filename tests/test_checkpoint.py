@@ -1,11 +1,14 @@
 """Container and checkpoint round-trips."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from facerel.checkpoint import load_checkpoint, save_checkpoint
 from facerel.net import NetworkSpec, conv_spec, fc_spec, init_trunk_params, pool_spec, relu_spec
-from facerel.serialize import load_container, save_container
+from facerel.serialize import MAGIC, load_container, save_container
 
 
 def small_spec():
@@ -37,6 +40,44 @@ def test_container_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTAFILE" + b"\x00" * 16)
     with pytest.raises(ValueError, match="magic"):
+        load_container(path)
+
+
+def _header(**fields):
+    return json.dumps({"format_version": 1, "kind": "test", "meta": {}, **fields}).encode()
+
+
+@pytest.mark.parametrize(
+    "header, match",
+    [
+        (b"[1, 2]", "header is a JSON list, not an object"),
+        (json.dumps({"format_version": 1, "kind": "test", "meta": {}}).encode(),
+         "header field 'arrays' is missing"),
+        (_header(arrays=[{"name": "a", "shape": [-1], "dtype": "<f8"}]),
+         r"shape \[-1\] of 'a' is not a list of sizes >= 0"),
+        (_header(arrays=[{"shape": [2], "dtype": "<f8"}]), "array entry 0 has no string name"),
+        (b"\xff{}", "header is not UTF-8 JSON"),
+        (_header(arrays=[{"name": "a", "shape": [2**40], "dtype": "<f8"}]),
+         "truncated array data for 'a'"),
+    ],
+)
+def test_container_rejects_malformed_header(tmp_path, header, match):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header + b"\x00" * 16)
+    with pytest.raises(ValueError, match=match) as err:
+        load_container(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "tail, match",
+    [(b"\x01\x02", "truncated header length"),
+     (struct.pack("<Q", 2**62) + b"{}", "truncated header")],
+)
+def test_container_rejects_truncated_header(tmp_path, tail, match):
+    path = tmp_path / "short.bin"
+    path.write_bytes(MAGIC + tail)
+    with pytest.raises(ValueError, match=match):
         load_container(path)
 
 

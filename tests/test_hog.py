@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from facerel.hog import HogConfig, cell_histograms, compute_hog
+from facerel import ops
+from facerel.hog import HogConfig, cell_histograms, compute_hog, compute_hog_batch
 
+from oracles import naive_hog
 
 CFG = HogConfig(cell=8, block=2, bins=9, eps=1e-5)
 
@@ -77,3 +79,30 @@ def test_rejects_single_inf_pixel():
     img[3, 7] = np.inf
     with pytest.raises(ValueError, match="1 non-finite pixel.*row 3, column 7"):
         compute_hog(img, CFG)
+
+
+def test_batch_spanning_chunks_matches_singles_and_naive():
+    imgs = np.random.default_rng(2).random((24, 48, 48))
+    assert imgs.nbytes * 10 > 2 * ops.SCRATCH_BYTES  # several chunks
+    batched = compute_hog_batch(imgs, CFG)
+    np.testing.assert_array_equal(batched, np.stack([compute_hog(im, CFG) for im in imgs]))
+    for i in (0, 11, 23):
+        np.testing.assert_array_equal(batched[i], naive_hog(imgs[i], 8, 2, 9, 1e-5))
+
+
+def test_batch_names_the_non_finite_image():
+    imgs = np.zeros((5, 32, 32))
+    imgs[3, 4, 9] = np.nan
+    with pytest.raises(ValueError, match="image 3 has 1 non-finite pixel.*row 4, column 9"):
+        compute_hog_batch(imgs, CFG)
+
+
+def test_batch_rejects_single_image():
+    with pytest.raises(ValueError, match=r"\(N, H, W\) stack"):
+        compute_hog_batch(np.zeros((32, 32)), CFG)
+
+
+def test_batch_rejects_images_of_another_size():
+    imgs = [np.zeros((48, 48))] * 12 + [np.zeros((40, 48))]
+    with pytest.raises(ValueError, match=r"image 12 has shape \(40, 48\), not \(48, 48\)"):
+        compute_hog_batch(imgs, CFG)

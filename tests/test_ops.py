@@ -337,6 +337,20 @@ class TestFc:
             single, _ = fc_forward(xs[i], w, b)
             np.testing.assert_array_equal(batched[i], single)
 
+    def test_multi_chunk_matches_naive_oracle(self, monkeypatch):
+        # shrink the scratch so that the inputs span many chunks
+        monkeypatch.setattr(ops, "SCRATCH_BYTES", 256)
+        rng = np.random.default_rng(15)
+        for n, d_in, d_out in ((3, 37, 5), (1, 40, 1), (4, 23, 1), (2, 19, 6)):
+            xs = rng.normal(size=(n, d_in))
+            w = rng.normal(size=(d_in, d_out))
+            b = rng.normal(size=d_out)
+            batched, _ = fc_forward(xs, w, b)
+            for i in range(n):
+                single, _ = fc_forward(xs[i], w, b)
+                np.testing.assert_array_equal(single, naive_fc(xs[i], w, b))
+                np.testing.assert_array_equal(batched[i], single)
+
     def test_backward_finite_differences(self):
         rng = np.random.default_rng(14)
         x = rng.normal(size=6)
