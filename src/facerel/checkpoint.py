@@ -25,14 +25,34 @@ def save_checkpoint(path, spec: NetworkSpec, params: ParameterSet, extra: dict |
 
 
 def load_checkpoint(path) -> tuple[NetworkSpec, ParameterSet, dict]:
+    """Read a checkpoint; any malformed part raises ``ValueError`` naming it.
+
+    Every ``trunk.`` parameter the stored network needs must be present with
+    its shape; parameters outside the network (heads) load as stored.
+    """
     kind, meta, arrays = load_container(path)
     if kind != "checkpoint":
         raise ValueError(f"{path}: container holds {kind!r}, not a checkpoint")
-    spec = NetworkSpec.from_dict(meta["network"])
+    for key, want in (("network", dict), ("param_order", list)):
+        if not isinstance(meta.get(key), want):
+            raise ValueError(f"{path}: meta field {key!r} is missing or not a {want.__name__}")
+    try:
+        spec = NetworkSpec.from_dict(meta["network"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"{path}: meta field 'network' is not a valid trunk: {e}") from None
     params = ParameterSet()
     for name in meta["param_order"]:
         if name not in arrays:
             raise ValueError(f"{path}: parameter {name!r} listed but missing")
         data = arrays[name]
         params.add(name, Tensor(data, np.zeros_like(data)))
+    for name, shape in spec.param_shapes().items():
+        key = "trunk." + name
+        if key not in params:
+            raise ValueError(f"{path}: parameter {key!r} of the network is missing")
+        if params[key].shape != shape:
+            raise ValueError(
+                f"{path}: parameter {key!r} has shape {params[key].shape}, "
+                f"the network needs {shape}"
+            )
     return spec, params, meta.get("extra", {})

@@ -71,7 +71,10 @@ class Box:
         parts = text.split(",")
         if len(parts) != 4:
             raise ValueError(f"box must be x,y,w,h, got {text!r}")
-        return Box(int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3]))
+        box = Box(int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3]))
+        if not np.isfinite([box.w, box.h]).all():
+            raise ValueError(f"box extent must be finite, got {text!r}")
+        return box
 
 
 @dataclass
@@ -142,7 +145,12 @@ def write_manifest(path, kind: str, split: str, records) -> None:
 
 def read_manifest(path) -> tuple[str, str, list]:
     """Parse a manifest into (kind, split, records); errors carry line numbers."""
-    path = Path(path)
+    kind, split, numbered = _read_numbered(Path(path))
+    return kind, split, [rec for _, rec in numbered]
+
+
+def _read_numbered(path: Path) -> tuple[str, str, list[tuple[int, AttrRecord | PairRecord]]]:
+    """``read_manifest`` with each record paired with its line number."""
     lines = path.read_text().splitlines()
     if not lines or not lines[0].startswith("#facerel-manifest"):
         raise ValueError(f"{path}:1: missing manifest header")
@@ -175,7 +183,7 @@ def read_manifest(path) -> tuple[str, str, list]:
                     else:
                         raise ValueError(f"label must be 0, 1 or ?, got {tok!r}")
                 records.append(
-                    AttrRecord(parts[0], parts[1], parts[2], tuple(labels), tuple(mask))
+                    (ln, AttrRecord(parts[0], parts[1], parts[2], tuple(labels), tuple(mask)))
                 )
             else:
                 if len(parts) != 3 + N_RELATIONS:
@@ -188,7 +196,8 @@ def read_manifest(path) -> tuple[str, str, list]:
                         raise ValueError(f"relation label must be 0 or 1, got {tok!r}")
                     rel.append(int(tok))
                 records.append(
-                    PairRecord(parts[0], Box.decode(parts[1]), Box.decode(parts[2]), tuple(rel))
+                    (ln, PairRecord(parts[0], Box.decode(parts[1]), Box.decode(parts[2]),
+                                    tuple(rel)))
                 )
         except ValueError as e:
             raise ValueError(f"{path}:{ln}: {e}") from None
@@ -210,6 +219,21 @@ def _load_array(base: Path, rel: str, where: str) -> np.ndarray:
     return np.load(p)
 
 
+def _load_image(base: Path, rel: str, where: str) -> np.ndarray:
+    """A referenced (H, W) grayscale image, checked to be finite and in [0, 1]."""
+    img = np.asarray(_load_array(base, rel, where), dtype=np.float64)
+    if img.ndim != 2:
+        raise ValueError(f"{where}: image {rel!r} has shape {img.shape}, not (H, W)")
+    if not np.isfinite(img).all():
+        raise ValueError(f"{where}: image {rel!r} has non-finite pixels")
+    if np.any((img < 0.0) | (img > 1.0)):
+        raise ValueError(
+            f"{where}: image {rel!r} has pixels outside [0, 1] "
+            f"(range {img.min()!r}..{img.max()!r})"
+        )
+    return img
+
+
 def _crop_box(img: np.ndarray, box: Box, where: str) -> np.ndarray:
     h, w = img.shape
     wp, hp = box.pixel_extent(w, h)
@@ -228,17 +252,28 @@ def load_manifest(path, face_size: tuple[int, int] = (48, 48),
     left face, then cropped and resized to ``face_size`` (height, width).
     """
     path = Path(path)
-    kind, split, records = read_manifest(path)
+    kind, split, records = _read_numbered(path)
     base = path.parent
     out = []
-    for i, rec in enumerate(records):
-        where = f"{path}:{i + 2}"
+    geometry = None
+    for ln, rec in records:
+        where = f"{path}:{ln}"
         if kind == "attributes":
-            img = _load_array(base, rec.image_path, where)
-            lm = check_landmarks(_load_array(base, rec.landmark_path, where), schema)
+            img = _load_image(base, rec.image_path, where)
+            geometry = geometry or img.shape
+            if img.shape != geometry:
+                raise ValueError(
+                    f"{where}: image {rec.image_path!r} is {img.shape[0]}x{img.shape[1]}, "
+                    f"the manifest's first image is {geometry[0]}x{geometry[1]}"
+                )
+            lm = _load_array(base, rec.landmark_path, where)
+            try:
+                lm = check_landmarks(lm, schema)
+            except ValueError as e:
+                raise ValueError(f"{where}: {rec.landmark_path!r}: {e}") from None
             out.append(
                 Sample(
-                    image=np.asarray(img, dtype=np.float64),
+                    image=img,
                     landmarks=lm,
                     labels=np.array(rec.labels),
                     mask=np.array(rec.mask, dtype=bool),
@@ -246,7 +281,7 @@ def load_manifest(path, face_size: tuple[int, int] = (48, 48),
                 )
             )
         else:
-            img = np.asarray(_load_array(base, rec.image_path, where), dtype=np.float64)
+            img = _load_image(base, rec.image_path, where)
             h, w = img.shape
             lbox, rbox = rec.left_box, rec.right_box
             if rbox.x < lbox.x:
@@ -263,11 +298,6 @@ def load_manifest(path, face_size: tuple[int, int] = (48, 48),
                 )
             )
     return kind, split, out
-
-
-def pair_key(rec: PairRecord) -> tuple:
-    """Identity of a pair for split-disjointness checks."""
-    return (rec.image_path, rec.left_box.encode(), rec.right_box.encode())
 
 
 def batch_iter(dataset, batch_size: int, seed: int, epoch: int):

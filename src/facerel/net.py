@@ -6,11 +6,17 @@ feature vector.  The descriptor joins the data path exactly once, concatenated
 to the flattened conv features at the input of the first fully-connected
 layer.  Zeroing the descriptor reduces the trunk to its image-only variant
 without changing any parameter shape.
+
+A ``NetworkSpec`` places its layers once, at construction, into one plan of
+``LayerStep``s: each layer's name, in and out shapes and parameter shapes,
+and a ``flatten`` flag on the first fc layer, where the descriptor joins.
+``trace``, ``param_shapes``, ``init_trunk_params``, the forward and backward
+walks and ``min_kink_margin`` all read that plan; none re-derives a shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -24,6 +30,7 @@ from .ops import (
     lrn_forward,
     maxpool_backward,
     maxpool_forward,
+    pool_windows,
     relu,
     relu_backward,
 )
@@ -78,6 +85,9 @@ class LayerSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "LayerSpec":
+        unknown = sorted(set(d) - {f.name for f in fields(LayerSpec)})
+        if unknown:
+            raise ValueError(f"unknown layer field(s) {unknown}")
         return LayerSpec(**d)
 
 
@@ -102,12 +112,35 @@ def relu_spec() -> LayerSpec:
 
 
 @dataclass(frozen=True)
+class LayerStep:
+    """One layer placed in a trunk: its name, shapes and parameter shapes.
+
+    ``flatten`` marks the first fc layer, where the spatial features are
+    flattened and the bridging descriptor is appended; its ``in_shape`` is
+    the spatial shape before flattening.
+    """
+
+    name: str
+    layer: LayerSpec
+    in_shape: tuple[int, ...]
+    out_shape: tuple[int, ...]
+    param_shapes: dict[str, tuple[int, ...]]
+    flatten: bool = False
+
+
+@dataclass(frozen=True)
 class NetworkSpec:
-    """A trunk architecture: input geometry, layer stack, descriptor width."""
+    """A trunk architecture: input geometry, layer stack, descriptor width.
+
+    ``plan`` holds every layer placed once, at construction; it is derived
+    from the other fields and takes no part in equality, hashing or
+    ``to_dict``.
+    """
 
     input_shape: tuple[int, int, int]
     layers: tuple[LayerSpec, ...]
     bridge_dim: int = 0
+    plan: tuple[LayerStep, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "input_shape", tuple(int(v) for v in self.input_shape))
@@ -116,85 +149,59 @@ class NetworkSpec:
             raise ValueError(f"input_shape must be (C,H,W) of positive ints, got {self.input_shape}")
         if self.bridge_dim < 0:
             raise ValueError("bridge_dim must be >= 0")
-        self.trace()  # validates feasibility
+        object.__setattr__(self, "plan", self._place())
 
-    def trace(self) -> list[tuple[int, ...]]:
-        """Shape after every layer; raises if any layer cannot be placed."""
-        shapes: list[tuple[int, ...]] = []
+    def _place(self) -> tuple[LayerStep, ...]:
+        """Place every layer in order; raises if any layer cannot be placed."""
+        steps: list[LayerStep] = []
+        counts = {"conv": 0, "fc": 0}
         cur: tuple[int, ...] = self.input_shape
-        seen_fc = False
         for idx, layer in enumerate(self.layers):
             where = f"layer {idx} ({layer.kind})"
+            name, shapes, out, flatten = layer.kind, {}, cur, False
+            if layer.kind in counts:
+                counts[layer.kind] += 1
+                name = f"{layer.kind}{counts[layer.kind]}"
             if layer.kind in ("conv", "maxpool", "lrn") and len(cur) != 3:
                 raise ValueError(f"{where}: requires a spatial (C,H,W) input, have {cur}")
-            if layer.kind == "conv":
+            if layer.kind in ("conv", "maxpool"):
                 c, h, w = cur
                 if h < layer.kernel or w < layer.kernel:
                     raise ValueError(f"{where}: kernel {layer.kernel} does not fit {h}x{w}")
-                cur = (
-                    layer.filters,
+                out = (
+                    layer.filters if layer.kind == "conv" else c,
                     (h - layer.kernel) // layer.stride + 1,
                     (w - layer.kernel) // layer.stride + 1,
                 )
-            elif layer.kind == "maxpool":
-                c, h, w = cur
-                if h < layer.kernel or w < layer.kernel:
-                    raise ValueError(f"{where}: kernel {layer.kernel} does not fit {h}x{w}")
-                cur = (
-                    c,
-                    (h - layer.kernel) // layer.stride + 1,
-                    (w - layer.kernel) // layer.stride + 1,
-                )
+                if layer.kind == "conv":
+                    shapes = {f"{name}.w": (layer.filters, c, layer.kernel, layer.kernel),
+                              f"{name}.b": (layer.filters,)}
             elif layer.kind == "fc":
-                if not seen_fc and len(cur) == 3:
-                    flat = cur[0] * cur[1] * cur[2] + self.bridge_dim
-                else:
-                    flat = cur[-1]
-                cur = (layer.out_dim,)
-                seen_fc = True
+                # every layer before the first fc keeps a (C,H,W) shape
+                flatten = counts["fc"] == 1
+                d_in = cur[0] * cur[1] * cur[2] + self.bridge_dim if flatten else cur[0]
+                out = (layer.out_dim,)
+                shapes = {f"{name}.w": (d_in, layer.out_dim), f"{name}.b": (layer.out_dim,)}
             # lrn and relu keep the shape
-            shapes.append(cur)
-        if self.bridge_dim > 0 and not seen_fc:
+            steps.append(LayerStep(name, layer, cur, out, shapes, flatten))
+            cur = out
+        if self.bridge_dim > 0 and counts["fc"] == 0:
             raise ValueError("a trunk with a bridge descriptor needs at least one fc layer")
-        return shapes
+        return tuple(steps)
+
+    def trace(self) -> list[tuple[int, ...]]:
+        """Shape after every layer."""
+        return [step.out_shape for step in self.plan]
 
     @property
     def feature_dim(self) -> int:
-        last = self.trace()[-1]
+        last = self.plan[-1].out_shape
         if len(last) != 1:
             raise ValueError("trunk must end in a flat feature vector (fc stack)")
         return last[0]
 
-    def layer_names(self) -> list[str]:
-        """Per-layer names; parameterized layers get conv1.., fc1.. labels."""
-        counts = {"conv": 0, "fc": 0}
-        names = []
-        for layer in self.layers:
-            if layer.kind in counts:
-                counts[layer.kind] += 1
-                names.append(f"{layer.kind}{counts[layer.kind]}")
-            else:
-                names.append(layer.kind)
-        return names
-
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        shapes: dict[str, tuple[int, ...]] = {}
-        cur: tuple[int, ...] = self.input_shape
-        seen_fc = False
-        for layer, name in zip(self.layers, self.layer_names()):
-            if layer.kind == "conv":
-                shapes[f"{name}.w"] = (layer.filters, cur[0], layer.kernel, layer.kernel)
-                shapes[f"{name}.b"] = (layer.filters,)
-            elif layer.kind == "fc":
-                if not seen_fc and len(cur) == 3:
-                    d_in = cur[0] * cur[1] * cur[2] + self.bridge_dim
-                else:
-                    d_in = cur[-1]
-                shapes[f"{name}.w"] = (d_in, layer.out_dim)
-                shapes[f"{name}.b"] = (layer.out_dim,)
-            cur = _advance_shape(cur, layer, self.bridge_dim, seen_fc)
-            seen_fc = seen_fc or layer.kind == "fc"
-        return shapes
+        return {name: shape for step in self.plan for name, shape in step.param_shapes.items()}
 
     def to_dict(self) -> dict:
         return {
@@ -210,24 +217,6 @@ class NetworkSpec:
             layers=tuple(LayerSpec.from_dict(ld) for ld in d["layers"]),
             bridge_dim=int(d.get("bridge_dim", 0)),
         )
-
-
-def _advance_shape(cur, layer: LayerSpec, bridge_dim: int, seen_fc: bool):
-    if layer.kind == "conv":
-        return (
-            layer.filters,
-            (cur[1] - layer.kernel) // layer.stride + 1,
-            (cur[2] - layer.kernel) // layer.stride + 1,
-        )
-    if layer.kind == "maxpool":
-        return (
-            cur[0],
-            (cur[1] - layer.kernel) // layer.stride + 1,
-            (cur[2] - layer.kernel) // layer.stride + 1,
-        )
-    if layer.kind == "fc":
-        return (layer.out_dim,)
-    return cur
 
 
 def init_trunk_params(
@@ -247,11 +236,9 @@ def init_trunk_params(
 
 @dataclass
 class TrunkCache:
-    """Per-layer contexts from one forward pass, for the matching backward."""
+    """``(step, ctx)`` for every layer of one forward pass, for the backward."""
 
-    entries: list[tuple[str, Any]] = field(default_factory=list)
-    conv_shape_at_flatten: tuple[int, ...] | None = None
-    bridge_batched: bool = False
+    entries: list[tuple[LayerStep, Any]] = field(default_factory=list)
 
 
 def trunk_forward(
@@ -289,37 +276,26 @@ def trunk_forward(
 
     cache = TrunkCache()
     cur = image
-    seen_fc = False
-    for layer, name in zip(spec.layers, spec.layer_names()):
+    for step in spec.plan:
+        layer = step.layer
+        if step.flatten:
+            cur = cur.reshape(cur.shape[:-3] + (-1,))
+            if spec.bridge_dim > 0:
+                cur = np.concatenate([cur, h], axis=-1)
         if layer.kind == "conv":
-            cur, ctx = conv_forward(cur, params[f"{prefix}{name}.w"].data,
-                                    params[f"{prefix}{name}.b"].data, layer.stride)
-            cache.entries.append(("conv:" + name, ctx))
+            cur, ctx = conv_forward(cur, params[f"{prefix}{step.name}.w"].data,
+                                    params[f"{prefix}{step.name}.b"].data, layer.stride)
         elif layer.kind == "maxpool":
-            pool_in = cur
-            cur, argmax = maxpool_forward(cur, layer.kernel, layer.stride)
-            cache.entries.append(("maxpool", (argmax, pool_in)))
+            pooled, argmax = maxpool_forward(cur, layer.kernel, layer.stride)
+            cur, ctx = pooled, (argmax, cur)
         elif layer.kind == "lrn":
             cur, ctx = lrn_forward(cur, layer.lrn_n, layer.lrn_k, layer.lrn_alpha, layer.lrn_beta)
-            cache.entries.append(("lrn", ctx))
         elif layer.kind == "relu":
-            cache.entries.append(("relu", cur))
-            cur = relu(cur)
-        elif layer.kind == "fc":
-            if not seen_fc and cur.ndim in (3, 4):
-                cache.conv_shape_at_flatten = cur.shape
-                flat = cur.reshape(cur.shape[0], -1) if batched else cur.reshape(-1)
-                if spec.bridge_dim > 0:
-                    cache.bridge_batched = batched
-                    flat = np.concatenate([flat, h], axis=-1)
-                cur = flat
-                injected = spec.bridge_dim > 0
-            else:
-                injected = False
-            cur, ctx = fc_forward(cur, params[f"{prefix}{name}.w"].data,
-                                  params[f"{prefix}{name}.b"].data)
-            cache.entries.append(("fc:" + name, (ctx, injected)))
-            seen_fc = True
+            cur, ctx = relu(cur), cur
+        else:
+            cur, ctx = fc_forward(cur, params[f"{prefix}{step.name}.w"].data,
+                                  params[f"{prefix}{step.name}.b"].data)
+        cache.entries.append((step, ctx))
     return cur, cache
 
 
@@ -333,37 +309,24 @@ def trunk_backward(
     """Accumulate parameter grads; returns (d_image, d_descriptor)."""
     grad = np.asarray(upstream)
     d_h = None
-    first_fc_entry = None
-    for i, (tag, payload) in enumerate(cache.entries):
-        if tag.startswith("fc:"):
-            first_fc_entry = i
-            break
-
-    for i in range(len(cache.entries) - 1, -1, -1):
-        tag, payload = cache.entries[i]
-        if tag.startswith("conv:"):
-            name = tag.split(":", 1)[1]
-            grad, dw, db = conv_backward(payload, grad)
-            params[f"{prefix}{name}.w"].accumulate_grad(dw)
-            params[f"{prefix}{name}.b"].accumulate_grad(db)
-        elif tag == "maxpool":
-            argmax, _ = payload
-            grad = maxpool_backward(argmax, grad)
-        elif tag == "lrn":
-            grad = lrn_backward(payload, grad)
-        elif tag == "relu":
-            grad = relu_backward(payload, grad)
-        elif tag.startswith("fc:"):
-            name = tag.split(":", 1)[1]
-            ctx, injected = payload
-            grad, dw, db = fc_backward(ctx, grad)
-            params[f"{prefix}{name}.w"].accumulate_grad(dw)
-            params[f"{prefix}{name}.b"].accumulate_grad(db)
-            if i == first_fc_entry and cache.conv_shape_at_flatten is not None:
-                if injected:
-                    d_h = grad[..., -spec.bridge_dim:]
-                    grad = grad[..., : -spec.bridge_dim]
-                grad = grad.reshape(cache.conv_shape_at_flatten)
+    for step, ctx in reversed(cache.entries):
+        kind = step.layer.kind
+        if kind in ("conv", "fc"):
+            backward = conv_backward if kind == "conv" else fc_backward
+            grad, dw, db = backward(ctx, grad)
+            params[f"{prefix}{step.name}.w"].accumulate_grad(dw)
+            params[f"{prefix}{step.name}.b"].accumulate_grad(db)
+        elif kind == "maxpool":
+            grad = maxpool_backward(ctx[0], grad)
+        elif kind == "lrn":
+            grad = lrn_backward(ctx, grad)
+        else:
+            grad = relu_backward(ctx, grad)
+        if step.flatten:
+            if spec.bridge_dim > 0:
+                d_h = grad[..., -spec.bridge_dim:]
+                grad = grad[..., : -spec.bridge_dim]
+            grad = grad.reshape(grad.shape[:-1] + step.in_shape)
     return grad, d_h
 
 
@@ -375,30 +338,19 @@ def min_kink_margin(cache: TrunkCache) -> float:
     are only trustworthy when this margin comfortably exceeds the probe step.
     """
     margin = np.inf
-    for tag, payload in cache.entries:
-        if tag == "relu":
-            margin = min(margin, float(np.min(np.abs(payload))))
-        elif tag == "maxpool":
-            argmax, pool_in = payload
-            x4 = pool_in if pool_in.ndim == 4 else pool_in[None]
-            k, s = argmax.kernel, argmax.stride
-            n, c, h, w = x4.shape
-            ho = (h - k) // s + 1
-            wo = (w - k) // s + 1
-            parts = [
-                x4[:, :, dy : dy + ho * s : s, dx : dx + wo * s : s]
-                for dy in range(k)
-                for dx in range(k)
-            ]
-            stack = np.stack(parts, axis=-1)
-            if stack.shape[-1] >= 2:
-                top2 = np.sort(stack, axis=-1)[..., -2:]
-                gap = top2[..., 1] - top2[..., 0]
-                # Windows whose top two entries are exactly 0 are upstream
-                # ReLU clips, frozen in a neighborhood; the ReLU margin
-                # already guards against them flipping sign.
-                frozen = (gap == 0.0) & (top2[..., 1] == 0.0)
-                live = gap[~frozen]
-                if live.size:
-                    margin = min(margin, float(np.min(live)))
+    for step, ctx in cache.entries:
+        layer = step.layer
+        if layer.kind == "relu":
+            margin = min(margin, float(np.min(np.abs(ctx))))
+        elif layer.kind == "maxpool" and layer.kernel >= 2:
+            stack = pool_windows(ctx[1], layer.kernel, layer.stride)
+            top2 = np.sort(stack, axis=-1)[..., -2:]
+            gap = top2[..., 1] - top2[..., 0]
+            # Windows whose top two entries are exactly 0 are upstream
+            # ReLU clips, frozen in a neighborhood; the ReLU margin
+            # already guards against them flipping sign.
+            frozen = (gap == 0.0) & (top2[..., 1] == 0.0)
+            live = gap[~frozen]
+            if live.size:
+                margin = min(margin, float(np.min(live)))
     return margin

@@ -159,8 +159,23 @@ class PoolArgmax:
     indices: np.ndarray    # (N, C, Ho, Wo), int64
     input_shape: tuple[int, int, int, int]
     batched: bool
-    kernel: int = 0
-    stride: int = 0
+
+
+def pool_windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """Every pooling window of ``x`` over its last two axes, copied out.
+
+    Returns shape ``x.shape[:-2] + (Ho, Wo, kernel * kernel)``, the window
+    elements in ascending (dy, dx) order.
+    """
+    h, wd = x.shape[-2:]
+    ho = (h - kernel) // stride + 1
+    wo = (wd - kernel) // stride + 1
+    parts = [
+        x[..., dy : dy + ho * stride : stride, dx : dx + wo * stride : stride]
+        for dy in range(kernel)
+        for dx in range(kernel)
+    ]
+    return np.stack(parts, axis=-1)
 
 
 def maxpool_forward(
@@ -178,13 +193,9 @@ def maxpool_forward(
     ho = (h - kernel) // stride + 1
     wo = (wd - kernel) // stride + 1
 
-    # Window elements stacked in ascending (dy, dx) order; argmax then picks
-    # the first maximum, which is exactly the lowest flat source index.
-    parts = []
-    for dy in range(kernel):
-        for dx in range(kernel):
-            parts.append(x4[:, :, dy : dy + ho * stride : stride, dx : dx + wo * stride : stride])
-    stack = np.stack(parts, axis=-1)
+    # argmax picks the first maximum of the (dy, dx)-ordered window, which is
+    # exactly the lowest flat source index.
+    stack = pool_windows(x4, kernel, stride)
     win_arg = stack.argmax(axis=-1)
     out = np.take_along_axis(stack, win_arg[..., None], axis=-1)[..., 0]
 
@@ -195,7 +206,7 @@ def maxpool_forward(
     ch = np.arange(c)[None, :, None, None]
     flat = ch * (h * wd) + (oy * stride + dy) * wd + (ox * stride + dx)
 
-    argmax = PoolArgmax(flat.astype(np.int64), (n, c, h, wd), batched, kernel, stride)
+    argmax = PoolArgmax(flat.astype(np.int64), (n, c, h, wd), batched)
     return (out if batched else out[0]), argmax
 
 
@@ -379,8 +390,3 @@ def sigmoid(z):
     ez = np.exp(zf[~pos])
     out[~pos] = ez / (1.0 + ez)
     return float(out[0]) if scalar else out
-
-
-def sigmoid_backward(s: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Gradient through the logistic map given its forward output ``s``."""
-    return np.asarray(upstream) * s * (1.0 - s)

@@ -22,7 +22,7 @@ and then synthesizes latents consistent with them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -96,17 +96,6 @@ class FaceLatents:
     young: int
     beard: int       # 0 clean, 1 goatee, 2 sideburns, 3 shadow
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode, "gender": self.gender, "expr": self.expr,
-            "smiling": self.smiling, "mouth_open": self.mouth_open,
-            "young": self.young, "beard": self.beard,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "FaceLatents":
-        return FaceLatents(**{k: int(v) for k, v in d.items()})
-
 
 @dataclass(frozen=True)
 class PairGeometry:
@@ -117,37 +106,12 @@ class PairGeometry:
     right_y: int
     right_size: int
 
-    def to_dict(self) -> dict:
-        return {
-            "left_x": self.left_x, "left_y": self.left_y, "left_size": self.left_size,
-            "right_x": self.right_x, "right_y": self.right_y, "right_size": self.right_size,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "PairGeometry":
-        return PairGeometry(**{k: int(v) for k, v in d.items()})
-
 
 @dataclass(frozen=True)
 class PairLatents:
     left: FaceLatents
     right: FaceLatents
     geometry: PairGeometry
-
-    def to_dict(self) -> dict:
-        return {
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-            "geometry": self.geometry.to_dict(),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "PairLatents":
-        return PairLatents(
-            FaceLatents.from_dict(d["left"]),
-            FaceLatents.from_dict(d["right"]),
-            PairGeometry.from_dict(d["geometry"]),
-        )
 
 
 @dataclass
@@ -185,25 +149,6 @@ class SynthConfig:
             bad = set(groups) - set(ATTRIBUTE_GROUPS)
             if bad:
                 raise ValueError(f"corpus {name!r} names unknown groups {sorted(bad)}")
-
-    def to_dict(self) -> dict:
-        return {
-            "image_size": self.image_size,
-            "n_a": self.n_a, "n_b": self.n_b, "n_c": self.n_c,
-            "n_pairs_train": self.n_pairs_train, "n_pairs_test": self.n_pairs_test,
-            "pose_modes": self.pose_modes, "noise": self.noise,
-            "landmark_jitter": self.landmark_jitter,
-            "scene_height": self.scene_height, "scene_width": self.scene_width,
-            "relation_rates": dict(self.relation_rates),
-            "corpus_groups": {k: list(v) for k, v in self.corpus_groups.items()},
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "SynthConfig":
-        d = dict(d)
-        if "corpus_groups" in d:
-            d["corpus_groups"] = {k: tuple(v) for k, v in d["corpus_groups"].items()}
-        return SynthConfig(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +464,7 @@ def write_synth_dataset(cfg: SynthConfig, seed: int, out_dir) -> dict[str, str]:
     (out / "scenes").mkdir(exist_ok=True)
 
     paths: dict[str, str] = {}
-    sidecar: dict = {"config": cfg.to_dict(), "seed": seed, "rules": RELATION_RULES,
+    sidecar: dict = {"config": asdict(cfg), "seed": seed, "rules": RELATION_RULES,
                      "latents": {}}
 
     corpora = (("a", cfg.n_a, 0), ("b", cfg.n_b, 1), ("c", cfg.n_c, 2))
@@ -540,7 +485,7 @@ def write_synth_dataset(cfg: SynthConfig, seed: int, out_dir) -> dict[str, str]:
         manifest = out / f"corpus_{cid}.txt"
         write_manifest(manifest, "attributes", "train", records)
         paths[f"corpus_{cid}"] = str(manifest)
-        sidecar["latents"][f"corpus_{cid}"] = [l.to_dict() for l in latents]
+        sidecar["latents"][f"corpus_{cid}"] = [asdict(l) for l in latents]
 
     for split, n, sub in (("train", cfg.n_pairs_train, 3), ("test", cfg.n_pairs_test, 4)):
         samples, scenes, latents = synth_pair_corpus(cfg, n, seed=[seed, sub])
@@ -555,7 +500,7 @@ def write_synth_dataset(cfg: SynthConfig, seed: int, out_dir) -> dict[str, str]:
         manifest = out / f"pairs_{split}.txt"
         write_manifest(manifest, "pairs", split, records)
         paths[f"pairs_{split}"] = str(manifest)
-        sidecar["latents"][f"pairs_{split}"] = [l.to_dict() for l in latents]
+        sidecar["latents"][f"pairs_{split}"] = [asdict(l) for l in latents]
 
     with open(out / "synth_config.json", "w") as f:
         json.dump(sidecar, f, sort_keys=True, indent=1)

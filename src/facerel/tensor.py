@@ -117,14 +117,6 @@ class ParameterSet:
             out.add(name, t.copy())
         return out
 
-    def subset(self, prefix: str) -> "ParameterSet":
-        """A new set sharing the tensors whose names start with ``prefix``."""
-        out = ParameterSet()
-        for name, t in self._params.items():
-            if name.startswith(prefix):
-                out.add(name, t)
-        return out
-
     def merge(self, other: "ParameterSet") -> None:
         for name, t in other.items():
             self.add(name, t)

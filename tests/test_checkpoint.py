@@ -101,3 +101,54 @@ def test_checkpoint_save_twice_identical_bytes(tmp_path):
     save_checkpoint(p1, spec, params)
     save_checkpoint(p2, spec, params)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_keeps_parameters_outside_the_network(tmp_path):
+    spec = small_spec()
+    params = init_trunk_params(spec, np.random.default_rng(3))
+    params.merge(init_trunk_params(NetworkSpec((4, 1, 1), (fc_spec(2),)),
+                                   np.random.default_rng(4), prefix="attr."))
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, spec, params)
+    _, loaded, _ = load_checkpoint(path)
+    assert loaded.names() == params.names()
+    np.testing.assert_array_equal(loaded["attr.fc1.w"].data, params["attr.fc1.w"].data)
+
+
+def _wrong_fc1_shape(meta, arrays):
+    arrays["trunk.fc1.w"] = np.zeros((3, 3))
+
+
+def _missing_conv1_bias(meta, arrays):
+    del arrays["trunk.conv1.b"]
+    meta["param_order"].remove("trunk.conv1.b")
+
+
+def _unknown_layer_field(meta, arrays):
+    meta["network"]["layers"][0]["dilation"] = 2
+
+
+def _infeasible_spec(meta, arrays):
+    meta["network"]["input_shape"] = [1, 2, 2]
+
+
+@pytest.mark.parametrize(
+    "corrupt, match",
+    [
+        (_wrong_fc1_shape, r"'trunk.fc1.w' has shape \(3, 3\), the network needs \(11, 4\)"),
+        (_missing_conv1_bias, "'trunk.conv1.b' of the network is missing"),
+        (lambda meta, arrays: meta.pop("network"), "meta field 'network' is missing"),
+        (_unknown_layer_field, r"'network'.*unknown layer field\(s\) \['dilation'\]"),
+        (_infeasible_spec, "'network'.*kernel 3 does not fit 2x2"),
+    ],
+    ids=["fc1-shape", "missing-conv1-bias", "no-network", "unknown-layer-field", "infeasible"],
+)
+def test_load_checkpoint_rejects_malformed(tmp_path, corrupt, match):
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, small_spec(), init_trunk_params(small_spec(), np.random.default_rng(5)))
+    _, meta, arrays = load_container(path)
+    corrupt(meta, arrays)
+    save_container(path, "checkpoint", meta, arrays)
+    with pytest.raises(ValueError, match=match) as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)

@@ -140,6 +140,66 @@ class TestManifests:
             load_manifest(p, face_size=(8, 8))
 
 
+def _attr_manifest(tmp_path, second_image, landmarks=None):
+    """Two attribute rows after a comment line; the second row is on line 4."""
+    lm = np.full((10, 2), 0.5) if landmarks is None else landmarks
+    records = []
+    for i, img in enumerate((np.full((8, 8), 0.5), second_image)):
+        np.save(tmp_path / f"img{i}.npy", img)
+        np.save(tmp_path / f"lm{i}.npy", lm if i else np.full((10, 2), 0.5))
+        records.append(AttrRecord(f"img{i}.npy", f"lm{i}.npy", "src", (0.0,) * 20, (True,) * 20))
+    p = tmp_path / "attrs.txt"
+    write_manifest(p, "attributes", "train", records)
+    head, rest = p.read_text().split("\n", 1)
+    p.write_text(f"{head}\n# a comment line\n{rest}")
+    return p, 4
+
+
+def _pair_manifest(tmp_path, scene):
+    """One pair row after a comment line, on line 3."""
+    np.save(tmp_path / "scene.npy", scene)
+    rec = PairRecord("scene.npy", Box(2, 2, 0.25, 0.5), Box(25, 4, 0.25, 0.5), (0,) * 8)
+    p = tmp_path / "pairs.txt"
+    write_manifest(p, "pairs", "train", [rec])
+    head, rest = p.read_text().split("\n", 1)
+    p.write_text(f"{head}\n# a comment line\n{rest}")
+    return p, 3
+
+
+@pytest.mark.parametrize(
+    "make, image, match",
+    [
+        (_attr_manifest, np.full((1, 8, 8), 0.5), r"has shape \(1, 8, 8\), not \(H, W\)"),
+        (_attr_manifest, np.full((8, 8), np.nan), "non-finite pixels"),
+        (_attr_manifest, np.full((8, 8), 255.0), r"outside \[0, 1\]"),
+        (_attr_manifest, np.full((6, 6), 0.5), "is 6x6, the manifest's first image is 8x8"),
+        (_pair_manifest, np.full((20, 40), np.nan), "non-finite pixels"),
+        (_pair_manifest, np.full((3, 20, 40), 0.5), r"has shape \(3, 20, 40\)"),
+    ],
+    ids=["attr-3d", "attr-nan", "attr-0-255", "attr-geometry", "pair-nan", "pair-3d"],
+)
+def test_load_manifest_rejects_malformed_image(tmp_path, make, image, match):
+    p, line = make(tmp_path, image)
+    with pytest.raises(ValueError, match=match) as err:
+        load_manifest(p, face_size=(8, 8))
+    assert f"{p}:{line}:" in str(err.value)
+
+
+def test_load_manifest_names_malformed_landmarks(tmp_path):
+    p, line = _attr_manifest(tmp_path, np.full((8, 8), 0.5), landmarks=np.zeros((9, 2)))
+    with pytest.raises(ValueError, match=f"{p}:{line}: 'lm1.npy': landmarks must have shape"):
+        load_manifest(p)
+
+
+@pytest.mark.parametrize("extent", ["nan", "inf"])
+def test_read_manifest_rejects_nonfinite_box(tmp_path, extent):
+    p = tmp_path / "pairs.txt"
+    p.write_text("#facerel-manifest v1 pairs train\n"
+                 f"scene.npy 2,2,{extent},0.5 25,4,0.25,0.5 " + "0 " * 8 + "\n")
+    with pytest.raises(ValueError, match=f"{p}:2: box extent must be finite"):
+        read_manifest(p)
+
+
 class TestBatchIter:
     def test_single_big_batch(self):
         data = list(range(7))

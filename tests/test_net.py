@@ -247,3 +247,36 @@ class TestTrunkGradients:
 
         dh_num = central_diff_grad(loss, h)
         assert max_rel_err(dh, dh_num) < 1e-6
+
+
+class TestPlan:
+    def test_rejects_conv_after_fc(self):
+        with pytest.raises(ValueError, match="requires a spatial"):
+            NetworkSpec((1, 6, 6), (fc_spec(4), conv_spec(1, 2)))
+
+    def test_rejects_bridge_without_fc(self):
+        with pytest.raises(ValueError, match="needs at least one fc layer"):
+            NetworkSpec((1, 6, 6), (conv_spec(3, 2), relu_spec()), bridge_dim=3)
+
+    def test_dict_roundtrip_keeps_equality_and_hash(self):
+        for bridge_dim in (0, 4):
+            spec = tiny_spec(bridge_dim)
+            again = NetworkSpec.from_dict(spec.to_dict())
+            assert again == spec and hash(again) == hash(spec)
+            assert again.plan == spec.plan
+
+    def test_flatten_step_is_the_first_fc(self):
+        plan = tiny_spec(bridge_dim=4).plan
+        assert [s.name for s in plan] == [
+            "conv1", "relu", "maxpool", "lrn", "conv2", "relu", "fc1", "relu", "fc2",
+        ]
+        assert [s.flatten for s in plan] == [False] * 6 + [True, False, False]
+        assert plan[6].in_shape == (3, 3, 3)
+
+    def test_kink_margin_reads_relu_and_pool_steps(self):
+        spec = NetworkSpec((1, 2, 3), (relu_spec(), pool_spec(2, 1), fc_spec(1)))
+        params = init_trunk_params(spec, np.random.default_rng(0))
+        img = np.array([[[0.5, 0.2, -0.3], [0.1, 0.45, 0.9]]])
+        _, cache = trunk_forward(spec, params, img)
+        # relu margin 0.1; the windows' top-two gaps are 0.05 and 0.45
+        assert min_kink_margin(cache) == pytest.approx(0.05)
