@@ -1,8 +1,11 @@
 """The bridging descriptor: a three-level facial-shape hierarchy with
 mean-HOG templates, and the distance vector it induces for any face.
 
-Level one clusters whole-face landmark layouts; within each of those nodes,
-level two clusters the upper-face and lower-face landmark sub-vectors
+Every face carries the same ten landmarks, ``POINT_NAMES``: the alignment
+step fixes that layout, so it is a constant, not a setting, and a bank file
+records it only so that ``load_bank`` can refuse a bank built on another.
+Level one clusters whole-face landmark vectors; within each of those nodes,
+level two clusters the ``UPPER`` and ``LOWER`` face landmark sub-vectors
 separately.  Every node keeps the mean HOG vector of its member faces as a
 template.  A face's descriptor ``h`` lists its L2 distance to every template
 in fixed order: the top nodes, then all upper children, then all lower
@@ -28,54 +31,26 @@ from .kmeans import kmeans
 from .serialize import load_container, save_container
 
 
-@dataclass(frozen=True)
-class LandmarkSchema:
-    """Fixed landmark layout with an upper/lower face split."""
-
-    point_names: tuple[str, ...]
-    upper: tuple[int, ...]
-    lower: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.point_names)
-        if sorted(self.upper + self.lower) != list(range(n)):
-            raise ValueError("upper and lower regions must partition the landmark points")
-
-    @property
-    def n_points(self) -> int:
-        return len(self.point_names)
-
-    def to_dict(self) -> dict:
-        return {
-            "point_names": list(self.point_names),
-            "upper": list(self.upper),
-            "lower": list(self.lower),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "LandmarkSchema":
-        return LandmarkSchema(
-            tuple(d["point_names"]), tuple(d["upper"]), tuple(d["lower"])
-        )
-
-
-#: Ten points, box-normalized: brows, eyes and nose bridge above; nose tip,
-#: mouth corners, lower lip and chin below.
-DEFAULT_SCHEMA = LandmarkSchema(
-    point_names=(
-        "left_brow", "right_brow", "left_eye", "right_eye", "nose_bridge",
-        "nose_tip", "mouth_left", "mouth_right", "lower_lip", "chin",
-    ),
-    upper=(0, 1, 2, 3, 4),
-    lower=(5, 6, 7, 8, 9),
+#: The landmark layout, fixed by the alignment step: ten box-normalized
+#: points, brows, eyes and nose bridge in the upper face, nose tip, mouth
+#: corners, lower lip and chin in the lower face.
+POINT_NAMES = (
+    "left_brow", "right_brow", "left_eye", "right_eye", "nose_bridge",
+    "nose_tip", "mouth_left", "mouth_right", "lower_lip", "chin",
 )
+UPPER = (0, 1, 2, 3, 4)
+LOWER = (5, 6, 7, 8, 9)
+assert sorted(UPPER + LOWER) == list(range(len(POINT_NAMES)))
+
+#: The layout as every bank file records it.
+_LAYOUT_META = {"point_names": list(POINT_NAMES), "upper": list(UPPER), "lower": list(LOWER)}
 
 
-def check_landmarks(points: np.ndarray, schema: LandmarkSchema) -> np.ndarray:
+def check_landmarks(points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
-    if points.shape != (schema.n_points, 2):
+    if points.shape != (len(POINT_NAMES), 2):
         raise ValueError(
-            f"landmarks must have shape ({schema.n_points}, 2), got {points.shape}"
+            f"landmarks must have shape ({len(POINT_NAMES)}, 2), got {points.shape}"
         )
     if np.any(points < 0.0) or np.any(points > 1.0):
         raise ValueError("landmark coordinates must be box-normalized to [0, 1]")
@@ -108,8 +83,7 @@ class ClusterTree:
     u_max: int
     l_max: int
     hog_cfg: HogConfig
-    schema: LandmarkSchema
-    top_centroids: np.ndarray      # (T, 2 * n_points)
+    top_centroids: np.ndarray      # (T, 2 * len(POINT_NAMES))
     top_templates: np.ndarray      # (T, hog dim)
     upper: list[ChildGroup]        # one per top node
     lower: list[ChildGroup]
@@ -123,14 +97,14 @@ class ClusterTree:
         if min(self.t_top, self.u_max, self.l_max) < 1:
             raise ValueError("cluster counts must all be >= 1")
         t = self.t_top
-        _check_rows("top_centroids", self.top_centroids, t, t, 2 * self.schema.n_points)
+        _check_rows("top_centroids", self.top_centroids, t, t, 2 * len(POINT_NAMES))
         _check_rows("top_templates", self.top_templates, t, t, None)
         dim = self.top_templates.shape[1]
         blocks, slots = [self.top_templates], [np.arange(t)]
         offset = t
         for region, groups, most, idx in (
-            ("upper", self.upper, self.u_max, self.schema.upper),
-            ("lower", self.lower, self.l_max, self.schema.lower),
+            ("upper", self.upper, self.u_max, UPPER),
+            ("lower", self.lower, self.l_max, LOWER),
         ):
             if len(groups) != t:
                 raise ValueError(f"{len(groups)} {region} child groups for {t} top nodes")
@@ -193,7 +167,6 @@ def build_cluster_tree(
     l_children: int = 10,
     seed: int = 0,
     hog_cfg: HogConfig | None = None,
-    schema: LandmarkSchema | None = None,
 ) -> ClusterTree:
     """Build the hierarchy from ``corpus``: a sequence of (landmarks, image).
 
@@ -203,7 +176,6 @@ def build_cluster_tree(
     keeps one child per member instead.
     """
     hog_cfg = hog_cfg or HogConfig()
-    schema = schema or DEFAULT_SCHEMA
     if t_top < 1 or u_children < 1 or l_children < 1:
         raise ValueError("cluster counts must all be >= 1")
     n = len(corpus)
@@ -213,7 +185,7 @@ def build_cluster_tree(
             f"U={u_children}, L={l_children}"
         )
 
-    landmarks = np.stack([check_landmarks(lm, schema) for lm, _ in corpus])
+    landmarks = np.stack([check_landmarks(lm) for lm, _ in corpus])
     hogs = compute_hog_batch([img for _, img in corpus], hog_cfg)
 
     top = kmeans(_flat(landmarks), t_top, seed)
@@ -225,11 +197,10 @@ def build_cluster_tree(
     lower_groups: list[ChildGroup] = []
     for t in range(t_top):
         members = np.where(top.assignments == t)[0]
-        for region, want, groups, axis in (
-            ("upper", u_children, upper_groups, 0),
-            ("lower", l_children, lower_groups, 1),
+        for want, groups, axis, idx in (
+            (u_children, upper_groups, 0, UPPER),
+            (l_children, lower_groups, 1, LOWER),
         ):
-            idx = schema.upper if region == "upper" else schema.lower
             pts = _flat(landmarks[members][:, list(idx), :])
             k = min(want, len(members))
             sub = kmeans(pts, k, seed=[seed, t, axis])
@@ -244,7 +215,6 @@ def build_cluster_tree(
         u_max=u_children,
         l_max=l_children,
         hog_cfg=hog_cfg,
-        schema=schema,
         top_centroids=top.centroids,
         top_templates=top_templates,
         upper=upper_groups,
@@ -346,7 +316,7 @@ def save_bank(path, tree: ClusterTree) -> None:
         "u_max": tree.u_max,
         "l_max": tree.l_max,
         "hog": tree.hog_cfg.to_dict(),
-        "schema": tree.schema.to_dict(),
+        "schema": _LAYOUT_META,
         "sentinel": tree.sentinel,
     }
     save_container(path, "bridge-bank", meta, arrays)
@@ -371,13 +341,14 @@ def load_bank(path) -> ClusterTree:
         except (KeyError, TypeError, ValueError) as e:
             raise ValueError(f"{path}: bridge bank field {name!r} is malformed: {e!r}") from None
 
+    if value("schema", dict) != _LAYOUT_META:
+        raise ValueError(f"{path}: bridge bank field 'schema' is not the fixed landmark layout")
     t_top = value("t_top", int)
     fields = dict(
         t_top=t_top,
         u_max=value("u_max", int),
         l_max=value("l_max", int),
         hog_cfg=value("hog", HogConfig.from_dict),
-        schema=value("schema", LandmarkSchema.from_dict),
         top_centroids=array("top_centroids"),
         top_templates=array("top_templates"),
         sentinel=value("sentinel", float),

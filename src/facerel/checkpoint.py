@@ -33,7 +33,7 @@ def load_checkpoint(path) -> tuple[NetworkSpec, ParameterSet, dict]:
     kind, meta, arrays = load_container(path)
     if kind != "checkpoint":
         raise ValueError(f"{path}: container holds {kind!r}, not a checkpoint")
-    for key, want in (("network", dict), ("param_order", list)):
+    for key, want in (("network", dict), ("param_order", list), ("extra", dict)):
         if not isinstance(meta.get(key), want):
             raise ValueError(f"{path}: meta field {key!r} is missing or not a {want.__name__}")
     try:
@@ -42,6 +42,10 @@ def load_checkpoint(path) -> tuple[NetworkSpec, ParameterSet, dict]:
         raise ValueError(f"{path}: meta field 'network' is not a valid trunk: {e}") from None
     params = ParameterSet()
     for name in meta["param_order"]:
+        if not isinstance(name, str):
+            raise ValueError(f"{path}: meta field 'param_order' holds {name!r}, not a name")
+        if name in params:
+            raise ValueError(f"{path}: meta field 'param_order' lists {name!r} twice")
         if name not in arrays:
             raise ValueError(f"{path}: parameter {name!r} listed but missing")
         data = arrays[name]
@@ -55,4 +59,4 @@ def load_checkpoint(path) -> tuple[NetworkSpec, ParameterSet, dict]:
                 f"{path}: parameter {key!r} has shape {params[key].shape}, "
                 f"the network needs {shape}"
             )
-    return spec, params, meta.get("extra", {})
+    return spec, params, meta["extra"]

@@ -11,7 +11,8 @@ header line ``#facerel-manifest v1 <attributes|pairs> <split>``:
   normalized by image width and height respectively.
 
 Paths are relative to the manifest's directory; images and landmarks are
-``.npy`` arrays (H, W) grayscale in [0, 1] and (P, 2) box-normalized points.
+``.npy`` arrays, (H, W) grayscale in [0, 1] and (10, 2) box-normalized points
+in the one fixed layout of ``bridge.POINT_NAMES``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bridge import DEFAULT_SCHEMA, LandmarkSchema, check_landmarks
+from .bridge import check_landmarks
 
 MANIFEST_VERSION = 1
 
@@ -82,7 +83,7 @@ class Sample:
     """One annotated face from an attribute corpus."""
 
     image: np.ndarray          # (H, W) grayscale in [0, 1]
-    landmarks: np.ndarray      # (P, 2) box-normalized
+    landmarks: np.ndarray      # (10, 2) box-normalized, in bridge.POINT_NAMES order
     labels: np.ndarray         # (20,) in {0, 1}; meaningful only where mask
     mask: np.ndarray           # (20,) bool, True = label present
     dataset_id: str
@@ -244,12 +245,30 @@ def _crop_box(img: np.ndarray, box: Box, where: str) -> np.ndarray:
     return img[box.y : box.y + hp, box.x : box.x + wp]
 
 
-def load_manifest(path, face_size: tuple[int, int] = (48, 48),
-                  schema: LandmarkSchema = DEFAULT_SCHEMA):
+def pair_sample(image: np.ndarray, box_a: Box, box_b: Box, relations,
+                face_size: tuple[int, int], where: str) -> PairSample:
+    """The face pair of ``image``: the box with the smaller image-space x is
+    the left face; each face is cropped, checked to lie inside the image, and
+    resized to ``face_size`` (height, width).  ``where`` prefixes errors."""
+    if box_b.x < box_a.x:
+        box_a, box_b = box_b, box_a
+    h, w = image.shape
+    fh, fw = face_size
+    return PairSample(
+        left_face=resize_nearest(_crop_box(image, box_a, where), fh, fw),
+        right_face=resize_nearest(_crop_box(image, box_b, where), fh, fw),
+        left_box=box_a,
+        right_box=box_b,
+        image_dims=(w, h),
+        relations=np.array(relations, dtype=np.float64),
+    )
+
+
+def load_manifest(path, face_size: tuple[int, int] = (48, 48)):
     """Load every referenced array and validate it; returns Samples or PairSamples.
 
-    Pair faces are ordered so the box with the smaller image-space x is the
-    left face, then cropped and resized to ``face_size`` (height, width).
+    Landmarks must be in the fixed layout (see ``bridge.check_landmarks``);
+    pair faces are cut out by ``pair_sample``.
     """
     path = Path(path)
     kind, split, records = _read_numbered(path)
@@ -268,7 +287,7 @@ def load_manifest(path, face_size: tuple[int, int] = (48, 48),
                 )
             lm = _load_array(base, rec.landmark_path, where)
             try:
-                lm = check_landmarks(lm, schema)
+                lm = check_landmarks(lm)
             except ValueError as e:
                 raise ValueError(f"{where}: {rec.landmark_path!r}: {e}") from None
             out.append(
@@ -282,21 +301,8 @@ def load_manifest(path, face_size: tuple[int, int] = (48, 48),
             )
         else:
             img = _load_image(base, rec.image_path, where)
-            h, w = img.shape
-            lbox, rbox = rec.left_box, rec.right_box
-            if rbox.x < lbox.x:
-                lbox, rbox = rbox, lbox
-            fh, fw = face_size
-            out.append(
-                PairSample(
-                    left_face=resize_nearest(_crop_box(img, lbox, where), fh, fw),
-                    right_face=resize_nearest(_crop_box(img, rbox, where), fh, fw),
-                    left_box=lbox,
-                    right_box=rbox,
-                    image_dims=(w, h),
-                    relations=np.array(rec.relations, dtype=np.float64),
-                )
-            )
+            out.append(pair_sample(img, rec.left_box, rec.right_box, rec.relations,
+                                   face_size, where))
     return kind, split, out
 
 

@@ -153,6 +153,8 @@ class NetworkSpec:
 
     def _place(self) -> tuple[LayerStep, ...]:
         """Place every layer in order; raises if any layer cannot be placed."""
+        if not self.layers:
+            raise ValueError("a trunk needs at least one layer")
         steps: list[LayerStep] = []
         counts = {"conv": 0, "fc": 0}
         cur: tuple[int, ...] = self.input_shape
@@ -246,12 +248,13 @@ def trunk_forward(
     params: ParameterSet,
     image: np.ndarray,
     h: np.ndarray | None = None,
-    prefix: str = "trunk.",
 ) -> tuple[np.ndarray, TrunkCache]:
     """Run the trunk on one image or a batch; returns (features, cache).
 
     ``h`` is the bridging descriptor (already standardized); it is mandatory
     when the spec declares ``bridge_dim > 0`` and must have that length.
+    Parameters are read under the ``trunk.`` names that ``init_trunk_params``
+    gives by default and checkpoints store.
     """
     image = np.asarray(image, dtype=np.float64)
     batched = image.ndim == 4
@@ -283,8 +286,8 @@ def trunk_forward(
             if spec.bridge_dim > 0:
                 cur = np.concatenate([cur, h], axis=-1)
         if layer.kind == "conv":
-            cur, ctx = conv_forward(cur, params[f"{prefix}{step.name}.w"].data,
-                                    params[f"{prefix}{step.name}.b"].data, layer.stride)
+            cur, ctx = conv_forward(cur, params[f"trunk.{step.name}.w"].data,
+                                    params[f"trunk.{step.name}.b"].data, layer.stride)
         elif layer.kind == "maxpool":
             pooled, argmax = maxpool_forward(cur, layer.kernel, layer.stride)
             cur, ctx = pooled, (argmax, cur)
@@ -293,8 +296,8 @@ def trunk_forward(
         elif layer.kind == "relu":
             cur, ctx = relu(cur), cur
         else:
-            cur, ctx = fc_forward(cur, params[f"{prefix}{step.name}.w"].data,
-                                  params[f"{prefix}{step.name}.b"].data)
+            cur, ctx = fc_forward(cur, params[f"trunk.{step.name}.w"].data,
+                                  params[f"trunk.{step.name}.b"].data)
         cache.entries.append((step, ctx))
     return cur, cache
 
@@ -304,7 +307,6 @@ def trunk_backward(
     params: ParameterSet,
     cache: TrunkCache,
     upstream: np.ndarray,
-    prefix: str = "trunk.",
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Accumulate parameter grads; returns (d_image, d_descriptor)."""
     grad = np.asarray(upstream)
@@ -314,8 +316,8 @@ def trunk_backward(
         if kind in ("conv", "fc"):
             backward = conv_backward if kind == "conv" else fc_backward
             grad, dw, db = backward(ctx, grad)
-            params[f"{prefix}{step.name}.w"].accumulate_grad(dw)
-            params[f"{prefix}{step.name}.b"].accumulate_grad(db)
+            params[f"trunk.{step.name}.w"].accumulate_grad(dw)
+            params[f"trunk.{step.name}.b"].accumulate_grad(db)
         elif kind == "maxpool":
             grad = maxpool_backward(ctx[0], grad)
         elif kind == "lrn":

@@ -3,9 +3,10 @@
 Layout: 8-byte magic, little-endian uint64 header length, UTF-8 JSON header,
 then the raw bytes of each array in the header's listed order.  The header
 carries a format version, a container kind, caller metadata, and the name /
-shape / dtype of every array.  Writing the same content twice produces
-byte-identical files: the header is dumped with sorted keys and arrays are
-stored in sorted-name order, little-endian, C-contiguous.
+shape / dtype of every array.  Every array is float64, stored ``<f8``, and
+every number in the header is finite.  Writing the same content twice
+produces byte-identical files: the header is dumped with sorted keys and
+arrays are stored in sorted-name order, little-endian, C-contiguous.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 MAGIC = b"FACEREL1"
 FORMAT_VERSION = 1
 
-_ALLOWED_DTYPES = {"<f8", "<f4", "<i8"}
+_DTYPE = "<f8"
 
 
 def save_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -29,16 +30,10 @@ def save_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -
     blobs = []
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name])
-        if arr.dtype == np.float64:
-            code = "<f8"
-        elif arr.dtype == np.float32:
-            code = "<f4"
-        elif arr.dtype == np.int64:
-            code = "<i8"
-        else:
+        if arr.dtype != np.float64:
             raise ValueError(f"array {name!r} has unsupported dtype {arr.dtype}")
-        arr = arr.astype(np.dtype(code), copy=False)
-        entries.append({"name": name, "shape": list(arr.shape), "dtype": code})
+        arr = arr.astype(_DTYPE, copy=False)
+        entries.append({"name": name, "shape": list(arr.shape), "dtype": _DTYPE})
         blobs.append(arr.tobytes(order="C"))
 
     header = {
@@ -47,7 +42,9 @@ def save_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -
         "meta": meta,
         "arrays": entries,
     }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header_bytes = json.dumps(
+        header, sort_keys=True, separators=(",", ":"), allow_nan=False
+    ).encode("utf-8")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<Q", len(header_bytes)))
@@ -72,8 +69,17 @@ def load_container(path) -> tuple[str, dict, dict[str, np.ndarray]]:
         size = os.fstat(f.fileno()).st_size
         if header_len > size - f.tell():
             raise ValueError(f"{path}: truncated header ({header_len} bytes declared)")
+
+        def finite(text: str) -> float:
+            value = float(text)
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: header holds the non-finite number {text}")
+            return value
+
         try:
-            header = json.loads(f.read(header_len).decode("utf-8"))
+            header = json.loads(
+                f.read(header_len).decode("utf-8"), parse_constant=finite, parse_float=finite
+            )
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise ValueError(f"{path}: header is not UTF-8 JSON: {e}") from None
         if not isinstance(header, dict):
@@ -87,24 +93,23 @@ def load_container(path) -> tuple[str, dict, dict[str, np.ndarray]]:
                 raise ValueError(f"{path}: header field {field!r} is missing or not a {want.__name__}")
         arrays = {}
         for i, entry in enumerate(header["arrays"]):
-            name, shape, code = _entry(path, i, entry)
-            dt = np.dtype(code)
-            nbytes = math.prod(shape) * dt.itemsize
+            name, shape = _entry(path, i, entry)
+            nbytes = math.prod(shape) * np.dtype(_DTYPE).itemsize
             if nbytes > size - f.tell():
                 raise ValueError(f"{path}: truncated array data for {name!r}")
-            arrays[name] = np.frombuffer(f.read(nbytes), dtype=dt).reshape(shape).copy()
+            arrays[name] = np.frombuffer(f.read(nbytes), dtype=_DTYPE).reshape(shape).copy()
     return header["kind"], header["meta"], arrays
 
 
-def _entry(path, i: int, entry) -> tuple[str, list[int], str]:
-    """The (name, shape, dtype) of array entry ``i`` of the header, checked."""
+def _entry(path, i: int, entry) -> tuple[str, list[int]]:
+    """The (name, shape) of array entry ``i`` of the header, checked."""
     if not isinstance(entry, dict):
         raise ValueError(f"{path}: array entry {i} is not an object")
     name, shape, code = entry.get("name"), entry.get("shape"), entry.get("dtype")
     if not isinstance(name, str):
         raise ValueError(f"{path}: array entry {i} has no string name")
-    if code not in _ALLOWED_DTYPES:
+    if code != _DTYPE:
         raise ValueError(f"{path}: unsupported dtype {code} for {name!r}")
     if not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
         raise ValueError(f"{path}: shape {shape} of {name!r} is not a list of sizes >= 0")
-    return name, shape, code
+    return name, shape

@@ -36,7 +36,7 @@ from .data import (
     PairRecord,
     PairSample,
     Sample,
-    resize_nearest,
+    pair_sample,
     write_manifest,
 )
 
@@ -425,22 +425,9 @@ def synth_pair_corpus(
         labels = {name: int(planted[name][i]) for name in RELATION_NAMES}
         pl = _latents_for_pair(labels, cfg, rng)
         scene = render_scene(pl, cfg, rng)
-        lbox, rbox = _boxes_for(pl, cfg)
-        rel = relation_labels(pl, cfg.scene_width)
-        fh = fw = cfg.image_size
         samples.append(
-            PairSample(
-                left_face=resize_nearest(
-                    scene[lbox.y : lbox.y + pl.geometry.left_size,
-                          lbox.x : lbox.x + pl.geometry.left_size], fh, fw),
-                right_face=resize_nearest(
-                    scene[rbox.y : rbox.y + pl.geometry.right_size,
-                          rbox.x : rbox.x + pl.geometry.right_size], fh, fw),
-                left_box=lbox,
-                right_box=rbox,
-                image_dims=(cfg.scene_width, cfg.scene_height),
-                relations=rel,
-            )
+            pair_sample(scene, *_boxes_for(pl, cfg), relation_labels(pl, cfg.scene_width),
+                        (cfg.image_size, cfg.image_size), f"synthetic scene {i}")
         )
         scenes.append(scene)
         latents.append(pl)

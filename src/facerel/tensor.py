@@ -39,9 +39,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data)
-
     def clear_grad(self) -> None:
         self.grad = None
 
@@ -55,9 +52,6 @@ class Tensor:
             self.grad = g.copy()
         else:
             self.grad += g
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), None if self.grad is None else self.grad.copy())
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
@@ -103,19 +97,9 @@ class ParameterSet:
             if not self.is_bias(name):
                 yield name, t
 
-    def zero_grads(self) -> None:
-        for t in self._params.values():
-            t.zero_grad()
-
     def clear_grads(self) -> None:
         for t in self._params.values():
             t.clear_grad()
-
-    def copy(self) -> "ParameterSet":
-        out = ParameterSet()
-        for name, t in self._params.items():
-            out.add(name, t.copy())
-        return out
 
     def merge(self, other: "ParameterSet") -> None:
         for name, t in other.items():

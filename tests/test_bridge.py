@@ -7,7 +7,6 @@ import pytest
 
 from facerel import bridge
 from facerel.bridge import (
-    DEFAULT_SCHEMA,
     build_cluster_tree,
     descriptors,
     extract_descriptor,
@@ -278,9 +277,13 @@ def _repeat_rows(arrays, name):
         (lambda meta, arrays: arrays.update(h_mean=arrays["h_mean"][:-1]), "h_mean"),
         (lambda meta, arrays: arrays.update({"lower_1.templates": arrays["lower_1.templates"][:, 1:]}),
          "lower_1.templates"),
+        (lambda meta, arrays: meta["schema"].update(upper=[0, 1, 2, 3], lower=[4, 5, 6, 7, 8, 9]),
+         "'schema'"),
+        (lambda meta, arrays: meta["schema"]["point_names"].reverse(), "'schema'"),
+        (lambda meta, arrays: meta.pop("schema"), "'schema'"),
     ],
     ids=["missing-templates", "missing-sentinel", "too-many-children", "short-h-mean",
-         "template-width"],
+         "template-width", "other-split", "other-points", "missing-schema"],
 )
 def test_load_bank_rejects_malformed_field(tmp_path, edit, field):
     corpus, _ = make_corpus(24, seed=15)

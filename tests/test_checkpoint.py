@@ -59,6 +59,15 @@ def _header(**fields):
         (b"\xff{}", "header is not UTF-8 JSON"),
         (_header(arrays=[{"name": "a", "shape": [2**40], "dtype": "<f8"}]),
          "truncated array data for 'a'"),
+        (_header(arrays=[{"name": "a", "shape": [2], "dtype": "<f4"}]),
+         "unsupported dtype <f4 for 'a'"),
+        (_header(arrays=[{"name": "a", "shape": [2], "dtype": ["<f8"]}]),
+         r"unsupported dtype \['<f8'\] for 'a'"),
+        (_header(meta={"bridge_dim": float("inf")}, arrays=[]), "non-finite number Infinity"),
+        (_header(meta={"t_top": -float("inf")}, arrays=[]), "non-finite number -Infinity"),
+        (_header(meta={"sentinel": float("nan")}, arrays=[]), "non-finite number NaN"),
+        (b'{"format_version": 1, "kind": "bridge-bank", "meta": {"hog": {"cell": 1e999}}}',
+         "non-finite number 1e999"),
     ],
 )
 def test_container_rejects_malformed_header(tmp_path, header, match):
@@ -79,6 +88,15 @@ def test_container_rejects_truncated_header(tmp_path, tail, match):
     path.write_bytes(MAGIC + tail)
     with pytest.raises(ValueError, match=match):
         load_container(path)
+
+
+def test_save_container_refuses_what_it_cannot_store(tmp_path):
+    path = tmp_path / "c.bin"
+    with pytest.raises(ValueError, match="array 'x' has unsupported dtype float32"):
+        save_container(path, "test", {}, {"x": np.zeros(2, dtype=np.float32)})
+    with pytest.raises(ValueError, match="Out of range float"):
+        save_container(path, "test", {"sentinel": float("nan")}, {})
+    assert not path.exists()
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
@@ -140,8 +158,18 @@ def _infeasible_spec(meta, arrays):
         (lambda meta, arrays: meta.pop("network"), "meta field 'network' is missing"),
         (_unknown_layer_field, r"'network'.*unknown layer field\(s\) \['dilation'\]"),
         (_infeasible_spec, "'network'.*kernel 3 does not fit 2x2"),
+        (lambda meta, arrays: meta["param_order"].append(["trunk.fc1.w"]),
+         r"'param_order' holds \['trunk.fc1.w'\], not a name"),
+        (lambda meta, arrays: meta["param_order"].insert(0, {"name": "trunk.fc1.w"}),
+         "'param_order' holds {'name': 'trunk.fc1.w'}, not a name"),
+        (lambda meta, arrays: meta["param_order"].append("trunk.conv1.w"),
+         "'param_order' lists 'trunk.conv1.w' twice"),
+        (lambda meta, arrays: meta.update(extra=["tiny"]), "meta field 'extra' is missing or not a dict"),
+        (lambda meta, arrays: meta["network"].update(layers=[]),
+         "'network'.*at least one layer"),
     ],
-    ids=["fc1-shape", "missing-conv1-bias", "no-network", "unknown-layer-field", "infeasible"],
+    ids=["fc1-shape", "missing-conv1-bias", "no-network", "unknown-layer-field", "infeasible",
+         "list-name", "dict-name", "duplicate-name", "extra-not-dict", "no-layers"],
 )
 def test_load_checkpoint_rejects_malformed(tmp_path, corrupt, match):
     path = tmp_path / "ckpt.bin"

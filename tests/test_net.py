@@ -254,6 +254,10 @@ class TestPlan:
         with pytest.raises(ValueError, match="requires a spatial"):
             NetworkSpec((1, 6, 6), (fc_spec(4), conv_spec(1, 2)))
 
+    def test_rejects_empty_stack(self):
+        with pytest.raises(ValueError, match="at least one layer"):
+            NetworkSpec((1, 2, 2), ())
+
     def test_rejects_bridge_without_fc(self):
         with pytest.raises(ValueError, match="needs at least one fc layer"):
             NetworkSpec((1, 6, 6), (conv_spec(3, 2), relu_spec()), bridge_dim=3)

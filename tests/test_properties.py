@@ -1,4 +1,9 @@
-"""Property tests over randomly drawn shapes."""
+"""Property tests over randomly drawn shapes and damaged files."""
+
+import functools
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facerel import ops
+from facerel.bridge import build_cluster_tree, load_bank, save_bank
+from facerel.checkpoint import load_checkpoint, save_checkpoint
 from facerel.hog import HogConfig, compute_hog, compute_hog_batch
 from facerel.net import (
     NetworkSpec,
@@ -142,3 +149,47 @@ def test_trunk_walks_the_plan(case):
     d_image, d_h = trunk_backward(spec, params, single_cache, rng.normal(size=out.shape))
     assert d_image.shape == spec.input_shape
     assert (d_h is None) if h is None else (d_h.shape == (spec.bridge_dim,))
+
+
+@functools.cache
+def valid_files() -> dict:
+    """Bytes of a small valid checkpoint (trunk plus head) and bridge bank."""
+    rng = np.random.default_rng(0)
+    spec = NetworkSpec((1, 6, 6), (conv_spec(3, 2), relu_spec(), pool_spec(2, 2), lrn_spec(),
+                                   fc_spec(4)), bridge_dim=3)
+    params = init_trunk_params(spec, rng)
+    params.merge(init_trunk_params(NetworkSpec((4, 1, 1), (fc_spec(2),)), rng, prefix="attr."))
+    corpus = [(rng.uniform(0.1, 0.9, size=(10, 2)), rng.random((16, 16))) for _ in range(8)]
+    tree = build_cluster_tree(corpus, 2, 2, 2, seed=0, hog_cfg=HogConfig(cell=8))
+    with tempfile.TemporaryDirectory() as d:
+        save_checkpoint(Path(d) / "ckpt.bin", spec, params, extra={"step": 3})
+        save_bank(Path(d) / "bank.bin", tree)
+        return {"checkpoint": (Path(d) / "ckpt.bin").read_bytes(),
+                "bank": (Path(d) / "bank.bin").read_bytes()}
+
+
+@st.composite
+def damaged_files(draw):
+    """One valid file with one byte substituted, or cut short."""
+    kind = draw(st.sampled_from(["checkpoint", "bank"]))
+    blob = valid_files()[kind]
+    header_end = 16 + struct.unpack("<Q", blob[8:16])[0]
+    # half the positions fall in the magic, length and JSON header
+    at = draw(st.one_of(st.integers(0, header_end - 1), st.integers(0, len(blob) - 1)))
+    if draw(st.booleans()):
+        blob = blob[:at] + bytes([draw(st.integers(0, 255))]) + blob[at + 1 :]
+    else:
+        blob = blob[:at]
+    return kind, blob
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_files())
+def test_damaged_file_loads_or_raises_value_error(tmp_path_factory, case):
+    kind, blob = case
+    path = tmp_path_factory.getbasetemp() / f"damaged-{kind}.bin"
+    path.write_bytes(blob)
+    try:
+        (load_checkpoint if kind == "checkpoint" else load_bank)(path)
+    except ValueError:
+        pass
