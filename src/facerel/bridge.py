@@ -100,6 +100,13 @@ class ClusterTree:
         _check_rows("top_centroids", self.top_centroids, t, t, 2 * len(POINT_NAMES))
         _check_rows("top_templates", self.top_templates, t, t, None)
         dim = self.top_templates.shape[1]
+        per_block = self.hog_cfg.block ** 2 * self.hog_cfg.bins
+        if dim % per_block:
+            raise ValueError(
+                f"'hog' (block {self.hog_cfg.block}, {self.hog_cfg.bins} bins) cannot give "
+                f"{dim}-wide templates: the width is not a multiple of block² · bins "
+                f"= {per_block}"
+            )
         blocks, slots = [self.top_templates], [np.arange(t)]
         offset = t
         for region, groups, most, idx in (

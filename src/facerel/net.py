@@ -12,6 +12,7 @@ A ``NetworkSpec`` places its layers once, at construction, into one plan of
 and a ``flatten`` flag on the first fc layer, where the descriptor joins.
 ``trace``, ``param_shapes``, ``init_trunk_params``, the forward and backward
 walks and ``min_kink_margin`` all read that plan; none re-derives a shape.
+The trunk runs the per-sample GEMM forward of ``ops`` (``exact=False``).
 """
 
 from __future__ import annotations
@@ -287,7 +288,8 @@ def trunk_forward(
                 cur = np.concatenate([cur, h], axis=-1)
         if layer.kind == "conv":
             cur, ctx = conv_forward(cur, params[f"trunk.{step.name}.w"].data,
-                                    params[f"trunk.{step.name}.b"].data, layer.stride)
+                                    params[f"trunk.{step.name}.b"].data, layer.stride,
+                                    exact=False)
         elif layer.kind == "maxpool":
             pooled, argmax = maxpool_forward(cur, layer.kernel, layer.stride)
             cur, ctx = pooled, (argmax, cur)
@@ -297,7 +299,7 @@ def trunk_forward(
             cur, ctx = relu(cur), cur
         else:
             cur, ctx = fc_forward(cur, params[f"trunk.{step.name}.w"].data,
-                                  params[f"trunk.{step.name}.b"].data)
+                                  params[f"trunk.{step.name}.b"].data, exact=False)
         cache.entries.append((step, ctx))
     return cur, cache
 

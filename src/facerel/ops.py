@@ -5,16 +5,26 @@ Every forward returns ``(output, ctx)`` where ``ctx`` carries exactly what the
 matching backward needs.  Inputs may be single samples (``C,H,W`` / ``D,``) or
 batches with one leading axis; outputs follow suit.
 
-Determinism contract.  Forward accumulation for conv and fc runs element by
-element in ascending (channel, kernel-row, kernel-col) / ascending input-index
-order, with the bias added last, and every product and sum is rounded on its
-own.  Forward output is therefore bitwise equal to the naive loops and batch
-invariant: a sample's bits do not depend on the batch around it, nor on the
-sample blocks the conv kernels cut the batch into.  The backward passes are
-BLAS GEMMs (for conv, two per input channel and sample block), whose
-summation order the BLAS picks: they are deterministic for a given shape, but
-not batch invariant, and the tests hold them to the naive loops at a relative
-tolerance, not bitwise.
+Determinism contract.  ``conv_forward`` and ``fc_forward`` have two paths.
+
+* ``exact=True`` (the default) accumulates element by element in ascending
+  (channel, kernel-row, kernel-col) / ascending input-index order, with the
+  bias added last, and every product and sum is rounded on its own.  Its
+  output is bitwise equal to the naive loops and batch invariant: a sample's
+  bits do not depend on the batch around it, nor on the sample blocks the
+  conv kernel cuts the batch into.
+* ``exact=False`` makes one BLAS call per sample (conv: one GEMM of the
+  filter matrix with the sample's copied-out taps; fc: one GEMV per row),
+  bias added last.  The BLAS picks the summation order, but it is the same
+  call whatever the batch, so at a fixed BLAS thread count the output is
+  bitwise batch invariant; its bits may change with the thread count.  It
+  agrees with the exact path to within 1e-12 of the output's largest
+  magnitude (elementwise relative error can be larger where terms cancel).
+
+The backward passes are BLAS GEMMs (for conv, two per input channel and
+sample block), whatever path the forward took: they are deterministic for a
+given shape and thread count, but not batch invariant, and the tests hold
+them to the naive loops at a relative tolerance, not bitwise.
 """
 
 from __future__ import annotations
@@ -61,12 +71,13 @@ def sample_blocks(n: int, per_sample_bytes: int):
 
 
 def conv_forward(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, *, exact: bool = True
 ) -> tuple[np.ndarray, ConvCtx]:
     """Valid (no padding) cross-correlation with square kernels.
 
     ``w`` has shape (filters, in_channels, k, k); ``b`` has shape (filters,).
-    Output extent per spatial axis is ``(in - k) // stride + 1``.
+    Output extent per spatial axis is ``(in - k) // stride + 1``.  ``exact``
+    picks the path of the module's determinism contract.
     """
     x4, batched = _as_batched_images(x, "conv_forward")
     w = np.asarray(w)
@@ -91,6 +102,9 @@ def conv_forward(
 
     ho = (h - k) // stride + 1
     wo = (wd - k) // stride + 1
+    if not exact:
+        out = _conv_forward_gemm(x4, w, b, stride, ho, wo)
+        return (out if batched else out[0]), ConvCtx(x4, w, stride, out.shape, batched)
     # Filter-major accumulator: each tap is one (F, 1) x (1, block) product
     # over a contiguous row, so every element still sums its taps in
     # ascending (c, i, j) order, then the bias.
@@ -110,6 +124,25 @@ def conv_forward(
 
     ctx = ConvCtx(x4, w, stride, out.shape, batched)
     return (out if batched else out[0]), ctx
+
+
+def _conv_forward_gemm(x4, w, b, stride, ho, wo) -> np.ndarray:
+    """One GEMM per sample: filters (F, C·k·k) times that sample's taps."""
+    n, c_in = x4.shape[:2]
+    f, _, k, _ = w.shape
+    out = np.empty((n, f, ho * wo), dtype=np.result_type(x4, w, b))
+    windows = np.lib.stride_tricks.sliding_window_view(x4, (k, k), axis=(2, 3))
+    taps = windows[:, :, : ho * stride : stride, : wo * stride : stride].transpose(0, 1, 4, 5, 2, 3)
+    filters = w.reshape(f, -1)
+    cols = None
+    for lo, hi in sample_blocks(n, c_in * k * k * ho * wo * x4.itemsize):
+        if cols is None:
+            cols = np.empty((hi - lo, c_in * k * k, ho * wo), dtype=x4.dtype)
+        block = cols[: hi - lo]
+        np.copyto(block.reshape(hi - lo, c_in, k, k, ho, wo), taps[lo:hi])
+        np.matmul(filters, block, out=out[lo:hi])
+    out += b[:, None]
+    return out.reshape(n, f, ho, wo)
 
 
 def conv_backward(
@@ -306,8 +339,13 @@ class FcCtx:
     batched: bool
 
 
-def fc_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, FcCtx]:
-    """Affine map ``out = w^T x + b`` with ``w`` of shape (in, out)."""
+def fc_forward(
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, *, exact: bool = True
+) -> tuple[np.ndarray, FcCtx]:
+    """Affine map ``out = w^T x + b`` with ``w`` of shape (in, out).
+
+    ``exact`` picks the path of the module's determinism contract.
+    """
     x = np.asarray(x)
     w = np.asarray(w)
     b = np.asarray(b)
@@ -324,12 +362,16 @@ def fc_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray,
     if b.shape != (d_out,):
         raise ValueError(f"fc_forward: bias must have shape ({d_out},), got {b.shape}")
 
+    x2 = x if x.ndim == 2 else x[None]
+    if not exact:
+        out = np.matmul(x2[:, None, :], w)[:, 0] + b
+        return (out if x.ndim == 2 else out[0]), FcCtx(x, w, x.ndim == 2)
+
     # The sum runs in the naive loop's order.  Row 0 of the scratch carries the
     # running sum and rows 1.. the products of one chunk of inputs; a reduce
     # over axis 0 adds them one row at a time.  numpy does so only while the
     # row has more than one element (a single one it sums pairwise), so the
     # row is padded to at least two.
-    x2 = x if x.ndim == 2 else x[None]
     n = x2.shape[0]
     width = d_out if n * d_out > 1 else 2
     running = np.zeros((n, width), dtype=np.result_type(x, w, b))

@@ -118,6 +118,17 @@ def max_rel_err(a, b, floor=1e-8):
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
+def assert_forward_matches(got, want, exact):
+    """Bitwise on the exact forward path; on the GEMM path, within 1e-12 of
+    ``want``'s largest magnitude (elementwise relative error can be larger
+    where terms cancel)."""
+    if exact:
+        np.testing.assert_array_equal(got, want)
+    else:
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def naive_hog(img, cell, block, bins, eps):
     """HOG of one 2-D image, pixel by pixel and block by block.
 

@@ -281,9 +281,10 @@ def _repeat_rows(arrays, name):
          "'schema'"),
         (lambda meta, arrays: meta["schema"]["point_names"].reverse(), "'schema'"),
         (lambda meta, arrays: meta.pop("schema"), "'schema'"),
+        (lambda meta, arrays: meta["hog"].update(bins=8), "'hog'"),
     ],
     ids=["missing-templates", "missing-sentinel", "too-many-children", "short-h-mean",
-         "template-width", "other-split", "other-points", "missing-schema"],
+         "template-width", "other-split", "other-points", "missing-schema", "hog-bins"],
 )
 def test_load_bank_rejects_malformed_field(tmp_path, edit, field):
     corpus, _ = make_corpus(24, seed=15)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from facerel import net, ops
 from facerel.gradcheck import find_kink_safe_seed, finite_diff_check
 from facerel.losses import bce_from_logit
 from facerel.net import (
@@ -20,7 +21,7 @@ from facerel.net import (
 )
 from facerel.ops import fc_forward, sigmoid
 
-from oracles import max_rel_err
+from oracles import assert_forward_matches, max_rel_err
 
 
 def tiny_spec(bridge_dim=4):
@@ -96,6 +97,36 @@ class TestTrunkForward:
         for i in range(3):
             single, _ = trunk_forward(spec, params, imgs[i], hs[i])
             np.testing.assert_array_equal(batch[i], single)
+
+    def test_gemm_forward_matches_the_exact_walk(self, monkeypatch):
+        spec = tiny_spec()
+        rng = np.random.default_rng(3)
+        imgs = rng.normal(size=(3,) + spec.input_shape)
+        hs = rng.normal(size=(3, spec.bridge_dim))
+        up = rng.normal(size=(3, spec.feature_dim))
+
+        def walk():
+            params = init_trunk_params(spec, np.random.default_rng(0))
+            out, cache = trunk_forward(spec, params, imgs, hs)
+            d_image, d_h = trunk_backward(spec, params, cache, up)
+            return [out, d_image, d_h] + [t.grad for _, t in params.items()]
+
+        paths = []
+
+        def spy(fn, force=None):
+            def call(*args, exact):
+                paths.append(exact)
+                return fn(*args, exact=exact if force is None else force)
+            return call
+
+        for name in ("conv_forward", "fc_forward"):
+            monkeypatch.setattr(net, name, spy(getattr(ops, name)))
+        gemm = walk()
+        assert paths and not any(paths)  # the trunk runs the GEMM forward
+        for name in ("conv_forward", "fc_forward"):
+            monkeypatch.setattr(net, name, spy(getattr(ops, name), force=True))
+        for got, want in zip(gemm, walk(), strict=True):
+            assert_forward_matches(got, want, exact=False)
 
     def test_rejects_descriptor_length_mismatch(self):
         spec = tiny_spec(bridge_dim=4)

@@ -1,5 +1,11 @@
 """Layer primitives against naive oracles and finite differences."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +25,7 @@ from facerel.ops import (
 from facerel import ops
 
 from oracles import (
+    assert_forward_matches,
     central_diff_grad,
     max_rel_err,
     naive_conv,
@@ -27,6 +34,14 @@ from oracles import (
     naive_lrn,
     naive_maxpool,
 )
+
+
+def _offset_by_one(a):
+    """A copy of ``a`` that starts one element into its buffer."""
+    buf = np.empty(a.size + 1, dtype=a.dtype)
+    view = buf[1:].reshape(a.shape)
+    view[...] = a
+    return view
 
 
 class TestConvForward:
@@ -68,27 +83,45 @@ class TestConvForward:
             out, _ = conv_forward(x, w, b, stride=s)
             np.testing.assert_array_equal(out, naive_conv(x, w, b, stride=s))
 
-    def test_batched_equals_per_sample(self):
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_batched_equals_per_sample(self, exact):
         rng = np.random.default_rng(1)
         xs = rng.normal(size=(4, 2, 6, 6))
         w = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
-        batched, _ = conv_forward(xs, w, b, stride=2)
+        batched, _ = conv_forward(xs, w, b, stride=2, exact=exact)
         for i in range(4):
-            single, _ = conv_forward(xs[i], w, b, stride=2)
+            single, _ = conv_forward(xs[i], w, b, stride=2, exact=exact)
             np.testing.assert_array_equal(batched[i], single)
+            assert_forward_matches(single, naive_conv(xs[i], w, b, stride=2), exact)
 
-    def test_batched_equals_per_sample_across_blocks(self):
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_batched_equals_per_sample_across_blocks(self, exact):
         rng = np.random.default_rng(15)
         for stride, shape, f in ((1, (20, 1, 48, 48), 16), (2, (16, 3, 40, 40), 64)):
             xs = rng.normal(size=shape)
             w = rng.normal(size=(f, shape[1], 5, 5))
             b = rng.normal(size=f)
-            batched, _ = conv_forward(xs, w, b, stride=stride)
+            batched, _ = conv_forward(xs, w, b, stride=stride, exact=exact)
             assert batched.nbytes > ops.SCRATCH_BYTES  # several sample blocks
             for i in range(len(xs)):
-                single, _ = conv_forward(xs[i], w, b, stride=stride)
+                single, _ = conv_forward(xs[i], w, b, stride=stride, exact=exact)
                 np.testing.assert_array_equal(batched[i], single)
+            # the exact kernel is the reference where the naive loops are too slow
+            assert_forward_matches(batched, conv_forward(xs, w, b, stride=stride)[0], exact)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_unaligned_views_give_the_same_bits(self, exact):
+        rng = np.random.default_rng(20)
+        xs = rng.normal(size=(3, 2, 9, 9))
+        w = rng.normal(size=(4, 2, 3, 3))
+        b = rng.normal(size=4)
+        x_off, w_off = _offset_by_one(xs), _offset_by_one(w)
+        want, _ = conv_forward(xs, w, b, exact=exact)
+        got, _ = conv_forward(x_off, w_off, b, exact=exact)
+        np.testing.assert_array_equal(got, want)
+        for i in range(3):
+            np.testing.assert_array_equal(conv_forward(x_off[i], w_off, b, exact=exact)[0], want[i])
 
     def test_rejects_channel_mismatch(self):
         with pytest.raises(ValueError, match="channel"):
@@ -327,17 +360,23 @@ class TestFc:
             out, _ = fc_forward(x, w, b)
             np.testing.assert_array_equal(out, naive_fc(x, w, b))
 
-    def test_batched_equals_per_sample(self):
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("n, d_in, d_out", [(5, 8, 3), (1, 8, 1)], ids=["5x8x3", "n-dout-1"])
+    def test_batched_equals_per_sample(self, exact, n, d_in, d_out):
         rng = np.random.default_rng(13)
-        xs = rng.normal(size=(5, 8))
-        w = rng.normal(size=(8, 3))
-        b = rng.normal(size=3)
-        batched, _ = fc_forward(xs, w, b)
-        for i in range(5):
-            single, _ = fc_forward(xs[i], w, b)
+        xs = rng.normal(size=(n, d_in))
+        w = rng.normal(size=(d_in, d_out))
+        b = rng.normal(size=d_out)
+        batched, _ = fc_forward(xs, w, b, exact=exact)
+        assert batched.shape == (n, d_out)
+        for i in range(n):
+            single, _ = fc_forward(xs[i], w, b, exact=exact)  # a 1-D input
+            assert single.shape == (d_out,)
             np.testing.assert_array_equal(batched[i], single)
+            assert_forward_matches(single, naive_fc(xs[i], w, b), exact)
 
-    def test_multi_chunk_matches_naive_oracle(self, monkeypatch):
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_multi_chunk_matches_naive_oracle(self, monkeypatch, exact):
         # shrink the scratch so that the inputs span many chunks
         monkeypatch.setattr(ops, "SCRATCH_BYTES", 256)
         rng = np.random.default_rng(15)
@@ -345,11 +384,23 @@ class TestFc:
             xs = rng.normal(size=(n, d_in))
             w = rng.normal(size=(d_in, d_out))
             b = rng.normal(size=d_out)
-            batched, _ = fc_forward(xs, w, b)
+            batched, _ = fc_forward(xs, w, b, exact=exact)
             for i in range(n):
-                single, _ = fc_forward(xs[i], w, b)
-                np.testing.assert_array_equal(single, naive_fc(xs[i], w, b))
+                single, _ = fc_forward(xs[i], w, b, exact=exact)
+                assert_forward_matches(single, naive_fc(xs[i], w, b), exact)
                 np.testing.assert_array_equal(batched[i], single)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_unaligned_views_give_the_same_bits(self, exact):
+        rng = np.random.default_rng(21)
+        xs = rng.normal(size=(4, 37))
+        w = rng.normal(size=(37, 6))
+        b = rng.normal(size=6)
+        x_off, w_off = _offset_by_one(xs), _offset_by_one(w)
+        want, _ = fc_forward(xs, w, b, exact=exact)
+        np.testing.assert_array_equal(fc_forward(x_off, w_off, b, exact=exact)[0], want)
+        for i in range(4):
+            np.testing.assert_array_equal(fc_forward(x_off[i], w_off, b, exact=exact)[0], want[i])
 
     def test_backward_finite_differences(self):
         rng = np.random.default_rng(14)
@@ -371,6 +422,34 @@ class TestFc:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             fc_forward(np.zeros(3), np.zeros((4, 2)), np.zeros(2))
+
+
+# Batch invariance of the GEMM path at the paper48 conv2 and fc1 shapes, N=32.
+_GEMM_BATCH_CHECK = textwrap.dedent("""
+    import numpy as np
+    from facerel.ops import conv_forward, fc_forward
+    rng = np.random.default_rng(0)
+    for fwd, xs, w, b in (
+        (conv_forward, rng.normal(size=(32, 16, 22, 22)), rng.normal(size=(32, 16, 5, 5)),
+         rng.normal(size=32)),
+        (fc_forward, rng.normal(size=(32, 2562)), rng.normal(size=(2562, 256)),
+         rng.normal(size=256)),
+    ):
+        batched, _ = fwd(xs, w, b, exact=False)
+        for i, x in enumerate(xs):
+            np.testing.assert_array_equal(batched[i], fwd(x, w, b, exact=False)[0])
+""")
+
+
+def test_gemm_forward_is_batch_invariant_at_one_and_two_blas_threads():
+    # Bits may differ between thread counts; each count must be invariant.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _GEMM_BATCH_CHECK], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, f"{threads} BLAS thread(s):\n{run.stderr}"
 
 
 class TestActivations:

@@ -14,6 +14,7 @@ from facerel import ops
 from facerel.bridge import build_cluster_tree, load_bank, save_bank
 from facerel.checkpoint import load_checkpoint, save_checkpoint
 from facerel.hog import HogConfig, compute_hog, compute_hog_batch
+from facerel.kmeans import kmeans
 from facerel.net import (
     NetworkSpec,
     conv_spec,
@@ -27,7 +28,7 @@ from facerel.net import (
 )
 from facerel.ops import conv_forward
 
-from oracles import naive_conv, naive_hog
+from oracles import assert_forward_matches, naive_conv, naive_hog
 
 
 @st.composite
@@ -45,18 +46,20 @@ def conv_cases(draw):
     }
 
 
+@pytest.mark.parametrize("exact", [True, False])
 @settings(max_examples=40, deadline=None)
-@given(conv_cases())
-def test_conv_forward_batch_is_stack_of_singles_and_naive(case):
+@given(case=conv_cases())
+def test_conv_forward_batch_is_stack_of_singles_and_naive(exact, case):
     rng = np.random.default_rng(case["seed"])
     x = rng.normal(size=(case["n"], case["c"], case["h"], case["w"]))
     w = rng.normal(size=(case["f"], case["c"], case["k"], case["k"]))
     b = rng.normal(size=case["f"])
-    batched, _ = conv_forward(x, w, b, stride=case["stride"])
-    singles = np.stack([conv_forward(xi, w, b, stride=case["stride"])[0] for xi in x])
+    batched, _ = conv_forward(x, w, b, stride=case["stride"], exact=exact)
+    singles = np.stack([conv_forward(xi, w, b, stride=case["stride"], exact=exact)[0]
+                        for xi in x])
     naive = np.stack([naive_conv(xi, w, b, stride=case["stride"]) for xi in x])
     np.testing.assert_array_equal(batched, singles)
-    np.testing.assert_array_equal(batched, naive)
+    assert_forward_matches(batched, naive, exact)
 
 
 @st.composite
@@ -149,6 +152,30 @@ def test_trunk_walks_the_plan(case):
     d_image, d_h = trunk_backward(spec, params, single_cache, rng.normal(size=out.shape))
     assert d_image.shape == spec.input_shape
     assert (d_h is None) if h is None else (d_h.shape == (spec.bridge_dim,))
+
+
+@st.composite
+def kmeans_cases(draw):
+    """Points on a coarse grid, so that duplicates and ties are common."""
+    n, d = draw(st.integers(1, 30)), draw(st.integers(1, 3))
+    coords = draw(st.lists(st.integers(-3, 3), min_size=n * d, max_size=n * d))
+    scale = draw(st.sampled_from([1e-3, 1.0, 7.5]))
+    points = np.array(coords, dtype=np.float64).reshape(n, d) * scale
+    return points, draw(st.integers(1, n)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kmeans_cases())
+def test_kmeans_assigns_every_point_and_fills_every_cluster(case):
+    points, k, seed = case
+    res = kmeans(points, k, seed=seed)
+    assert res.assignments.shape == (len(points),)
+    assert res.assignments.min() >= 0 and res.assignments.max() < k
+    if len(np.unique(points, axis=0)) >= k:
+        assert np.all(np.bincount(res.assignments, minlength=k) > 0)
+    again = kmeans(points, k, seed=seed)
+    np.testing.assert_array_equal(again.assignments, res.assignments)
+    np.testing.assert_array_equal(again.centroids, res.centroids)
 
 
 @functools.cache
