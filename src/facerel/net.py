@@ -13,6 +13,17 @@ and a ``flatten`` flag on the first fc layer, where the descriptor joins.
 ``trace``, ``param_shapes``, ``init_trunk_params``, the forward and backward
 walks and ``min_kink_margin`` all read that plan; none re-derives a shape.
 The trunk runs the per-sample GEMM forward of ``ops`` (``exact=False``).
+
+``trunk_forward``'s cache keeps one ``(step, ctx)`` entry per layer, and
+each activation once:
+
+* conv and fc: the ``ops`` ctx, which holds the layer's input;
+* relu: its input, the pre-activation;
+* lrn: the ``ops`` ctx, which holds the input and the normalization base;
+* maxpool: ``(PoolArgmax, x)``, where ``x`` is the pooled input, or ``None``
+  when the step before is a relu.  ``min_kink_margin`` then rebuilds the
+  input as ``relu`` of that step's kept input, which is bitwise what was
+  pooled, so the relu output is not kept a second time.
 """
 
 from __future__ import annotations
@@ -239,7 +250,8 @@ def init_trunk_params(
 
 @dataclass
 class TrunkCache:
-    """``(step, ctx)`` for every layer of one forward pass, for the backward."""
+    """``(step, ctx)`` for every layer of one forward pass, for the backward
+    (the module docstring says what each ctx keeps)."""
 
     entries: list[tuple[LayerStep, Any]] = field(default_factory=list)
 
@@ -280,7 +292,7 @@ def trunk_forward(
 
     cache = TrunkCache()
     cur = image
-    for step in spec.plan:
+    for i, step in enumerate(spec.plan):
         layer = step.layer
         if step.flatten:
             cur = cur.reshape(cur.shape[:-3] + (-1,))
@@ -292,7 +304,8 @@ def trunk_forward(
                                     exact=False)
         elif layer.kind == "maxpool":
             pooled, argmax = maxpool_forward(cur, layer.kernel, layer.stride)
-            cur, ctx = pooled, (argmax, cur)
+            relu_fed = i > 0 and spec.plan[i - 1].layer.kind == "relu"
+            cur, ctx = pooled, (argmax, None if relu_fed else cur)
         elif layer.kind == "lrn":
             cur, ctx = lrn_forward(cur, layer.lrn_n, layer.lrn_k, layer.lrn_alpha, layer.lrn_beta)
         elif layer.kind == "relu":
@@ -342,12 +355,15 @@ def min_kink_margin(cache: TrunkCache) -> float:
     are only trustworthy when this margin comfortably exceeds the probe step.
     """
     margin = np.inf
-    for step, ctx in cache.entries:
+    for i, (step, ctx) in enumerate(cache.entries):
         layer = step.layer
         if layer.kind == "relu":
             margin = min(margin, float(np.min(np.abs(ctx))))
         elif layer.kind == "maxpool" and layer.kernel >= 2:
-            stack = pool_windows(ctx[1], layer.kernel, layer.stride)
+            _, x = ctx
+            if x is None:  # relu-fed: the relu's input rebuilds what was pooled
+                x = relu(cache.entries[i - 1][1])
+            stack = pool_windows(x, layer.kernel, layer.stride)
             top2 = np.sort(stack, axis=-1)[..., -2:]
             gap = top2[..., 1] - top2[..., 0]
             # Windows whose top two entries are exactly 0 are upstream

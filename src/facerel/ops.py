@@ -25,6 +25,15 @@ The backward passes are BLAS GEMMs (for conv, two per input channel and
 sample block), whatever path the forward took: they are deterministic for a
 given shape and thread count, but not batch invariant, and the tests hold
 them to the naive loops at a relative tolerance, not bitwise.
+
+Pooling contract.  ``maxpool_forward`` is bitwise equal, output bytes and
+indices alike, to stacking every window's k*k elements in (dy, dx) order and
+taking ``argmax``: each output is the window's first maximum, so among tied
+maxima (``0.0`` and ``-0.0`` tie) the lowest flat index wins and the output
+carries that element's exact bits; a window holding a NaN outputs its first
+NaN.  It is batch invariant.  It copies no window out: it walks the k*k taps
+as strided views of the input, one compare-select each, with one bool mask
+and one small-int tap array of output shape as scratch beyond its outputs.
 """
 
 from __future__ import annotations
@@ -187,11 +196,28 @@ def conv_backward(
 
 @dataclass
 class PoolArgmax:
-    """Flat per-sample source index (into C*H*W) for every pooled output."""
+    """Where every pooled output came from, for ``maxpool_backward``.
+
+    ``indices[s, c, oy, ox]`` is the flat index into sample ``s``'s
+    ``C*H*W`` input of the value that output took: the first maximum of its
+    window in (dy, dx) order, which is the lowest flat index among tied
+    maxima, or the window's first NaN.  ``input_shape`` is the batched input
+    shape; ``batched`` says whether the caller passed a batch.
+    """
 
     indices: np.ndarray    # (N, C, Ho, Wo), int64
     input_shape: tuple[int, int, int, int]
     batched: bool
+
+
+def _pool_taps(x: np.ndarray, kernel: int, stride: int):
+    """Yield, in (dy, dx) order, the strided view of ``x`` (pooled over its
+    last two axes) that holds tap (dy, dx) of every window; nothing is copied."""
+    h, wd = x.shape[-2:]
+    ho = (h - kernel) // stride + 1
+    wo = (wd - kernel) // stride + 1
+    for dy, dx in np.ndindex(kernel, kernel):
+        yield x[..., dy : dy + ho * stride : stride, dx : dx + wo * stride : stride]
 
 
 def pool_windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
@@ -200,21 +226,13 @@ def pool_windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     Returns shape ``x.shape[:-2] + (Ho, Wo, kernel * kernel)``, the window
     elements in ascending (dy, dx) order.
     """
-    h, wd = x.shape[-2:]
-    ho = (h - kernel) // stride + 1
-    wo = (wd - kernel) // stride + 1
-    parts = [
-        x[..., dy : dy + ho * stride : stride, dx : dx + wo * stride : stride]
-        for dy in range(kernel)
-        for dx in range(kernel)
-    ]
-    return np.stack(parts, axis=-1)
+    return np.stack(list(_pool_taps(x, kernel, stride)), axis=-1)
 
 
 def maxpool_forward(
     x: np.ndarray, kernel: int, stride: int
 ) -> tuple[np.ndarray, PoolArgmax]:
-    """Window maxima with argmax bookkeeping; ties go to the lowest flat index."""
+    """Window maxima with argmax bookkeeping (see the module's pooling contract)."""
     x4, batched = _as_batched_images(x, "maxpool_forward")
     n, c, h, wd = x4.shape
     if kernel < 1 or stride < 1:
@@ -226,20 +244,39 @@ def maxpool_forward(
     ho = (h - kernel) // stride + 1
     wo = (wd - kernel) // stride + 1
 
-    # argmax picks the first maximum of the (dy, dx)-ordered window, which is
-    # exactly the lowest flat source index.
-    stack = pool_windows(x4, kernel, stride)
-    win_arg = stack.argmax(axis=-1)
-    out = np.take_along_axis(stack, win_arg[..., None], axis=-1)[..., 0]
+    # One compare-select per tap: a later tap wins a window only when
+    # strictly greater, so ``tap`` ends on the window's first maximum.
+    # ``out`` holds the NaN-propagating running max, so it ends NaN exactly
+    # in the windows that hold a NaN.
+    taps = _pool_taps(x4, kernel, stride)
+    out = next(taps).copy()
+    tap = np.zeros(out.shape, dtype=np.min_scalar_type(kernel * kernel - 1))
+    wins = np.empty(out.shape, dtype=bool)
+    for t, view in enumerate(taps, start=1):
+        np.greater(view, out, out=wins)
+        np.copyto(tap, t, where=wins)
+        np.maximum(out, view, out=out)
+    if np.isnan(out, out=wins).any():
+        # as in argmax, a window's first NaN wins: walk the taps backwards
+        # so the first NaN is written last
+        for t, view in reversed(list(enumerate(_pool_taps(x4, kernel, stride)))):
+            np.copyto(tap, t, where=np.isnan(view) & wins)
 
-    dy = win_arg // kernel
-    dx = win_arg % kernel
-    oy = np.arange(ho)[None, None, :, None]
-    ox = np.arange(wo)[None, None, None, :]
-    ch = np.arange(c)[None, :, None, None]
-    flat = ch * (h * wd) + (oy * stride + dy) * wd + (ox * stride + dx)
+    # The flat source index, built in place: the tap's offset inside its
+    # window plus the window's origin, plus the sample's only for the gather.
+    in_window = (np.arange(kernel)[:, None] * wd + np.arange(kernel)).reshape(-1)
+    indices = np.take(in_window.astype(np.int64), tap)
+    indices += (np.arange(c) * (h * wd))[:, None, None]
+    indices += (np.arange(ho) * (stride * wd))[:, None]
+    indices += np.arange(wo) * stride
+    sample = (np.arange(n) * (c * h * wd))[:, None, None, None]
+    indices += sample
+    # the gather gives the winners' exact bits, -0.0 included; every index
+    # is in range, and "clip" lets take write to ``out`` without buffering
+    np.take(x4.reshape(-1), indices, out=out, mode="clip")
+    indices -= sample
 
-    argmax = PoolArgmax(flat.astype(np.int64), (n, c, h, wd), batched)
+    argmax = PoolArgmax(indices, (n, c, h, wd), batched)
     return (out if batched else out[0]), argmax
 
 

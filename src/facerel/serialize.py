@@ -2,15 +2,18 @@
 
 Layout: 8-byte magic, little-endian uint64 header length, UTF-8 JSON header,
 then the raw bytes of each array in the header's listed order.  The header
-carries a format version, a container kind, caller metadata, and the name /
-shape / dtype of every array.  Every array is float64, stored ``<f8``, and
-every number in the header is finite.  Writing the same content twice
-produces byte-identical files: the header is dumped with sorted keys and
-arrays are stored in sorted-name order, little-endian, C-contiguous.
+carries a format version, a container kind, caller metadata, the name /
+shape / dtype of every array, and the SHA-256 of all the array bytes, which
+loading checks, so a damaged byte in array data raises instead of loading.
+Every array is float64, stored ``<f8``, and every number in the header is
+finite.  Writing the same content twice produces byte-identical files: the
+header is dumped with sorted keys and arrays are stored in sorted-name order,
+little-endian, C-contiguous.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -20,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 MAGIC = b"FACEREL1"
-FORMAT_VERSION = 1
+#: 2 added the ``sha256`` digest of the array bytes to the header.
+FORMAT_VERSION = 2
 
 _DTYPE = "<f8"
 
@@ -36,11 +40,15 @@ def save_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -
         entries.append({"name": name, "shape": list(arr.shape), "dtype": _DTYPE})
         blobs.append(arr.tobytes(order="C"))
 
+    digest = hashlib.sha256()
+    for blob in blobs:
+        digest.update(blob)
     header = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
         "meta": meta,
         "arrays": entries,
+        "sha256": digest.hexdigest(),
     }
     header_bytes = json.dumps(
         header, sort_keys=True, separators=(",", ":"), allow_nan=False
@@ -92,12 +100,17 @@ def load_container(path) -> tuple[str, dict, dict[str, np.ndarray]]:
             if not isinstance(header.get(field), want):
                 raise ValueError(f"{path}: header field {field!r} is missing or not a {want.__name__}")
         arrays = {}
+        digest = hashlib.sha256()
         for i, entry in enumerate(header["arrays"]):
             name, shape = _entry(path, i, entry)
             nbytes = math.prod(shape) * np.dtype(_DTYPE).itemsize
             if nbytes > size - f.tell():
                 raise ValueError(f"{path}: truncated array data for {name!r}")
-            arrays[name] = np.frombuffer(f.read(nbytes), dtype=_DTYPE).reshape(shape).copy()
+            blob = f.read(nbytes)
+            digest.update(blob)
+            arrays[name] = np.frombuffer(blob, dtype=_DTYPE).reshape(shape).copy()
+    if header.get("sha256") != digest.hexdigest():
+        raise ValueError(f"{path}: array data does not match the header's sha256 digest")
     return header["kind"], header["meta"], arrays
 
 

@@ -70,6 +70,28 @@ def naive_maxpool(x, kernel, stride):
     return out, arg
 
 
+def stack_maxpool(x, kernel, stride):
+    """Max-pool of an (N,C,H,W) batch by copying out every window.
+
+    The k*k window elements are stacked in (dy, dx) order and ``argmax``
+    picks the winner: the first maximum, or the first NaN.  Unlike
+    ``naive_maxpool``, whose ``v > best`` loop never lets a NaN win, this
+    holds the library's NaN semantics.  Returns (out, flat per-sample index).
+    """
+    n, c, h, wd = x.shape
+    ho = (h - kernel) // stride + 1
+    wo = (wd - kernel) // stride + 1
+    stack = np.stack([x[:, :, dy : dy + ho * stride : stride, dx : dx + wo * stride : stride]
+                      for dy in range(kernel) for dx in range(kernel)], axis=-1)
+    win_arg = stack.argmax(axis=-1)
+    out = np.take_along_axis(stack, win_arg[..., None], axis=-1)[..., 0]
+    oy = np.arange(ho)[None, None, :, None]
+    ox = np.arange(wo)[None, None, None, :]
+    ch = np.arange(c)[None, :, None, None]
+    flat = ch * (h * wd) + (oy * stride + win_arg // kernel) * wd + (ox * stride + win_arg % kernel)
+    return out, flat.astype(np.int64)
+
+
 def naive_lrn(x, n, k, alpha, beta):
     c_n, h, wd = x.shape
     half = n // 2

@@ -8,7 +8,7 @@ import pytest
 
 from facerel.checkpoint import load_checkpoint, save_checkpoint
 from facerel.net import NetworkSpec, conv_spec, fc_spec, init_trunk_params, pool_spec, relu_spec
-from facerel.serialize import MAGIC, load_container, save_container
+from facerel.serialize import FORMAT_VERSION, MAGIC, load_container, save_container
 
 
 def small_spec():
@@ -36,6 +36,17 @@ def test_container_bytes_are_reproducible(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_container_rejects_damaged_array_data(tmp_path):
+    path = tmp_path / "c.bin"
+    save_container(path, "test", {}, {"x": np.linspace(0, 1, 11)})
+    blob = bytearray(path.read_bytes())
+    blob[-3] ^= 0x01  # one mantissa bit of the last value
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="does not match the header's sha256") as err:
+        load_container(path)
+    assert str(path) in str(err.value)
+
+
 def test_container_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTAFILE" + b"\x00" * 16)
@@ -44,14 +55,16 @@ def test_container_rejects_bad_magic(tmp_path):
 
 
 def _header(**fields):
-    return json.dumps({"format_version": 1, "kind": "test", "meta": {}, **fields}).encode()
+    return json.dumps(
+        {"format_version": FORMAT_VERSION, "kind": "test", "meta": {}, **fields}
+    ).encode()
 
 
 @pytest.mark.parametrize(
     "header, match",
     [
         (b"[1, 2]", "header is a JSON list, not an object"),
-        (json.dumps({"format_version": 1, "kind": "test", "meta": {}}).encode(),
+        (json.dumps({"format_version": FORMAT_VERSION, "kind": "test", "meta": {}}).encode(),
          "header field 'arrays' is missing"),
         (_header(arrays=[{"name": "a", "shape": [-1], "dtype": "<f8"}]),
          r"shape \[-1\] of 'a' is not a list of sizes >= 0"),
@@ -66,7 +79,8 @@ def _header(**fields):
         (_header(meta={"bridge_dim": float("inf")}, arrays=[]), "non-finite number Infinity"),
         (_header(meta={"t_top": -float("inf")}, arrays=[]), "non-finite number -Infinity"),
         (_header(meta={"sentinel": float("nan")}, arrays=[]), "non-finite number NaN"),
-        (b'{"format_version": 1, "kind": "bridge-bank", "meta": {"hog": {"cell": 1e999}}}',
+        (b'{"format_version": %d, "kind": "bridge-bank", "meta": {"hog": {"cell": 1e999}}}'
+         % FORMAT_VERSION,
          "non-finite number 1e999"),
     ],
 )

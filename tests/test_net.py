@@ -1,5 +1,7 @@
 """Trunk assembly: shape tracing, forward/backward, and the gradcheck harness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -315,3 +317,57 @@ class TestPlan:
         _, cache = trunk_forward(spec, params, img)
         # relu margin 0.1; the windows' top-two gaps are 0.05 and 0.45
         assert min_kink_margin(cache) == pytest.approx(0.05)
+
+
+def _arrays_in(ctx):
+    """Every array a cache entry's ctx holds, through tuples and ctx records."""
+    if isinstance(ctx, np.ndarray):
+        yield ctx
+    elif isinstance(ctx, tuple):
+        for part in ctx:
+            yield from _arrays_in(part)
+    elif dataclasses.is_dataclass(ctx):
+        for f in dataclasses.fields(ctx):
+            yield from _arrays_in(getattr(ctx, f.name))
+
+
+def _pool_gap_margin(x, kernel, stride):
+    """The pooling term of ``min_kink_margin``, from ``pool_windows`` on ``x``."""
+    top2 = np.sort(ops.pool_windows(x, kernel, stride), axis=-1)[..., -2:]
+    gap = top2[..., 1] - top2[..., 0]
+    return float(np.min(gap[~((gap == 0.0) & (top2[..., 1] == 0.0))]))
+
+
+class TestTrunkCache:
+    @pytest.mark.parametrize("before_pool, kept", [
+        ((conv_spec(3, 2), relu_spec()), False),
+        ((conv_spec(3, 2), relu_spec(), lrn_spec(n=3, k=2.0, alpha=1e-2, beta=0.75)), True),
+    ], ids=["relu-fed", "lrn-fed"])
+    def test_pool_keeps_its_input_only_when_no_relu_holds_it(self, before_pool, kept):
+        layers = before_pool + (pool_spec(3, 1), lrn_spec(n=3, k=2.0, alpha=1e-2, beta=0.75))
+        spec = NetworkSpec((1, 9, 9), layers)
+        params = init_trunk_params(spec, np.random.default_rng(0))
+        img = np.random.default_rng(7).normal(size=(3, 1, 9, 9))
+        _, cache = trunk_forward(spec, params, img)
+        step, ctx = cache.entries[len(before_pool)]
+        assert step.layer.kind == "maxpool"
+        pool_in, _ = trunk_forward(NetworkSpec((1, 9, 9), before_pool), params, img)
+        held = [a for a in _arrays_in(ctx) if a.shape == pool_in.shape]
+        if kept:
+            assert len(held) == 1 and held[0].tobytes() == pool_in.tobytes()
+        else:
+            assert held == []
+
+        relu_margin = min(float(np.min(np.abs(c))) for s, c in cache.entries
+                          if s.layer.kind == "relu")
+        pool_margin = _pool_gap_margin(pool_in, 3, 1)
+        assert pool_margin < relu_margin  # the pool term decides the margin
+        assert min_kink_margin(cache) == pool_margin
+
+    def test_kink_margin_pools_the_relu_output_not_its_input(self):
+        spec = NetworkSpec((1, 2, 3), (relu_spec(), pool_spec(2, 1)))
+        img = np.array([[[-1.0, -1.01, 0.5], [-1.2, -1.3, 0.8]]])
+        _, cache = trunk_forward(spec, init_trunk_params(spec, np.random.default_rng(0)), img)
+        # relu margin 0.5; the first window is clipped to zeros, the second
+        # has gap 0.3 (its pre-activations' top two differ by only 0.01)
+        assert min_kink_margin(cache) == pytest.approx(0.3)

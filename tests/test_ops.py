@@ -290,6 +290,13 @@ class TestMaxPool:
         dx = maxpool_backward(arg, np.array([[[7.0]]]))
         np.testing.assert_array_equal(dx, [[[7.0, 0.0], [0.0, 0.0]]])
 
+    def test_first_nan_of_a_window_wins(self):
+        x = np.array([[[1.0, 2.0, 9.0], [np.nan, -np.nan, 3.0]]])
+        out, arg = maxpool_forward(x, 2, 1)
+        assert np.isnan(out).all()
+        np.testing.assert_array_equal(arg.indices[0, 0], [[3, 4]])
+        assert np.signbit(out[0, 0, 1])  # the winner's bits, sign included
+
     def test_rejects_kernel_larger_than_input(self):
         with pytest.raises(ValueError, match="kernel"):
             maxpool_forward(np.zeros((1, 2, 2)), 3, 1)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from facerel import ops
 from facerel.bridge import build_cluster_tree, load_bank, save_bank
 from facerel.checkpoint import load_checkpoint, save_checkpoint
+from facerel.data import AttrRecord, Box, PairRecord, read_manifest, write_manifest
 from facerel.hog import HogConfig, compute_hog, compute_hog_batch
 from facerel.kmeans import kmeans
 from facerel.net import (
@@ -26,9 +27,9 @@ from facerel.net import (
     trunk_backward,
     trunk_forward,
 )
-from facerel.ops import conv_forward
+from facerel.ops import conv_forward, maxpool_forward
 
-from oracles import assert_forward_matches, naive_conv, naive_hog
+from oracles import assert_forward_matches, naive_conv, naive_hog, stack_maxpool
 
 
 @st.composite
@@ -60,6 +61,32 @@ def test_conv_forward_batch_is_stack_of_singles_and_naive(exact, case):
     naive = np.stack([naive_conv(xi, w, b, stride=case["stride"]) for xi in x])
     np.testing.assert_array_equal(batched, singles)
     assert_forward_matches(batched, naive, exact)
+
+
+@st.composite
+def pool_cases(draw):
+    """Integer-valued inputs, so that ties are common, with -0.0 and NaN."""
+    k, stride = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+             draw(st.integers(k, k + 6)), draw(st.integers(k, k + 6)))
+    values = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, np.nan])
+    x = draw(st.lists(values, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    return np.array(x).reshape(shape), k, stride
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool_cases())
+def test_maxpool_forward_is_the_stacked_window_argmax(case):
+    x, k, stride = case
+    want_out, want_idx = stack_maxpool(x, k, stride)
+    out, argmax = maxpool_forward(x, k, stride)
+    assert out.dtype == want_out.dtype and out.shape == want_out.shape
+    assert out.tobytes() == want_out.tobytes()
+    assert argmax.indices.dtype == np.int64
+    np.testing.assert_array_equal(argmax.indices, want_idx)
+    single, single_arg = maxpool_forward(x[0], k, stride)
+    assert single.tobytes() == want_out[0].tobytes()
+    np.testing.assert_array_equal(single_arg.indices, want_idx[:1])
 
 
 @st.composite
@@ -220,3 +247,58 @@ def test_damaged_file_loads_or_raises_value_error(tmp_path_factory, case):
         (load_checkpoint if kind == "checkpoint" else load_bank)(path)
     except ValueError:
         pass
+
+
+@st.composite
+def damaged_array_data(draw):
+    """One valid file with one byte of its array data changed."""
+    kind = draw(st.sampled_from(["checkpoint", "bank"]))
+    blob = valid_files()[kind]
+    at = draw(st.integers(16 + struct.unpack("<Q", blob[8:16])[0], len(blob) - 1))
+    flipped = blob[at] ^ draw(st.integers(1, 255))
+    return kind, blob[:at] + bytes([flipped]) + blob[at + 1 :]
+
+
+@settings(max_examples=200, deadline=None)
+@given(damaged_array_data())
+def test_damaged_array_data_always_raises(tmp_path_factory, case):
+    kind, blob = case
+    path = tmp_path_factory.getbasetemp() / f"damaged-data-{kind}.bin"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError, match="sha256") as err:
+        (load_checkpoint if kind == "checkpoint" else load_bank)(path)
+    assert str(path) in str(err.value)
+
+
+TOKENS = st.text("abcdefghijklmnopqrstuvwxyzABCXYZ0123456789._-/", min_size=1, max_size=12)
+
+
+@st.composite
+def attr_records(draw):
+    mask = tuple(draw(st.lists(st.booleans(), min_size=20, max_size=20)))
+    # a missing label reads back as 0.0 and stays masked
+    labels = tuple(draw(st.sampled_from([0.0, 1.0])) if m else 0.0 for m in mask)
+    return AttrRecord(draw(TOKENS), draw(TOKENS), draw(TOKENS), labels, mask)
+
+
+@st.composite
+def pair_records(draw):
+    def box():
+        extent = st.floats(allow_nan=False, allow_infinity=False)
+        return Box(draw(st.integers(-10**6, 10**6)), draw(st.integers(-10**6, 10**6)),
+                   draw(extent), draw(extent))
+
+    relations = tuple(draw(st.lists(st.integers(0, 1), min_size=8, max_size=8)))
+    return PairRecord(draw(TOKENS), box(), box(), relations)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just("attributes"), TOKENS, st.lists(attr_records(), max_size=5)),
+    st.tuples(st.just("pairs"), TOKENS, st.lists(pair_records(), max_size=5)),
+))
+def test_manifest_write_read_round_trip(tmp_path_factory, case):
+    kind, split, records = case
+    path = tmp_path_factory.getbasetemp() / f"roundtrip-{kind}.txt"
+    write_manifest(path, kind, split, records)
+    assert read_manifest(path) == (kind, split, records)
