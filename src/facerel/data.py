@@ -267,23 +267,23 @@ def pair_sample(image: np.ndarray, box_a: Box, box_b: Box, relations,
 def load_manifest(path, face_size: tuple[int, int] = (48, 48)):
     """Load every referenced array and validate it; returns Samples or PairSamples.
 
-    Landmarks must be in the fixed layout (see ``bridge.check_landmarks``);
-    pair faces are cut out by ``pair_sample``.
+    Every face comes out ``face_size`` (height, width): an attribute image
+    must already be that size, and pair faces are cut out and resized to it
+    by ``pair_sample``.  Landmarks must be in the fixed layout (see
+    ``bridge.check_landmarks``).
     """
     path = Path(path)
     kind, split, records = _read_numbered(path)
     base = path.parent
     out = []
-    geometry = None
     for ln, rec in records:
         where = f"{path}:{ln}"
         if kind == "attributes":
             img = _load_image(base, rec.image_path, where)
-            geometry = geometry or img.shape
-            if img.shape != geometry:
+            if img.shape != tuple(face_size):
                 raise ValueError(
                     f"{where}: image {rec.image_path!r} is {img.shape[0]}x{img.shape[1]}, "
-                    f"the manifest's first image is {geometry[0]}x{geometry[1]}"
+                    f"not the face size {face_size[0]}x{face_size[1]}"
                 )
             lm = _load_array(base, rec.landmark_path, where)
             try:

@@ -14,16 +14,26 @@ and a ``flatten`` flag on the first fc layer, where the descriptor joins.
 walks and ``min_kink_margin`` all read that plan; none re-derives a shape.
 The trunk runs the per-sample GEMM forward of ``ops`` (``exact=False``).
 
-``trunk_forward``'s cache keeps one ``(step, ctx)`` entry per layer, and
-each activation once:
+``trunk_forward`` and ``min_kink_margin`` both walk the plan through one
+per-step forward, ``_step_forward``.  ``trunk_forward``'s cache keeps one
+``(step, ctx)`` entry per layer, and in it only what ``trunk_backward``
+reads:
 
-* conv and fc: the ``ops`` ctx, which holds the layer's input;
-* relu: its input, the pre-activation;
-* lrn: the ``ops`` ctx, which holds the input and the normalization base;
-* maxpool: ``(PoolArgmax, x)``, where ``x`` is the pooled input, or ``None``
-  when the step before is a relu.  ``min_kink_margin`` then rebuilds the
-  input as ``relu`` of that step's kept input, which is bitwise what was
-  pooled, so the relu output is not kept a second time.
+=======  ==============================================================
+step     ctx
+=======  ==============================================================
+conv     ``ConvCtx``: the layer's input and weights
+fc       ``FcCtx``: the layer's input and weights
+lrn      ``LrnCtx``: the layer's input (the base is recomputed)
+maxpool  ``PoolArgmax``: the source index of every output
+relu     the bool mask ``out > 0``, one byte per element
+=======  ==============================================================
+
+A relu writes its output over its input whenever the walk made that input
+(every step but the first, so the caller's image is never written): no ctx
+holds its own step's output, so nothing else reads the overwritten array.
+``min_kink_margin`` needs the relu and pool inputs, which the cache does not
+hold, so it runs its own forward walk and reads them as it passes.
 """
 
 from __future__ import annotations
@@ -251,24 +261,15 @@ def init_trunk_params(
 @dataclass
 class TrunkCache:
     """``(step, ctx)`` for every layer of one forward pass, for the backward
-    (the module docstring says what each ctx keeps)."""
+    (the module docstring's table says what each ctx keeps)."""
 
     entries: list[tuple[LayerStep, Any]] = field(default_factory=list)
 
 
-def trunk_forward(
-    spec: NetworkSpec,
-    params: ParameterSet,
-    image: np.ndarray,
-    h: np.ndarray | None = None,
-) -> tuple[np.ndarray, TrunkCache]:
-    """Run the trunk on one image or a batch; returns (features, cache).
-
-    ``h`` is the bridging descriptor (already standardized); it is mandatory
-    when the spec declares ``bridge_dim > 0`` and must have that length.
-    Parameters are read under the ``trunk.`` names that ``init_trunk_params``
-    gives by default and checkpoints store.
-    """
+def _trunk_input(
+    spec: NetworkSpec, image: np.ndarray, h: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``image`` and ``h`` as float64, checked against the spec."""
     image = np.asarray(image, dtype=np.float64)
     batched = image.ndim == 4
     img_shape = image.shape[1:] if batched else image.shape
@@ -289,30 +290,59 @@ def trunk_forward(
             raise ValueError("batched input needs one descriptor row per image")
         if not batched and h.ndim != 1:
             raise ValueError("single-image input needs a flat descriptor")
+    return image, h
 
+
+def _step_forward(
+    spec: NetworkSpec,
+    params: ParameterSet,
+    step: LayerStep,
+    x: np.ndarray,
+    h: np.ndarray | None,
+    owned: bool,
+) -> tuple[np.ndarray, Any]:
+    """Run one plan step on ``x``; returns (output, cache ctx).
+
+    ``owned`` says the walk made ``x``, so a relu may write over it: no ctx
+    holds its step's own output (see ``ops``), so nothing else reads ``x``.
+    """
+    layer = step.layer
+    if step.flatten:
+        x = x.reshape(x.shape[:-3] + (-1,))
+        if spec.bridge_dim > 0:
+            x = np.concatenate([x, h], axis=-1)
+    if layer.kind == "conv":
+        return conv_forward(x, params[f"trunk.{step.name}.w"].data,
+                            params[f"trunk.{step.name}.b"].data, layer.stride, exact=False)
+    if layer.kind == "maxpool":
+        return maxpool_forward(x, layer.kernel, layer.stride)
+    if layer.kind == "lrn":
+        return lrn_forward(x, layer.lrn_n, layer.lrn_k, layer.lrn_alpha, layer.lrn_beta)
+    if layer.kind == "relu":
+        out = relu(x, out=x if owned else None)
+        return out, out > 0
+    return fc_forward(x, params[f"trunk.{step.name}.w"].data,
+                      params[f"trunk.{step.name}.b"].data, exact=False)
+
+
+def trunk_forward(
+    spec: NetworkSpec,
+    params: ParameterSet,
+    image: np.ndarray,
+    h: np.ndarray | None = None,
+) -> tuple[np.ndarray, TrunkCache]:
+    """Run the trunk on one image or a batch; returns (features, cache).
+
+    ``h`` is the bridging descriptor (already standardized); it is mandatory
+    when the spec declares ``bridge_dim > 0`` and must have that length.
+    Parameters are read under the ``trunk.`` names that ``init_trunk_params``
+    gives by default and checkpoints store.  The caller's arrays are never
+    written.
+    """
+    cur, h = _trunk_input(spec, image, h)
     cache = TrunkCache()
-    cur = image
     for i, step in enumerate(spec.plan):
-        layer = step.layer
-        if step.flatten:
-            cur = cur.reshape(cur.shape[:-3] + (-1,))
-            if spec.bridge_dim > 0:
-                cur = np.concatenate([cur, h], axis=-1)
-        if layer.kind == "conv":
-            cur, ctx = conv_forward(cur, params[f"trunk.{step.name}.w"].data,
-                                    params[f"trunk.{step.name}.b"].data, layer.stride,
-                                    exact=False)
-        elif layer.kind == "maxpool":
-            pooled, argmax = maxpool_forward(cur, layer.kernel, layer.stride)
-            relu_fed = i > 0 and spec.plan[i - 1].layer.kind == "relu"
-            cur, ctx = pooled, (argmax, None if relu_fed else cur)
-        elif layer.kind == "lrn":
-            cur, ctx = lrn_forward(cur, layer.lrn_n, layer.lrn_k, layer.lrn_alpha, layer.lrn_beta)
-        elif layer.kind == "relu":
-            cur, ctx = relu(cur), cur
-        else:
-            cur, ctx = fc_forward(cur, params[f"trunk.{step.name}.w"].data,
-                                  params[f"trunk.{step.name}.b"].data, exact=False)
+        cur, ctx = _step_forward(spec, params, step, cur, h, owned=i > 0)
         cache.entries.append((step, ctx))
     return cur, cache
 
@@ -334,7 +364,7 @@ def trunk_backward(
             params[f"trunk.{step.name}.w"].accumulate_grad(dw)
             params[f"trunk.{step.name}.b"].accumulate_grad(db)
         elif kind == "maxpool":
-            grad = maxpool_backward(ctx[0], grad)
+            grad = maxpool_backward(ctx, grad)
         elif kind == "lrn":
             grad = lrn_backward(ctx, grad)
         else:
@@ -347,23 +377,29 @@ def trunk_backward(
     return grad, d_h
 
 
-def min_kink_margin(cache: TrunkCache) -> float:
-    """Distance of the forward pass from its nearest non-smooth point.
+def min_kink_margin(
+    spec: NetworkSpec,
+    params: ParameterSet,
+    image: np.ndarray,
+    h: np.ndarray | None = None,
+) -> float:
+    """Distance of the forward pass on ``image`` from its nearest non-smooth
+    point.
 
     The minimum over all ReLU pre-activations of ``|x|`` and over all pooling
     windows of the gap between the top two values.  Finite-difference probes
     are only trustworthy when this margin comfortably exceeds the probe step.
+    The cache keeps neither, so this runs its own forward walk and reads each
+    relu and pool input as it passes.
     """
+    cur, h = _trunk_input(spec, image, h)
     margin = np.inf
-    for i, (step, ctx) in enumerate(cache.entries):
+    for i, step in enumerate(spec.plan):
         layer = step.layer
         if layer.kind == "relu":
-            margin = min(margin, float(np.min(np.abs(ctx))))
+            margin = min(margin, float(np.min(np.abs(cur))))
         elif layer.kind == "maxpool" and layer.kernel >= 2:
-            _, x = ctx
-            if x is None:  # relu-fed: the relu's input rebuilds what was pooled
-                x = relu(cache.entries[i - 1][1])
-            stack = pool_windows(x, layer.kernel, layer.stride)
+            stack = pool_windows(cur, layer.kernel, layer.stride)
             top2 = np.sort(stack, axis=-1)[..., -2:]
             gap = top2[..., 1] - top2[..., 0]
             # Windows whose top two entries are exactly 0 are upstream
@@ -373,4 +409,5 @@ def min_kink_margin(cache: TrunkCache) -> float:
             live = gap[~frozen]
             if live.size:
                 margin = min(margin, float(np.min(live)))
+        cur, _ = _step_forward(spec, params, step, cur, h, owned=i > 0)
     return margin

@@ -5,6 +5,15 @@ Every forward returns ``(output, ctx)`` where ``ctx`` carries exactly what the
 matching backward needs.  Inputs may be single samples (``C,H,W`` / ``D,``) or
 batches with one leading axis; outputs follow suit.
 
+What a ctx keeps.  No ctx holds its own forward's output: conv, fc and lrn
+keep their input (lrn also its scalars; ``lrn_backward`` recomputes the
+normalization base from the input with the forward's exact expression, so it
+sees the same bits), max-pooling keeps only its ``PoolArgmax``, and relu has
+no ctx: its backward takes the bool mask ``relu(x) > 0``, which equals
+``x > 0`` (a NaN is inactive either way).  So a caller may let ``relu`` write
+its output over an input that nothing else holds (``relu(x, out=x)``)
+without spoiling any ctx.
+
 Determinism contract.  ``conv_forward`` and ``fc_forward`` have two paths.
 
 * ``exact=True`` (the default) accumulates element by element in ascending
@@ -311,8 +320,8 @@ def maxpool_backward(argmax: PoolArgmax, upstream: np.ndarray) -> np.ndarray:
 @dataclass
 class LrnCtx:
     x: np.ndarray
-    base: np.ndarray       # k + alpha * windowed sum of squares
     n: int
+    k: float
     alpha: float
     beta: float
     batched: bool
@@ -331,6 +340,15 @@ def _channel_window_sum(v: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _lrn_base(x4: np.ndarray, n: int, k: float, alpha: float) -> np.ndarray:
+    """``k + alpha * windowed sum of squares``: one expression for the forward
+    and for the backward, which recomputes it, so both see the same bits."""
+    base = _channel_window_sum(x4 * x4, n)
+    base *= alpha
+    base += k
+    return base
+
+
 def lrn_forward(
     x: np.ndarray, n: int, k: float, alpha: float, beta: float
 ) -> tuple[np.ndarray, LrnCtx]:
@@ -342,11 +360,11 @@ def lrn_forward(
     x4, batched = _as_batched_images(x, "lrn_forward")
     if n < 1:
         raise ValueError(f"lrn_forward: window depth must be >= 1, got {n}")
-    base = k + alpha * _channel_window_sum(x4 * x4, n)
+    base = _lrn_base(x4, n, k, alpha)
     if np.any(base <= 0):
         raise ValueError("lrn_forward: non-positive normalization denominator")
-    out = x4 / np.power(base, beta)
-    ctx = LrnCtx(x4, base, n, alpha, beta, batched)
+    out = x4 / np.power(base, beta, out=base)
+    ctx = LrnCtx(x4, n, k, alpha, beta, batched)
     return (out if batched else out[0]), ctx
 
 
@@ -358,8 +376,9 @@ def lrn_backward(ctx: LrnCtx, upstream: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"lrn_backward: upstream shape {up4.shape} does not match input {ctx.x.shape}"
         )
-    inv_pow = np.power(ctx.base, -ctx.beta)
-    t = up4 * ctx.x * inv_pow / ctx.base
+    base = _lrn_base(ctx.x, ctx.n, ctx.k, ctx.alpha)
+    inv_pow = np.power(base, -ctx.beta)
+    t = up4 * ctx.x * inv_pow / base
     dx = up4 * inv_pow - 2.0 * ctx.alpha * ctx.beta * ctx.x * _channel_window_sum(t, ctx.n)
     return dx if ctx.batched else dx[0]
 
@@ -446,16 +465,21 @@ def fc_backward(ctx: FcCtx, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(x), 0.0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``max(x, 0)``; with ``out=x`` it overwrites its input."""
+    return np.maximum(np.asarray(x), 0.0, out=out)
 
 
-def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    x = np.asarray(x)
+def relu_backward(active: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """Gate ``upstream`` by ``active``, the forward's bool mask ``x > 0``
+    (equivalently ``relu(x) > 0``; a NaN input is inactive)."""
+    active = np.asarray(active)
     up = np.asarray(upstream)
-    if up.shape != x.shape:
-        raise ValueError(f"relu_backward: shape mismatch {up.shape} vs {x.shape}")
-    return up * (x > 0)
+    if active.dtype != bool:
+        raise ValueError(f"relu_backward: expected a bool mask, got dtype {active.dtype}")
+    if up.shape != active.shape:
+        raise ValueError(f"relu_backward: shape mismatch {up.shape} vs {active.shape}")
+    return up * active
 
 
 def sigmoid(z):

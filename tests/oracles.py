@@ -1,10 +1,14 @@
 """Naive reference implementations used to cross-check the library.
 
-Everything here is written as plain nested loops over scalars, directly from
-the defining formulas, and shares no code with the package under test.
+The kernels here are written as plain nested loops over scalars, directly
+from the defining formulas, and share no code with the package under test.
+``copying_trunk_walk`` is the one exception: it composes ``ops`` layer calls,
+to hold the trunk walk itself (its cache, its in-place relu) to them.
 """
 
 import numpy as np
+
+from facerel import ops
 
 
 def naive_conv(x, w, b, stride=1):
@@ -104,6 +108,79 @@ def naive_lrn(x, n, k, alpha, beta):
                     s += x[d, y, xx] * x[d, y, xx]
                 out[c, y, xx] = x[c, y, xx] / (k + alpha * s) ** beta
     return out
+
+
+def _channel_window_sum(v, n):
+    """Sum an (N, C, ...) array over the clipped window of ``n`` channels,
+    each channel's terms added in ascending channel order onto 0.0."""
+    half = n // 2
+    c = v.shape[1]
+    out = np.zeros_like(v)
+    for ch in range(c):
+        for d in range(max(0, ch - half), min(c, ch + half + 1)):
+            out[:, ch] += v[:, d]
+    return out
+
+
+def copying_trunk_walk(spec, params, images, h, upstream):
+    """The trunk's forward and backward over a batch, from ``ops`` calls.
+
+    Every activation is copied before the next layer reads it, a relu keeps
+    its full float pre-activation and gates by ``x > 0``, and an lrn keeps
+    its base ``k + alpha * window sum of squares`` and differentiates with
+    it.  Returns (output, d_images, d_h, {parameter name: gradient}), each
+    gradient added onto zeros as ``trunk_backward`` adds it onto fresh grads.
+    """
+    x = np.array(images, dtype=np.float64)
+    kept = []
+    for step in spec.plan:
+        layer = step.layer
+        if step.flatten:
+            x = x.reshape(len(x), -1)
+            if spec.bridge_dim:
+                x = np.concatenate([x, h], axis=1)
+        x = x.copy()
+        if layer.kind in ("conv", "fc"):
+            w, b = params[f"trunk.{step.name}.w"].data, params[f"trunk.{step.name}.b"].data
+            if layer.kind == "conv":
+                out, ctx = ops.conv_forward(x, w, b, layer.stride, exact=False)
+            else:
+                out, ctx = ops.fc_forward(x, w, b, exact=False)
+        elif layer.kind == "maxpool":
+            out, ctx = ops.maxpool_forward(x, layer.kernel, layer.stride)
+        elif layer.kind == "lrn":
+            out, _ = ops.lrn_forward(x, layer.lrn_n, layer.lrn_k, layer.lrn_alpha, layer.lrn_beta)
+            ctx = (x, layer.lrn_k + layer.lrn_alpha * _channel_window_sum(x * x, layer.lrn_n))
+        else:
+            out, ctx = ops.relu(x), x
+        kept.append((step, ctx))
+        x = out
+
+    grad, d_h, grads = np.array(upstream, dtype=np.float64), None, {}
+    for step, ctx in reversed(kept):
+        layer = step.layer
+        if layer.kind in ("conv", "fc"):
+            backward = ops.conv_backward if layer.kind == "conv" else ops.fc_backward
+            grad, dw, db = backward(ctx, grad)
+            for name, g in ((f"trunk.{step.name}.w", dw), (f"trunk.{step.name}.b", db)):
+                grads[name] = np.zeros(g.shape)
+                grads[name] += g
+        elif layer.kind == "maxpool":
+            grad = ops.maxpool_backward(ctx, grad)
+        elif layer.kind == "lrn":
+            xin, base = ctx
+            beta, n = layer.lrn_beta, layer.lrn_n
+            inv_pow = np.power(base, -beta)
+            t = grad * xin * inv_pow / base
+            grad = grad * inv_pow - 2.0 * layer.lrn_alpha * beta * xin * _channel_window_sum(t, n)
+        else:
+            grad = grad * (ctx > 0)
+        if step.flatten:
+            if spec.bridge_dim:
+                d_h = grad[:, -spec.bridge_dim:]
+                grad = grad[:, : -spec.bridge_dim]
+            grad = grad.reshape((len(grad),) + step.in_shape)
+    return x, grad, d_h, grads
 
 
 def naive_fc(x, w, b):

@@ -172,7 +172,7 @@ def _pair_manifest(tmp_path, scene):
         (_attr_manifest, np.full((1, 8, 8), 0.5), r"has shape \(1, 8, 8\), not \(H, W\)"),
         (_attr_manifest, np.full((8, 8), np.nan), "non-finite pixels"),
         (_attr_manifest, np.full((8, 8), 255.0), r"outside \[0, 1\]"),
-        (_attr_manifest, np.full((6, 6), 0.5), "is 6x6, the manifest's first image is 8x8"),
+        (_attr_manifest, np.full((6, 6), 0.5), "is 6x6, not the face size 8x8"),
         (_pair_manifest, np.full((20, 40), np.nan), "non-finite pixels"),
         (_pair_manifest, np.full((3, 20, 40), 0.5), r"has shape \(3, 20, 40\)"),
     ],
@@ -185,10 +185,19 @@ def test_load_manifest_rejects_malformed_image(tmp_path, make, image, match):
     assert f"{p}:{line}:" in str(err.value)
 
 
+def test_load_manifest_checks_attribute_images_against_the_face_size(tmp_path):
+    p, _ = _attr_manifest(tmp_path, np.full((8, 8), 0.5))
+    _, _, samples = load_manifest(p, face_size=(8, 8))
+    assert [s.image.shape for s in samples] == [(8, 8), (8, 8)]
+    # the first row, on line 3, already misses a face size its images share
+    with pytest.raises(ValueError, match=f"{p}:3: image 'img0.npy' is 8x8, not the face size 8x6"):
+        load_manifest(p, face_size=(8, 6))
+
+
 def test_load_manifest_names_malformed_landmarks(tmp_path):
     p, line = _attr_manifest(tmp_path, np.full((8, 8), 0.5), landmarks=np.zeros((9, 2)))
     with pytest.raises(ValueError, match=f"{p}:{line}: 'lm1.npy': landmarks must have shape"):
-        load_manifest(p)
+        load_manifest(p, face_size=(8, 8))
 
 
 @pytest.mark.parametrize("extent", ["nan", "inf"])

@@ -465,7 +465,19 @@ class TestActivations:
 
     def test_relu_backward_gates(self):
         x = np.array([-1.0, 0.0, 2.0])
-        np.testing.assert_array_equal(relu_backward(x, np.ones(3)), [0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(relu_backward(x > 0, np.ones(3)), [0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="bool mask"):
+            relu_backward(x, np.ones(3))
+
+    def test_relu_output_mask_is_the_input_mask(self):
+        x = np.array([np.nan, -np.inf, -1.0, -0.0, 0.0, 1e-300, np.inf])
+        up = np.array([1.0, -2.0, np.inf, -1.0, 3.0, -0.0, 5.0])
+        out = relu(x.copy())
+        np.testing.assert_array_equal(out > 0, x > 0)
+        with np.errstate(invalid="ignore"):  # inf * 0 is NaN on both sides
+            assert relu_backward(out > 0, up).tobytes() == (up * (x > 0)).tobytes()
+        y = x.copy()
+        assert relu(y, out=y) is y and y.tobytes() == out.tobytes()
 
     def test_sigmoid_midpoint(self):
         assert sigmoid(0.0) == 0.5

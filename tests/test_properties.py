@@ -29,7 +29,13 @@ from facerel.net import (
 )
 from facerel.ops import conv_forward, maxpool_forward
 
-from oracles import assert_forward_matches, naive_conv, naive_hog, stack_maxpool
+from oracles import (
+    assert_forward_matches,
+    copying_trunk_walk,
+    naive_conv,
+    naive_hog,
+    stack_maxpool,
+)
 
 
 @st.composite
@@ -128,18 +134,19 @@ def test_hog_batch_is_stack_of_singles_and_naive(case):
     np.testing.assert_array_equal(from_list, batched)
 
 
-@st.composite
-def trunk_cases(draw):
-    """A feasible stack: conv/pool/lrn/relu layers, then fc layers with relus."""
-    c, h, w = draw(st.integers(1, 2)), draw(st.integers(2, 10)), draw(st.integers(2, 10))
-    layers, ch, hh, ww = [], c, h, w
-    for kind in draw(st.lists(st.sampled_from(["conv", "maxpool", "lrn", "relu"]), max_size=4)):
+SPATIAL_KINDS = ["conv", "maxpool", "lrn", "relu"]
+
+
+def _drawn_spec(draw, input_shape, kinds):
+    """A feasible trunk: ``kinds`` (of ``SPATIAL_KINDS``) with kernels drawn
+    to fit, then fc layers with relus between them, and a drawn bridge."""
+    layers, (_, hh, ww) = [], input_shape
+    for kind in kinds:
         if kind in ("conv", "maxpool"):
             k = draw(st.integers(1, min(3, hh, ww)))
             s = draw(st.integers(1, 2))
             if kind == "conv":
-                ch = draw(st.integers(1, 3))
-                layers.append(conv_spec(k, ch, s))
+                layers.append(conv_spec(k, draw(st.integers(1, 3)), s))
             else:
                 layers.append(pool_spec(k, s))
             hh, ww = (hh - k) // s + 1, (ww - k) // s + 1
@@ -151,7 +158,14 @@ def trunk_cases(draw):
         if i:
             layers.append(relu_spec())
         layers.append(fc_spec(draw(st.integers(1, 5))))
-    spec = NetworkSpec((c, h, w), tuple(layers), bridge_dim=draw(st.sampled_from([0, 1, 4])))
+    return NetworkSpec(input_shape, tuple(layers), bridge_dim=draw(st.sampled_from([0, 1, 4])))
+
+
+@st.composite
+def trunk_cases(draw):
+    """A feasible stack: conv/pool/lrn/relu layers, then fc layers with relus."""
+    shape = draw(st.integers(1, 2)), draw(st.integers(2, 10)), draw(st.integers(2, 10))
+    spec = _drawn_spec(draw, shape, draw(st.lists(st.sampled_from(SPATIAL_KINDS), max_size=4)))
     return spec, draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1))
 
 
@@ -179,6 +193,56 @@ def test_trunk_walks_the_plan(case):
     d_image, d_h = trunk_backward(spec, params, single_cache, rng.normal(size=out.shape))
     assert d_image.shape == spec.input_shape
     assert (d_h is None) if h is None else (d_h.shape == (spec.bridge_dim,))
+
+
+#: Layer orderings whose caches alias most easily: a relu reading the
+#: caller's image, a relu over a relu's output, and a relu over the output of
+#: an lrn, a pool and a conv whose output a pool then reads.
+RELU_ORDERINGS = {
+    "relu-first": ["relu"],
+    "relu-relu": ["relu", "relu"],
+    "lrn-relu": ["lrn", "relu"],
+    "pool-relu": ["maxpool", "relu"],
+    "conv-relu-pool": ["conv", "relu", "maxpool"],
+}
+
+
+@st.composite
+def relu_stacks(draw):
+    """A feasible stack that holds one of ``RELU_ORDERINGS``, then fc layers
+    with relus, and a batch whose values tie and hit 0.0 and -0.0."""
+    name = draw(st.sampled_from(sorted(RELU_ORDERINGS)))
+    spatial = st.lists(st.sampled_from(SPATIAL_KINDS), max_size=2)
+    lead = [] if name == "relu-first" else draw(spatial)
+    shape = draw(st.integers(1, 2)), draw(st.integers(3, 10)), draw(st.integers(3, 10))
+    spec = _drawn_spec(draw, shape, lead + RELU_ORDERINGS[name] + draw(spatial))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    images = rng.normal(size=(draw(st.integers(1, 3)),) + shape)
+    if draw(st.booleans()):
+        images = np.round(images) * rng.choice([1.0, -1.0], size=images.shape)
+    return spec, images, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(relu_stacks())
+def test_trunk_matches_the_copying_walk_bitwise(case):
+    spec, images, rng = case
+    params = init_trunk_params(spec, rng)
+    n = len(images)
+    h = rng.normal(size=(n, spec.bridge_dim)) if spec.bridge_dim else None
+    up = rng.normal(size=(n, spec.feature_dim))
+    image_bytes = images.tobytes()
+    want_out, want_d_image, want_d_h, want_grads = copying_trunk_walk(spec, params, images, h, up)
+
+    out, cache = trunk_forward(spec, params, images, h)
+    d_image, d_h = trunk_backward(spec, params, cache, up)
+    assert images.tobytes() == image_bytes  # the caller's image is never written
+    for got, want in ((out, want_out), (d_image, want_d_image)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert (d_h is None and want_d_h is None) or d_h.tobytes() == want_d_h.tobytes()
+    assert {name: t.grad.tobytes() for name, t in params.items()} == {
+        name: g.tobytes() for name, g in want_grads.items()
+    }
 
 
 @st.composite

@@ -134,7 +134,8 @@ class TestDatasetOnDisk:
     def test_write_and_load_round_trip(self, tmp_path):
         cfg = small_cfg()
         paths = write_synth_dataset(cfg, seed=7, out_dir=tmp_path)
-        kind, split, samples = load_manifest(paths["corpus_a"])
+        size = (cfg.image_size, cfg.image_size)
+        kind, split, samples = load_manifest(paths["corpus_a"], face_size=size)
         assert kind == "attributes" and len(samples) == cfg.n_a
         assert samples[0].mask.sum() == 1  # corpus A: gender only
         kind, split, pairs = load_manifest(paths["pairs_train"])
