@@ -52,6 +52,8 @@ def check_landmarks(points: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"landmarks must have shape ({len(POINT_NAMES)}, 2), got {points.shape}"
         )
+    if not np.isfinite(points).all():
+        raise ValueError("landmark coordinates must be finite")
     if np.any(points < 0.0) or np.any(points > 1.0):
         raise ValueError("landmark coordinates must be box-normalized to [0, 1]")
     return points

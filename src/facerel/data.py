@@ -217,7 +217,10 @@ def _load_array(base: Path, rel: str, where: str) -> np.ndarray:
     p = base / rel
     if not p.exists():
         raise ValueError(f"{where}: referenced file {rel!r} does not exist")
-    return np.load(p)
+    try:
+        return np.load(p)
+    except (OSError, EOFError, ValueError) as e:
+        raise ValueError(f"{where}: referenced file {rel!r} cannot be read: {e}") from e
 
 
 def _load_image(base: Path, rel: str, where: str) -> np.ndarray:

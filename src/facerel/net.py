@@ -14,6 +14,12 @@ and a ``flatten`` flag on the first fc layer, where the descriptor joins.
 walks and ``min_kink_margin`` all read that plan; none re-derives a shape.
 The trunk runs the per-sample GEMM forward of ``ops`` (``exact=False``).
 
+The ops take batches only; the trunk is the one place that also accepts a
+single image.  ``_trunk_input`` lifts a (C,H,W) image and its flat descriptor
+to a batch of one, and ``trunk_forward`` (on its output) and
+``trunk_backward`` (on ``d_image`` and ``d_h``) drop that axis again, so a
+single image gets exactly the bits of row 0 of the batch-of-one call.
+
 ``trunk_forward`` and ``min_kink_margin`` both walk the plan through one
 per-step forward, ``_step_forward``.  ``trunk_forward``'s cache keeps one
 ``(step, ctx)`` entry per layer, and in it only what ``trunk_backward``
@@ -261,21 +267,29 @@ def init_trunk_params(
 @dataclass
 class TrunkCache:
     """``(step, ctx)`` for every layer of one forward pass, for the backward
-    (the module docstring's table says what each ctx keeps)."""
+    (the module docstring's table says what each ctx keeps); ``single`` says
+    the forward lifted a single image to a batch of one."""
 
     entries: list[tuple[LayerStep, Any]] = field(default_factory=list)
+    single: bool = False
 
 
 def _trunk_input(
     spec: NetworkSpec, image: np.ndarray, h: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """``image`` and ``h`` as float64, checked against the spec."""
+) -> tuple[np.ndarray, np.ndarray | None, bool]:
+    """``image`` and ``h`` as a float64 batch, checked against the spec, and
+    whether the caller passed a single image.
+
+    The one place that accepts a single image: a (C,H,W) ``image`` and its
+    flat ``h`` become a batch of one, which the caller drops again.
+    """
     image = np.asarray(image, dtype=np.float64)
-    batched = image.ndim == 4
-    img_shape = image.shape[1:] if batched else image.shape
-    if tuple(img_shape) != spec.input_shape:
+    single = image.ndim != 4
+    if single:
+        image = image[None]
+    if image.shape[1:] != spec.input_shape:
         raise ValueError(
-            f"input geometry {tuple(img_shape)} does not match trunk input {spec.input_shape}"
+            f"input geometry {image.shape[1:]} does not match trunk input {spec.input_shape}"
         )
     if spec.bridge_dim > 0:
         if h is None:
@@ -286,11 +300,12 @@ def _trunk_input(
                 f"bridge descriptor length {h.shape[-1]} does not match "
                 f"configured bridge_dim {spec.bridge_dim}"
             )
-        if batched and (h.ndim != 2 or h.shape[0] != image.shape[0]):
-            raise ValueError("batched input needs one descriptor row per image")
-        if not batched and h.ndim != 1:
-            raise ValueError("single-image input needs a flat descriptor")
-    return image, h
+        if single:
+            h = h[None]
+        if h.shape != (len(image), spec.bridge_dim):
+            raise ValueError("a batch needs one descriptor row per image, a single image "
+                             "a flat descriptor")
+    return image, h, single
 
 
 def _step_forward(
@@ -308,9 +323,9 @@ def _step_forward(
     """
     layer = step.layer
     if step.flatten:
-        x = x.reshape(x.shape[:-3] + (-1,))
+        x = x.reshape(len(x), -1)
         if spec.bridge_dim > 0:
-            x = np.concatenate([x, h], axis=-1)
+            x = np.concatenate([x, h], axis=1)
     if layer.kind == "conv":
         return conv_forward(x, params[f"trunk.{step.name}.w"].data,
                             params[f"trunk.{step.name}.b"].data, layer.stride, exact=False)
@@ -339,12 +354,12 @@ def trunk_forward(
     gives by default and checkpoints store.  The caller's arrays are never
     written.
     """
-    cur, h = _trunk_input(spec, image, h)
-    cache = TrunkCache()
+    cur, h, single = _trunk_input(spec, image, h)
+    cache = TrunkCache(single=single)
     for i, step in enumerate(spec.plan):
         cur, ctx = _step_forward(spec, params, step, cur, h, owned=i > 0)
         cache.entries.append((step, ctx))
-    return cur, cache
+    return (cur[0] if single else cur), cache
 
 
 def trunk_backward(
@@ -353,8 +368,11 @@ def trunk_backward(
     cache: TrunkCache,
     upstream: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Accumulate parameter grads; returns (d_image, d_descriptor)."""
+    """Accumulate parameter grads; returns (d_image, d_descriptor), each
+    without the batch axis when the forward took a single image."""
     grad = np.asarray(upstream)
+    if cache.single:
+        grad = grad[None]
     d_h = None
     for step, ctx in reversed(cache.entries):
         kind = step.layer.kind
@@ -371,9 +389,11 @@ def trunk_backward(
             grad = relu_backward(ctx, grad)
         if step.flatten:
             if spec.bridge_dim > 0:
-                d_h = grad[..., -spec.bridge_dim:]
-                grad = grad[..., : -spec.bridge_dim]
-            grad = grad.reshape(grad.shape[:-1] + step.in_shape)
+                d_h = grad[:, -spec.bridge_dim:]
+                grad = grad[:, : -spec.bridge_dim]
+            grad = grad.reshape((len(grad),) + step.in_shape)
+    if cache.single:
+        return grad[0], (None if d_h is None else d_h[0])
     return grad, d_h
 
 
@@ -392,7 +412,7 @@ def min_kink_margin(
     The cache keeps neither, so this runs its own forward walk and reads each
     relu and pool input as it passes.
     """
-    cur, h = _trunk_input(spec, image, h)
+    cur, h, _ = _trunk_input(spec, image, h)
     margin = np.inf
     for i, step in enumerate(spec.plan):
         layer = step.layer

@@ -2,8 +2,12 @@
 normalization, fully-connected maps, and the two activations.
 
 Every forward returns ``(output, ctx)`` where ``ctx`` carries exactly what the
-matching backward needs.  Inputs may be single samples (``C,H,W`` / ``D,``) or
-batches with one leading axis; outputs follow suit.
+matching backward needs.  The layer ops take and return batches only:
+conv, max-pooling and lrn use ``(N, C, H, W)``, fc uses ``(N, D)``, and each,
+forward and backward, refuses any other rank with a ``ValueError`` that names
+it (the activations are elementwise and take any shape).  A single image is
+the trunk's business: ``net.trunk_forward`` lifts it to a batch of one and
+drops that axis again.
 
 What a ctx keeps.  No ctx holds its own forward's output: conv, fc and lrn
 keep their input (lrn also its scalars; ``lrn_backward`` recomputes the
@@ -59,20 +63,17 @@ import numpy as np
 
 @dataclass
 class ConvCtx:
-    x: np.ndarray          # batched view, (N, C, H, W)
+    x: np.ndarray          # (N, C, H, W)
     w: np.ndarray
     stride: int
     out_shape: tuple[int, ...]
-    batched: bool
 
 
-def _as_batched_images(x: np.ndarray, who: str) -> tuple[np.ndarray, bool]:
+def _as_batched_images(x: np.ndarray, who: str) -> np.ndarray:
     x = np.asarray(x)
-    if x.ndim == 3:
-        return x[None], False
-    if x.ndim == 4:
-        return x, True
-    raise ValueError(f"{who}: expected a (C,H,W) or (N,C,H,W) array, got ndim={x.ndim}")
+    if x.ndim != 4:
+        raise ValueError(f"{who}: expected an (N,C,H,W) batch, got ndim={x.ndim}")
+    return x
 
 
 #: Bytes of per-block scratch the conv and fc forward kernels and the batched
@@ -97,7 +98,7 @@ def conv_forward(
     Output extent per spatial axis is ``(in - k) // stride + 1``.  ``exact``
     picks the path of the module's determinism contract.
     """
-    x4, batched = _as_batched_images(x, "conv_forward")
+    x4 = _as_batched_images(x, "conv_forward")
     w = np.asarray(w)
     b = np.asarray(b)
     if w.ndim != 4 or w.shape[2] != w.shape[3]:
@@ -122,7 +123,7 @@ def conv_forward(
     wo = (wd - k) // stride + 1
     if not exact:
         out = _conv_forward_gemm(x4, w, b, stride, ho, wo)
-        return (out if batched else out[0]), ConvCtx(x4, w, stride, out.shape, batched)
+        return out, ConvCtx(x4, w, stride, out.shape)
     # Filter-major accumulator: each tap is one (F, 1) x (1, block) product
     # over a contiguous row, so every element still sums its taps in
     # ascending (c, i, j) order, then the bias.
@@ -139,9 +140,7 @@ def conv_forward(
         acc += b[:, None]
         out[:, lo:hi] = acc.reshape(f, hi - lo, ho, wo)
     out = out.transpose(1, 0, 2, 3)
-
-    ctx = ConvCtx(x4, w, stride, out.shape, batched)
-    return (out if batched else out[0]), ctx
+    return out, ConvCtx(x4, w, stride, out.shape)
 
 
 def _conv_forward_gemm(x4, w, b, stride, ho, wo) -> np.ndarray:
@@ -169,7 +168,7 @@ def conv_backward(
     """Gradients of ``conv_forward`` w.r.t. input, weights, and bias."""
     if ctx is None:
         raise ValueError("conv_backward: forward context is required")
-    up4, _ = _as_batched_images(upstream, "conv_backward")
+    up4 = _as_batched_images(upstream, "conv_backward")
     if up4.shape != ctx.out_shape:
         raise ValueError(
             f"conv_backward: upstream shape {up4.shape} does not match "
@@ -192,9 +191,6 @@ def conv_backward(
             for i in range(k):
                 for j in range(k):
                     dx[lo:hi, c, i : i + ho * s : s, j : j + wo * s : s] += dcols[i, j]
-
-    if not ctx.batched:
-        dx = dx[0]
     return dx, dw, db
 
 
@@ -210,13 +206,12 @@ class PoolArgmax:
     ``indices[s, c, oy, ox]`` is the flat index into sample ``s``'s
     ``C*H*W`` input of the value that output took: the first maximum of its
     window in (dy, dx) order, which is the lowest flat index among tied
-    maxima, or the window's first NaN.  ``input_shape`` is the batched input
-    shape; ``batched`` says whether the caller passed a batch.
+    maxima, or the window's first NaN.  ``input_shape`` is the input's
+    (N, C, H, W).
     """
 
     indices: np.ndarray    # (N, C, Ho, Wo), int64
     input_shape: tuple[int, int, int, int]
-    batched: bool
 
 
 def _pool_taps(x: np.ndarray, kernel: int, stride: int):
@@ -242,7 +237,7 @@ def maxpool_forward(
     x: np.ndarray, kernel: int, stride: int
 ) -> tuple[np.ndarray, PoolArgmax]:
     """Window maxima with argmax bookkeeping (see the module's pooling contract)."""
-    x4, batched = _as_batched_images(x, "maxpool_forward")
+    x4 = _as_batched_images(x, "maxpool_forward")
     n, c, h, wd = x4.shape
     if kernel < 1 or stride < 1:
         raise ValueError("maxpool_forward: kernel and stride must be >= 1")
@@ -285,15 +280,14 @@ def maxpool_forward(
     np.take(x4.reshape(-1), indices, out=out, mode="clip")
     indices -= sample
 
-    argmax = PoolArgmax(indices, (n, c, h, wd), batched)
-    return (out if batched else out[0]), argmax
+    return out, PoolArgmax(indices, (n, c, h, wd))
 
 
 def maxpool_backward(argmax: PoolArgmax, upstream: np.ndarray) -> np.ndarray:
     """Route upstream gradient to the recorded argmax positions."""
     if argmax is None:
         raise ValueError("maxpool_backward: argmax record is required")
-    up4, _ = _as_batched_images(upstream, "maxpool_backward")
+    up4 = _as_batched_images(upstream, "maxpool_backward")
     if up4.shape != argmax.indices.shape:
         raise ValueError(
             f"maxpool_backward: upstream shape {up4.shape} does not match "
@@ -308,8 +302,7 @@ def maxpool_backward(argmax: PoolArgmax, upstream: np.ndarray) -> np.ndarray:
     # One bincount over sample-offset indices sums where windows overlap.
     flat = (idx + np.arange(n)[:, None] * flat_size).reshape(-1)
     dx = np.bincount(flat, weights=up4.reshape(-1), minlength=n * flat_size)
-    dx = dx.astype(up4.dtype, copy=False).reshape(n, c, h, wd)
-    return dx if argmax.batched else dx[0]
+    return dx.astype(up4.dtype, copy=False).reshape(n, c, h, wd)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +317,6 @@ class LrnCtx:
     k: float
     alpha: float
     beta: float
-    batched: bool
 
 
 def _channel_window_sum(v: np.ndarray, n: int) -> np.ndarray:
@@ -357,21 +349,20 @@ def lrn_forward(
     The window around channel ``c`` spans ``n // 2`` channels to either side,
     clipped at the tensor edges.
     """
-    x4, batched = _as_batched_images(x, "lrn_forward")
+    x4 = _as_batched_images(x, "lrn_forward")
     if n < 1:
         raise ValueError(f"lrn_forward: window depth must be >= 1, got {n}")
     base = _lrn_base(x4, n, k, alpha)
     if np.any(base <= 0):
         raise ValueError("lrn_forward: non-positive normalization denominator")
     out = x4 / np.power(base, beta, out=base)
-    ctx = LrnCtx(x4, n, k, alpha, beta, batched)
-    return (out if batched else out[0]), ctx
+    return out, LrnCtx(x4, n, k, alpha, beta)
 
 
 def lrn_backward(ctx: LrnCtx, upstream: np.ndarray) -> np.ndarray:
     if ctx is None:
         raise ValueError("lrn_backward: forward context is required")
-    up4, _ = _as_batched_images(upstream, "lrn_backward")
+    up4 = _as_batched_images(upstream, "lrn_backward")
     if up4.shape != ctx.x.shape:
         raise ValueError(
             f"lrn_backward: upstream shape {up4.shape} does not match input {ctx.x.shape}"
@@ -379,8 +370,7 @@ def lrn_backward(ctx: LrnCtx, upstream: np.ndarray) -> np.ndarray:
     base = _lrn_base(ctx.x, ctx.n, ctx.k, ctx.alpha)
     inv_pow = np.power(base, -ctx.beta)
     t = up4 * ctx.x * inv_pow / base
-    dx = up4 * inv_pow - 2.0 * ctx.alpha * ctx.beta * ctx.x * _channel_window_sum(t, ctx.n)
-    return dx if ctx.batched else dx[0]
+    return up4 * inv_pow - 2.0 * ctx.alpha * ctx.beta * ctx.x * _channel_window_sum(t, ctx.n)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +382,6 @@ def lrn_backward(ctx: LrnCtx, upstream: np.ndarray) -> np.ndarray:
 class FcCtx:
     x: np.ndarray
     w: np.ndarray
-    batched: bool
 
 
 def fc_forward(
@@ -405,30 +394,28 @@ def fc_forward(
     x = np.asarray(x)
     w = np.asarray(w)
     b = np.asarray(b)
-    if x.ndim not in (1, 2):
-        raise ValueError(f"fc_forward: expected (D,) or (N,D) input, got ndim={x.ndim}")
+    if x.ndim != 2:
+        raise ValueError(f"fc_forward: expected an (N,D) batch, got ndim={x.ndim}")
     if w.ndim != 2:
         raise ValueError(f"fc_forward: weights must be 2-D (in,out), got {w.shape}")
     d_in, d_out = w.shape
-    if x.shape[-1] != d_in:
+    if x.shape[1] != d_in:
         raise ValueError(
-            f"fc_forward: input length {x.shape[-1]} does not match weight "
+            f"fc_forward: input length {x.shape[1]} does not match weight "
             f"inner extent {d_in}"
         )
     if b.shape != (d_out,):
         raise ValueError(f"fc_forward: bias must have shape ({d_out},), got {b.shape}")
 
-    x2 = x if x.ndim == 2 else x[None]
     if not exact:
-        out = np.matmul(x2[:, None, :], w)[:, 0] + b
-        return (out if x.ndim == 2 else out[0]), FcCtx(x, w, x.ndim == 2)
+        return np.matmul(x[:, None, :], w)[:, 0] + b, FcCtx(x, w)
 
     # The sum runs in the naive loop's order.  Row 0 of the scratch carries the
     # running sum and rows 1.. the products of one chunk of inputs; a reduce
     # over axis 0 adds them one row at a time.  numpy does so only while the
     # row has more than one element (a single one it sums pairwise), so the
     # row is padded to at least two.
-    n = x2.shape[0]
+    n = x.shape[0]
     width = d_out if n * d_out > 1 else 2
     running = np.zeros((n, width), dtype=np.result_type(x, w, b))
     scratch = None
@@ -437,27 +424,21 @@ def fc_forward(
             scratch = np.zeros((hi - lo + 1,) + running.shape, running.dtype)
         rows = scratch[: hi - lo + 1]
         rows[0] = running
-        np.multiply(x2[:, lo:hi].T[:, :, None], w[lo:hi, None, :], out=rows[1:, :, :d_out])
+        np.multiply(x[:, lo:hi].T[:, :, None], w[lo:hi, None, :], out=rows[1:, :, :d_out])
         np.add.reduce(rows, axis=0, out=running)
-    out = running[:, :d_out] + b
-    return (out if x.ndim == 2 else out[0]), FcCtx(x, w, x.ndim == 2)
+    return running[:, :d_out] + b, FcCtx(x, w)
 
 
 def fc_backward(ctx: FcCtx, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if ctx is None:
         raise ValueError("fc_backward: forward context is required")
     up = np.asarray(upstream)
-    x2 = ctx.x if ctx.batched else ctx.x[None]
-    up2 = up if ctx.batched else up[None]
-    if up2.shape != (x2.shape[0], ctx.w.shape[1]):
+    if up.shape != (ctx.x.shape[0], ctx.w.shape[1]):
         raise ValueError(
             f"fc_backward: upstream shape {up.shape} does not match output "
-            f"({x2.shape[0]}, {ctx.w.shape[1]})"
+            f"({ctx.x.shape[0]}, {ctx.w.shape[1]})"
         )
-    dx = up2 @ ctx.w.T
-    dw = x2.T @ up2
-    db = up2.sum(axis=0)
-    return (dx if ctx.batched else dx[0]), dw, db
+    return up @ ctx.w.T, ctx.x.T @ up, up.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,22 @@ controls one visual device on the canvas:
 Attribute labels are exact functions of the latents, so they are recoverable
 by construction.  Relation labels for face pairs come from a fixed rule table
 over the two faces' latents and the pair geometry; the generator samples the
-labels first (hitting the configured positive rates exactly, up to rounding)
-and then synthesizes latents consistent with them.
+labels first (hitting the positive rates exactly, up to rounding) and then
+synthesizes latents consistent with them.
+
+``SynthConfig`` sets only the face size and the corpus sizes.  Everything
+else is a module constant: ``POSE_MODES`` (pose modes), ``NOISE`` (std of the
+Gaussian pixel noise), ``LANDMARK_JITTER`` (std of the landmark jitter,
+box-normalized), ``SCENE_HEIGHT`` and ``SCENE_WIDTH`` (pair scene extent in
+pixels), ``RELATION_RATES`` (positive rate per relation trait, mirroring
+``RELATION_IMBALANCE_COUNTS``) and ``CORPUS_GROUPS`` (the attribute groups
+each of corpora a, b and c labels).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +61,8 @@ BASE_POINTS = np.array(
     ]
 )
 
-#: training-split positive:negative counts of the relation corpus this
-#: generator's default imbalance mirrors
+#: training-split positive:negative counts of the relation corpus whose
+#: imbalance ``RELATION_RATES`` mirrors
 RELATION_IMBALANCE_COUNTS = {
     "dominant": (418, 7041),
     "competitive": (538, 6921),
@@ -66,9 +74,21 @@ RELATION_IMBALANCE_COUNTS = {
     "assured": (6595, 864),
 }
 
-DEFAULT_RELATION_RATES = {
+RELATION_RATES = {
     name: pos / (pos + neg) for name, (pos, neg) in RELATION_IMBALANCE_COUNTS.items()
 }
+
+CORPUS_GROUPS = {
+    "a": ("gender",),
+    "b": ("expression",),
+    "c": ("gender", "pose", "expression", "age"),
+}
+
+POSE_MODES = 10
+NOISE = 0.03
+LANDMARK_JITTER = 0.008
+SCENE_HEIGHT = 64
+SCENE_WIDTH = 160
 
 #: human-readable rule table; the executable form is ``relation_labels``
 RELATION_RULES = {
@@ -88,7 +108,7 @@ N_EXPR = 7
 
 @dataclass(frozen=True)
 class FaceLatents:
-    mode: int        # pose mode in [0, pose_modes)
+    mode: int        # pose mode in [0, POSE_MODES)
     gender: int
     expr: int        # base expression class in [0, 7)
     smiling: int
@@ -122,33 +142,16 @@ class SynthConfig:
     n_c: int = 400
     n_pairs_train: int = 400
     n_pairs_test: int = 200
-    pose_modes: int = 10
-    noise: float = 0.03
-    landmark_jitter: float = 0.008
-    scene_height: int = 64
-    scene_width: int = 160
-    relation_rates: dict = field(default_factory=lambda: dict(DEFAULT_RELATION_RATES))
-    corpus_groups: dict = field(
-        default_factory=lambda: {
-            "a": ("gender",),
-            "b": ("expression",),
-            "c": ("gender", "pose", "expression", "age"),
-        }
-    )
 
     def __post_init__(self):
         for n in (self.n_a, self.n_b, self.n_c, self.n_pairs_train, self.n_pairs_test):
             if n < 1:
                 raise ValueError("corpus sizes must all be >= 1")
-        if self.pose_modes < 1:
-            raise ValueError("pose_modes must be >= 1")
-        unknown = set(self.relation_rates) - set(RELATION_NAMES)
-        if unknown:
-            raise ValueError(f"unknown relation traits in rates: {sorted(unknown)}")
-        for name, groups in self.corpus_groups.items():
-            bad = set(groups) - set(ATTRIBUTE_GROUPS)
-            if bad:
-                raise ValueError(f"corpus {name!r} names unknown groups {sorted(bad)}")
+
+    @property
+    def corpus_groups(self) -> dict[str, tuple[str, ...]]:
+        """``CORPUS_GROUPS``, readable off a config."""
+        return CORPUS_GROUPS
 
 
 # ---------------------------------------------------------------------------
@@ -161,18 +164,15 @@ def _rect(img: np.ndarray, y0: float, y1: float, x0: float, x1: float, value: fl
     img[int(y0 * s_y) : int(y1 * s_y), int(x0 * s_x) : int(x1 * s_x)] = value
 
 
-def _mode_angle(mode: int, pose_modes: int) -> float:
-    if pose_modes == 1:
-        return 0.0
-    return np.deg2rad(-80.0 + 160.0 * mode / (pose_modes - 1))
+def _mode_angle(mode: int) -> float:
+    return np.deg2rad(-80.0 + 160.0 * mode / (POSE_MODES - 1))
 
 
-def render_face(lat: FaceLatents, rng: np.random.Generator, size: int,
-                noise: float, pose_modes: int) -> np.ndarray:
+def render_face(lat: FaceLatents, rng: np.random.Generator, size: int) -> np.ndarray:
     """One grayscale face crop in [0, 1], square with side ``size``."""
     yy, xx = np.meshgrid(np.linspace(0, 1, size, endpoint=False),
                          np.linspace(0, 1, size, endpoint=False), indexing="ij")
-    theta = _mode_angle(lat.mode, pose_modes)
+    theta = _mode_angle(lat.mode)
     phase = np.cos(theta) * xx + np.sin(theta) * yy
     img = 0.45 + 0.18 * np.sin(2 * np.pi * phase / 0.18)
 
@@ -221,31 +221,27 @@ def render_face(lat: FaceLatents, rng: np.random.Generator, size: int,
         checker = (np.add.outer(np.arange(band.shape[0]), np.arange(band.shape[1])) % 2)
         band[:] = np.where(checker, 0.25, 0.6)
 
-    img = img + rng.normal(0.0, noise, size=img.shape)
+    img = img + rng.normal(0.0, NOISE, size=img.shape)
     return np.clip(img, 0.0, 1.0)
 
 
-def face_landmarks(mode: int, rng: np.random.Generator, jitter: float,
-                   pose_modes: int) -> np.ndarray:
+def face_landmarks(mode: int, rng: np.random.Generator) -> np.ndarray:
     """Landmark layout for one pose mode, with small isotropic jitter."""
-    if pose_modes == 1:
-        dx, dy, sx = 0.0, 0.0, 1.0
-    else:
-        dx = -0.18 + 0.36 * mode / (pose_modes - 1)
-        dy = 0.05 * ((mode % 3) - 1)
-        sx = 1.0 - 0.22 * (mode % 2)
+    dx = -0.18 + 0.36 * mode / (POSE_MODES - 1)
+    dy = 0.05 * ((mode % 3) - 1)
+    sx = 1.0 - 0.22 * (mode % 2)
     pts = BASE_POINTS.copy()
     pts[:, 0] = 0.5 + (pts[:, 0] - 0.5) * sx + dx
     pts[:, 1] = pts[:, 1] + dy
-    pts = pts + rng.normal(0.0, jitter, size=pts.shape)
+    pts = pts + rng.normal(0.0, LANDMARK_JITTER, size=pts.shape)
     return np.clip(pts, 0.0, 1.0)
 
 
-def attribute_labels(lat: FaceLatents, pose_modes: int) -> np.ndarray:
+def attribute_labels(lat: FaceLatents) -> np.ndarray:
     """The 20 binary attributes as an exact function of the latents."""
     v = np.zeros(len(ATTRIBUTE_NAMES))
     v[0] = lat.gender
-    v[1 + (lat.mode * 5) // pose_modes] = 1.0
+    v[1 + (lat.mode * 5) // POSE_MODES] = 1.0
     v[6 + lat.expr] = 1.0
     v[13] = lat.smiling
     v[14] = lat.mouth_open
@@ -257,7 +253,7 @@ def attribute_labels(lat: FaceLatents, pose_modes: int) -> np.ndarray:
     return v
 
 
-def relation_labels(pl: PairLatents, scene_width: int) -> np.ndarray:
+def relation_labels(pl: PairLatents) -> np.ndarray:
     """The 8 relation traits as an exact function of pair latents + geometry."""
     g = pl.geometry
     out = np.zeros(len(RELATION_NAMES))
@@ -266,7 +262,7 @@ def relation_labels(pl: PairLatents, scene_width: int) -> np.ndarray:
     out[2] = 1.0 if abs(pl.left.mode - pl.right.mode) <= 1 else 0.0
     out[3] = 1.0 if pl.left.smiling and pl.right.smiling else 0.0
     out[4] = 1.0 if pl.right.expr == EXPR_HAPPY else 0.0
-    out[5] = 1.0 if (g.right_x - g.left_x) / scene_width <= 0.45 else 0.0
+    out[5] = 1.0 if (g.right_x - g.left_x) / SCENE_WIDTH <= 0.45 else 0.0
     out[6] = 1.0 if pl.left.mouth_open or pl.right.mouth_open else 0.0
     out[7] = 1.0 if pl.left.young and pl.right.young else 0.0
     return out
@@ -285,9 +281,9 @@ def _mask_for_groups(groups) -> np.ndarray:
     return mask
 
 
-def sample_face_latents(rng: np.random.Generator, pose_modes: int) -> FaceLatents:
+def sample_face_latents(rng: np.random.Generator) -> FaceLatents:
     return FaceLatents(
-        mode=int(rng.integers(pose_modes)),
+        mode=int(rng.integers(POSE_MODES)),
         gender=int(rng.integers(2)),
         expr=int(rng.integers(N_EXPR)),
         smiling=int(rng.integers(2)),
@@ -305,14 +301,14 @@ def synth_attr_corpus(
     mask = _mask_for_groups(groups)
     samples, latents = [], []
     for _ in range(n):
-        lat = sample_face_latents(rng, cfg.pose_modes)
-        img = render_face(lat, rng, cfg.image_size, cfg.noise, cfg.pose_modes)
-        lm = face_landmarks(lat.mode, rng, cfg.landmark_jitter, cfg.pose_modes)
+        lat = sample_face_latents(rng)
+        img = render_face(lat, rng, cfg.image_size)
+        lm = face_landmarks(lat.mode, rng)
         samples.append(
             Sample(
                 image=img,
                 landmarks=lm,
-                labels=attribute_labels(lat, cfg.pose_modes),
+                labels=attribute_labels(lat),
                 mask=mask.copy(),
                 dataset_id=dataset_id,
             )
@@ -333,11 +329,8 @@ def _plant_exact_counts(n: int, rate: float, rng: np.random.Generator) -> np.nda
     return vec[rng.permutation(n)]
 
 
-def _latents_for_pair(labels: dict[str, int], cfg: SynthConfig,
-                      rng: np.random.Generator) -> PairLatents:
+def _latents_for_pair(labels: dict[str, int], rng: np.random.Generator) -> PairLatents:
     """Invert the rule table: draw latents consistent with the planted labels."""
-    p = cfg.pose_modes
-
     expr_l = EXPR_ANGRY if labels["competitive"] else int(
         rng.choice([e for e in range(N_EXPR) if e != EXPR_ANGRY])
     )
@@ -345,14 +338,12 @@ def _latents_for_pair(labels: dict[str, int], cfg: SynthConfig,
         rng.choice([e for e in range(N_EXPR) if e != EXPR_HAPPY])
     )
 
-    mode_l = int(rng.integers(p))
+    mode_l = int(rng.integers(POSE_MODES))
     if labels["trusting"]:
-        near = [m for m in range(p) if abs(m - mode_l) <= 1]
+        near = [m for m in range(POSE_MODES) if abs(m - mode_l) <= 1]
         mode_r = int(rng.choice(near))
     else:
-        far = [m for m in range(p) if abs(m - mode_l) > 1]
-        if not far:  # degenerate mode count; trusting cannot be negative
-            far = [mode_l]
+        far = [m for m in range(POSE_MODES) if abs(m - mode_l) > 1]
         mode_r = int(rng.choice(far))
 
     if labels["warm"]:
@@ -378,8 +369,8 @@ def _latents_for_pair(labels: dict[str, int], cfg: SynthConfig,
     left_x = int(rng.integers(2, 11))
     gap = int(rng.integers(60, 71)) if labels["attached"] else int(rng.integers(78, 99))
     right_x = left_x + gap
-    left_y = int(rng.integers(2, cfg.scene_height - size_l - 1))
-    right_y = int(rng.integers(2, cfg.scene_height - size_r - 1))
+    left_y = int(rng.integers(2, SCENE_HEIGHT - size_l - 1))
+    right_y = int(rng.integers(2, SCENE_HEIGHT - size_r - 1))
 
     left = FaceLatents(mode_l, int(rng.integers(2)), expr_l, s_l, mo_l, y_l,
                        int(rng.integers(4)))
@@ -389,44 +380,39 @@ def _latents_for_pair(labels: dict[str, int], cfg: SynthConfig,
     return PairLatents(left, right, geom)
 
 
-def render_scene(pl: PairLatents, cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
-    scene = np.clip(
-        0.5 + rng.normal(0.0, 0.01, size=(cfg.scene_height, cfg.scene_width)), 0.0, 1.0
-    )
+def render_scene(pl: PairLatents, rng: np.random.Generator) -> np.ndarray:
+    scene = np.clip(0.5 + rng.normal(0.0, 0.01, size=(SCENE_HEIGHT, SCENE_WIDTH)), 0.0, 1.0)
     for lat, x, y, size in (
         (pl.left, pl.geometry.left_x, pl.geometry.left_y, pl.geometry.left_size),
         (pl.right, pl.geometry.right_x, pl.geometry.right_y, pl.geometry.right_size),
     ):
-        face = render_face(lat, rng, size, cfg.noise, cfg.pose_modes)
+        face = render_face(lat, rng, size)
         scene[y : y + size, x : x + size] = face
     return scene
 
 
-def _boxes_for(pl: PairLatents, cfg: SynthConfig) -> tuple[Box, Box]:
+def _boxes_for(pl: PairLatents) -> tuple[Box, Box]:
     g = pl.geometry
     return (
-        Box(g.left_x, g.left_y, g.left_size / cfg.scene_width, g.left_size / cfg.scene_height),
-        Box(g.right_x, g.right_y, g.right_size / cfg.scene_width, g.right_size / cfg.scene_height),
+        Box(g.left_x, g.left_y, g.left_size / SCENE_WIDTH, g.left_size / SCENE_HEIGHT),
+        Box(g.right_x, g.right_y, g.right_size / SCENE_WIDTH, g.right_size / SCENE_HEIGHT),
     )
 
 
 def synth_pair_corpus(
     cfg: SynthConfig, n: int, seed
 ) -> tuple[list[PairSample], list[np.ndarray], list[PairLatents]]:
-    """``n`` scene images with planted relation labels hitting the configured
-    positive rates exactly (up to rounding)."""
+    """``n`` scene images with planted relation labels hitting
+    ``RELATION_RATES`` exactly (up to rounding)."""
     rng = np.random.default_rng(seed)
-    planted = {
-        name: _plant_exact_counts(n, cfg.relation_rates.get(name, 0.5), rng)
-        for name in RELATION_NAMES
-    }
+    planted = {name: _plant_exact_counts(n, RELATION_RATES[name], rng) for name in RELATION_NAMES}
     samples, scenes, latents = [], [], []
     for i in range(n):
         labels = {name: int(planted[name][i]) for name in RELATION_NAMES}
-        pl = _latents_for_pair(labels, cfg, rng)
-        scene = render_scene(pl, cfg, rng)
+        pl = _latents_for_pair(labels, rng)
+        scene = render_scene(pl, rng)
         samples.append(
-            pair_sample(scene, *_boxes_for(pl, cfg), relation_labels(pl, cfg.scene_width),
+            pair_sample(scene, *_boxes_for(pl), relation_labels(pl),
                         (cfg.image_size, cfg.image_size), f"synthetic scene {i}")
         )
         scenes.append(scene)
@@ -457,7 +443,7 @@ def write_synth_dataset(cfg: SynthConfig, seed: int, out_dir) -> dict[str, str]:
     corpora = (("a", cfg.n_a, 0), ("b", cfg.n_b, 1), ("c", cfg.n_c, 2))
     for cid, n, sub in corpora:
         samples, latents = synth_attr_corpus(
-            cfg, f"synth-{cid}", n, cfg.corpus_groups[cid], seed=[seed, sub]
+            cfg, f"synth-{cid}", n, CORPUS_GROUPS[cid], seed=[seed, sub]
         )
         records = []
         for i, s in enumerate(samples):

@@ -106,6 +106,13 @@ class TestBuild:
         for a, b in zip(t1.upper, t2.upper):
             np.testing.assert_array_equal(a.templates, b.templates)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_landmarks(self, bad):
+        corpus, _ = make_corpus(24, n_modes=2)
+        corpus[5][0][3, 1] = bad
+        with pytest.raises(ValueError, match="landmark coordinates must be finite"):
+            build_cluster_tree(corpus, t_top=2, u_children=3, l_children=3, seed=0, hog_cfg=CFG)
+
     def test_rejects_tiny_corpus(self):
         corpus, _ = make_corpus(5)
         with pytest.raises(ValueError, match="too small"):

@@ -200,6 +200,35 @@ def test_load_manifest_names_malformed_landmarks(tmp_path):
         load_manifest(p, face_size=(8, 8))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_load_manifest_rejects_non_finite_landmarks(tmp_path, bad):
+    lm = np.full((10, 2), 0.5)
+    lm[2, 0] = bad
+    p, line = _attr_manifest(tmp_path, np.full((8, 8), 0.5), landmarks=lm)
+    with pytest.raises(ValueError, match=f"{p}:{line}: 'lm1.npy': landmark coordinates must be finite"):
+        load_manifest(p, face_size=(8, 8))
+
+
+def _spoil(path, how):
+    """Replace the array file at ``path`` with one ``np.load`` cannot read."""
+    if how == "directory":
+        path.unlink()
+        path.mkdir()
+    elif how == "truncated":
+        path.write_bytes(path.read_bytes()[:-8])
+    else:
+        path.write_bytes({"empty": b"", "not-npy": b"not an array\n"}[how])
+
+
+@pytest.mark.parametrize("how", ["empty", "directory", "truncated", "not-npy"])
+@pytest.mark.parametrize("column", ["img1.npy", "lm1.npy"])
+def test_load_manifest_names_an_unreadable_array(tmp_path, column, how):
+    p, line = _attr_manifest(tmp_path, np.full((8, 8), 0.5))
+    _spoil(tmp_path / column, how)
+    with pytest.raises(ValueError, match=f"{p}:{line}: referenced file '{column}' cannot be read"):
+        load_manifest(p, face_size=(8, 8))
+
+
 @pytest.mark.parametrize("extent", ["nan", "inf"])
 def test_read_manifest_rejects_nonfinite_box(tmp_path, extent):
     p = tmp_path / "pairs.txt"

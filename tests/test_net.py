@@ -100,6 +100,37 @@ class TestTrunkForward:
             single, _ = trunk_forward(spec, params, imgs[i], hs[i])
             np.testing.assert_array_equal(batch[i], single)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [tiny_spec(4), tiny_spec(0),
+         NetworkSpec((2, 7, 7), (conv_spec(3, 2), relu_spec(), pool_spec(2, 2)))],
+        ids=["bridge", "no-bridge", "spatial-out"],
+    )
+    def test_single_image_is_row_0_of_a_batch_of_one(self, spec):
+        rng = np.random.default_rng(8)
+        img = rng.normal(size=spec.input_shape)
+        h = rng.normal(size=spec.bridge_dim) if spec.bridge_dim else None
+        up = rng.normal(size=spec.plan[-1].out_shape)
+
+        def walk(image, desc, upstream):
+            params = init_trunk_params(spec, np.random.default_rng(0))
+            out, cache = trunk_forward(spec, params, image, desc)
+            d_image, d_h = trunk_backward(spec, params, cache, upstream)
+            margin = np.float64(min_kink_margin(spec, params, image, desc))
+            return out, d_image, d_h, [t.grad for _, t in params.items()], margin
+
+        out, d_image, d_h, grads, margin = walk(img, h, up)
+        out1, d_image1, d_h1, grads1, margin1 = walk(img[None], None if h is None else h[None],
+                                                     up[None])
+        pairs = [(out, out1[0]), (d_image, d_image1[0]), (margin, margin1)]
+        pairs += list(zip(grads, grads1, strict=True))
+        if h is None:
+            assert d_h is None and d_h1 is None
+        else:
+            pairs.append((d_h, d_h1[0]))
+        for got, want in pairs:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_gemm_forward_matches_the_exact_walk(self, monkeypatch):
         spec = tiny_spec()
         rng = np.random.default_rng(3)
@@ -198,18 +229,18 @@ class TestTrunkGradients:
 
         def loss_fn():
             feat, _ = trunk_forward(spec, params, img, h)
-            z, _ = fc_forward(feat, head_w, np.zeros(1))
+            z = fc_forward(feat[None], head_w, np.zeros(1))[0][0]
             loss, _ = bce_from_logit(z[0], 1)
             return loss
 
         def backward_fn():
             feat, cache = trunk_forward(spec, params, img, h)
-            z, fc_ctx = fc_forward(feat, head_w, np.zeros(1))
-            _, dz = bce_from_logit(z[0], 1)
+            z, fc_ctx = fc_forward(feat[None], head_w, np.zeros(1))
+            _, dz = bce_from_logit(z[0][0], 1)
             from facerel.ops import fc_backward
 
-            dfeat, _, _ = fc_backward(fc_ctx, np.array([dz]))
-            trunk_backward(spec, params, cache, dfeat)
+            dfeat, _, _ = fc_backward(fc_ctx, np.array([dz])[None])
+            trunk_backward(spec, params, cache, dfeat[0])
 
         err = finite_diff_check(loss_fn, backward_fn, params, epsilon=1e-5)
         assert err < 1e-4

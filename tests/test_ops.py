@@ -36,6 +36,12 @@ from oracles import (
 )
 
 
+def _one(fwd, x, *args, **kw):
+    """``fwd`` on ``x`` as a batch of one: (row 0 of the output, ctx)."""
+    out, ctx = fwd(x[None], *args, **kw)
+    return out[0], ctx
+
+
 def _offset_by_one(a):
     """A copy of ``a`` that starts one element into its buffer."""
     buf = np.empty(a.size + 1, dtype=a.dtype)
@@ -49,14 +55,14 @@ class TestConvForward:
         x = np.ones((1, 3, 3))
         w = np.ones((1, 1, 2, 2))
         b = np.zeros(1)
-        out, _ = conv_forward(x, w, b, stride=1)
+        out, _ = _one(conv_forward, x, w, b, stride=1)
         assert out.shape == (1, 2, 2)
         np.testing.assert_array_equal(out, np.full((1, 2, 2), 4.0))
 
     def test_selector_kernel_picks_corner(self):
         x = np.arange(4.0).reshape(1, 2, 2) + 3.0
         w = np.array([[[[1.0, 0.0], [0.0, 0.0]]]])
-        out, _ = conv_forward(x, w, np.zeros(1), stride=1)
+        out, _ = _one(conv_forward, x, w, np.zeros(1), stride=1)
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == x[0, 0, 0]
 
@@ -65,7 +71,7 @@ class TestConvForward:
         x = rng.normal(size=(2, 5, 5))
         w = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
-        out, _ = conv_forward(x, w, b, stride=1)
+        out, _ = _one(conv_forward, x, w, b, stride=1)
         np.testing.assert_array_equal(out, naive_conv(x, w, b, stride=1))
 
     def test_matches_oracle_across_random_shapes(self):
@@ -80,7 +86,7 @@ class TestConvForward:
             x = rng.normal(size=(c, h, wd))
             w = rng.normal(size=(f, c, k, k))
             b = rng.normal(size=f)
-            out, _ = conv_forward(x, w, b, stride=s)
+            out, _ = _one(conv_forward, x, w, b, stride=s)
             np.testing.assert_array_equal(out, naive_conv(x, w, b, stride=s))
 
     @pytest.mark.parametrize("exact", [True, False])
@@ -91,7 +97,7 @@ class TestConvForward:
         b = rng.normal(size=3)
         batched, _ = conv_forward(xs, w, b, stride=2, exact=exact)
         for i in range(4):
-            single, _ = conv_forward(xs[i], w, b, stride=2, exact=exact)
+            single, _ = _one(conv_forward, xs[i], w, b, stride=2, exact=exact)
             np.testing.assert_array_equal(batched[i], single)
             assert_forward_matches(single, naive_conv(xs[i], w, b, stride=2), exact)
 
@@ -105,7 +111,7 @@ class TestConvForward:
             batched, _ = conv_forward(xs, w, b, stride=stride, exact=exact)
             assert batched.nbytes > ops.SCRATCH_BYTES  # several sample blocks
             for i in range(len(xs)):
-                single, _ = conv_forward(xs[i], w, b, stride=stride, exact=exact)
+                single, _ = _one(conv_forward, xs[i], w, b, stride=stride, exact=exact)
                 np.testing.assert_array_equal(batched[i], single)
             # the exact kernel is the reference where the naive loops are too slow
             assert_forward_matches(batched, conv_forward(xs, w, b, stride=stride)[0], exact)
@@ -121,15 +127,16 @@ class TestConvForward:
         got, _ = conv_forward(x_off, w_off, b, exact=exact)
         np.testing.assert_array_equal(got, want)
         for i in range(3):
-            np.testing.assert_array_equal(conv_forward(x_off[i], w_off, b, exact=exact)[0], want[i])
+            np.testing.assert_array_equal(_one(conv_forward, x_off[i], w_off, b, exact=exact)[0],
+                                          want[i])
 
     def test_rejects_channel_mismatch(self):
         with pytest.raises(ValueError, match="channel"):
-            conv_forward(np.zeros((2, 4, 4)), np.zeros((1, 3, 2, 2)), np.zeros(1))
+            conv_forward(np.zeros((1, 2, 4, 4)), np.zeros((1, 3, 2, 2)), np.zeros(1))
 
     def test_rejects_kernel_too_large(self):
         with pytest.raises(ValueError, match="width"):
-            conv_forward(np.zeros((1, 5, 2)), np.zeros((1, 1, 3, 3)), np.zeros(1))
+            conv_forward(np.zeros((1, 1, 5, 2)), np.zeros((1, 1, 3, 3)), np.zeros(1))
 
 
 class TestConvBackward:
@@ -141,25 +148,24 @@ class TestConvBackward:
         r = rng.normal(size=(2, 2, 2))  # random projection makes the output scalar
 
         def loss():
-            out, _ = conv_forward(x, w, b, stride=1)
+            out, _ = _one(conv_forward, x, w, b, stride=1)
             return float(np.sum(out * r))
 
-        out, ctx = conv_forward(x, w, b, stride=1)
-        dx, dw, db = conv_backward(ctx, r)
-        assert max_rel_err(dx, central_diff_grad(loss, x)) < 1e-6
+        out, ctx = _one(conv_forward, x, w, b, stride=1)
+        dx, dw, db = conv_backward(ctx, r[None])
+        assert max_rel_err(dx[0], central_diff_grad(loss, x)) < 1e-6
         assert max_rel_err(dw, central_diff_grad(loss, w)) < 1e-6
         assert max_rel_err(db, central_diff_grad(loss, b)) < 1e-6
 
     @staticmethod
-    def _random_case(rng, n=None):
+    def _random_case(rng, n):
         c = int(rng.integers(1, 4))
         k = int(rng.integers(1, 4))
         s = int(rng.integers(1, 3))
         h = int(rng.integers(k, k + 6))
         wd = int(rng.integers(k, k + 6))
         f = int(rng.integers(1, 4))
-        lead = () if n is None else (n,)
-        x = rng.normal(size=lead + (c, h, wd))
+        x = rng.normal(size=(n, c, h, wd))
         w = rng.normal(size=(f, c, k, k))
         out, ctx = conv_forward(x, w, rng.normal(size=f), stride=s)
         return x, w, s, ctx, rng.normal(size=out.shape)
@@ -172,8 +178,9 @@ class TestConvBackward:
     def test_matches_naive_oracle_across_random_shapes(self):
         rng = np.random.default_rng(16)
         for _ in range(30):
-            x, w, s, ctx, up = self._random_case(rng)
-            for got, want in zip(conv_backward(ctx, up), naive_conv_backward(x, w, up, s)):
+            x, w, s, ctx, up = self._random_case(rng, n=1)
+            dx, dw, db = conv_backward(ctx, up)
+            for got, want in zip((dx[0], dw, db), naive_conv_backward(x[0], w, up[0], s)):
                 assert got.shape == want.shape
                 assert max_rel_err(got, want) < 1e-12
 
@@ -204,9 +211,9 @@ class TestConvBackward:
         dx, dw, db = conv_backward(ctx, up)
         dw_sum, db_sum = np.zeros_like(dw), np.zeros_like(db)
         for i in range(len(xs)):
-            _, ctx_i = conv_forward(xs[i], w, np.zeros(32), stride=1)
-            dx_i, dw_i, db_i = conv_backward(ctx_i, up[i])
-            assert max_rel_err(dx[i], dx_i) < 1e-12
+            _, ctx_i = conv_forward(xs[i : i + 1], w, np.zeros(32), stride=1)
+            dx_i, dw_i, db_i = conv_backward(ctx_i, up[i : i + 1])
+            assert max_rel_err(dx[i], dx_i[0]) < 1e-12
             dw_sum += dw_i
             db_sum += db_i
         assert max_rel_err(dw, dw_sum) < 1e-12
@@ -215,14 +222,14 @@ class TestConvBackward:
     def test_zero_upstream_gives_zero_grads(self):
         x = np.random.default_rng(3).normal(size=(1, 4, 4))
         w = np.random.default_rng(4).normal(size=(2, 1, 2, 2))
-        out, ctx = conv_forward(x, w, np.zeros(2), stride=1)
+        out, ctx = conv_forward(x[None], w, np.zeros(2), stride=1)
         dx, dw, db = conv_backward(ctx, np.zeros_like(out))
         assert not dx.any() and not dw.any() and not db.any()
 
     def test_ones_everywhere_counts_placements(self):
         x = np.ones((1, 5, 5))
         w = np.ones((1, 1, 2, 2))
-        out, ctx = conv_forward(x, w, np.zeros(1), stride=1)
+        out, ctx = conv_forward(x[None], w, np.zeros(1), stride=1)
         _, dw, _ = conv_backward(ctx, np.ones_like(out))
         # 4x4 output positions, each window covers every kernel tap once
         np.testing.assert_array_equal(dw, np.full_like(w, 16.0))
@@ -232,43 +239,43 @@ class TestConvBackward:
             conv_backward(None, np.zeros((1, 1, 1)))
 
     def test_rejects_wrong_upstream_shape(self):
-        out, ctx = conv_forward(np.zeros((1, 4, 4)), np.zeros((1, 1, 2, 2)), np.zeros(1))
+        out, ctx = conv_forward(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 2, 2)), np.zeros(1))
         with pytest.raises(ValueError, match="upstream"):
-            conv_backward(ctx, np.zeros((1, 2, 2)))
+            conv_backward(ctx, np.zeros((1, 1, 2, 2)))
 
 
 class TestMaxPool:
     def test_single_window(self):
-        out, arg = maxpool_forward(np.array([[[1.0, 2.0], [3.0, 4.0]]]), 2, 2)
+        out, arg = _one(maxpool_forward, np.array([[[1.0, 2.0], [3.0, 4.0]]]), 2, 2)
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == 4.0
         assert arg.indices[0, 0, 0, 0] == 3
 
     def test_constant_input_tie_breaks_low(self):
-        out, arg = maxpool_forward(np.ones((1, 4, 4)), 2, 2)
+        out, arg = _one(maxpool_forward, np.ones((1, 4, 4)), 2, 2)
         np.testing.assert_array_equal(out, np.ones((1, 2, 2)))
         np.testing.assert_array_equal(arg.indices[0, 0], [[0, 2], [8, 10]])
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(3, 6, 6))
-        out, arg = maxpool_forward(x, 2, 2)
+        out, arg = _one(maxpool_forward, x, 2, 2)
         o_out, o_arg = naive_maxpool(x, 2, 2)
         np.testing.assert_array_equal(out, o_out)
         np.testing.assert_array_equal(arg.indices[0], o_arg)
 
     def test_backward_routes_to_argmax(self):
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        out, arg = maxpool_forward(x, 2, 2)
-        dx = maxpool_backward(arg, np.array([[[5.0]]]))
+        out, arg = _one(maxpool_forward, x, 2, 2)
+        dx = maxpool_backward(arg, np.array([[[5.0]]])[None])[0]
         np.testing.assert_array_equal(dx, [[[0.0, 0.0], [0.0, 5.0]]])
 
     def test_backward_conserves_gradient_mass(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 7, 7))
-        out, arg = maxpool_forward(x, 3, 2)
+        out, arg = _one(maxpool_forward, x, 3, 2)
         up = rng.normal(size=out.shape)
-        dx = maxpool_backward(arg, up)
+        dx = maxpool_backward(arg, up[None])[0]
         assert np.isclose(dx.sum(), up.sum())
 
     def test_backward_finite_difference_at_safe_point(self):
@@ -277,32 +284,32 @@ class TestMaxPool:
         r = rng.normal(size=(1, 2, 2))
 
         def loss():
-            out, _ = maxpool_forward(x, 2, 2)
+            out, _ = _one(maxpool_forward, x, 2, 2)
             return float(np.sum(out * r))
 
-        out, arg = maxpool_forward(x, 2, 2)
-        dx = maxpool_backward(arg, r)
+        out, arg = _one(maxpool_forward, x, 2, 2)
+        dx = maxpool_backward(arg, r[None])[0]
         assert max_rel_err(dx, central_diff_grad(loss, x)) < 1e-6
 
     def test_tied_window_full_subgradient_to_winner(self):
         x = np.zeros((1, 2, 2))
-        out, arg = maxpool_forward(x, 2, 2)
-        dx = maxpool_backward(arg, np.array([[[7.0]]]))
+        out, arg = _one(maxpool_forward, x, 2, 2)
+        dx = maxpool_backward(arg, np.array([[[7.0]]])[None])[0]
         np.testing.assert_array_equal(dx, [[[7.0, 0.0], [0.0, 0.0]]])
 
     def test_first_nan_of_a_window_wins(self):
         x = np.array([[[1.0, 2.0, 9.0], [np.nan, -np.nan, 3.0]]])
-        out, arg = maxpool_forward(x, 2, 1)
+        out, arg = _one(maxpool_forward, x, 2, 1)
         assert np.isnan(out).all()
         np.testing.assert_array_equal(arg.indices[0, 0], [[3, 4]])
         assert np.signbit(out[0, 0, 1])  # the winner's bits, sign included
 
     def test_rejects_kernel_larger_than_input(self):
         with pytest.raises(ValueError, match="kernel"):
-            maxpool_forward(np.zeros((1, 2, 2)), 3, 1)
+            maxpool_forward(np.zeros((1, 1, 2, 2)), 3, 1)
 
     def test_rejects_out_of_range_index(self):
-        out, arg = maxpool_forward(np.ones((1, 2, 2)), 2, 2)
+        out, arg = maxpool_forward(np.ones((1, 1, 2, 2)), 2, 2)
         arg.indices[0, 0, 0, 0] = 99
         with pytest.raises(ValueError, match="out of range"):
             maxpool_backward(arg, np.ones_like(out))
@@ -311,11 +318,11 @@ class TestMaxPool:
 class TestLrn:
     def test_alpha_zero_divides_by_k_pow_beta(self):
         x = np.random.default_rng(9).normal(size=(4, 3, 3))
-        out, _ = lrn_forward(x, n=3, k=2.0, alpha=0.0, beta=0.75)
+        out, _ = _one(lrn_forward, x, n=3, k=2.0, alpha=0.0, beta=0.75)
         np.testing.assert_allclose(out, x / 2.0 ** 0.75, rtol=1e-15)
 
     def test_scalar_case(self):
-        out, _ = lrn_forward(np.ones((1, 1, 1)), n=1, k=2.0, alpha=1e-4, beta=0.75)
+        out, _ = _one(lrn_forward, np.ones((1, 1, 1)), n=1, k=2.0, alpha=1e-4, beta=0.75)
         assert np.isclose(out[0, 0, 0], 1.0 / (2.0 + 1e-4) ** 0.75, rtol=1e-15)
 
     def test_matches_naive_oracle(self):
@@ -324,7 +331,7 @@ class TestLrn:
             c = int(rng.integers(1, 7))
             n = int(rng.integers(1, 6))
             x = rng.normal(size=(c, 4, 4))
-            out, _ = lrn_forward(x, n=n, k=2.0, alpha=1e-4, beta=0.75)
+            out, _ = _one(lrn_forward, x, n=n, k=2.0, alpha=1e-4, beta=0.75)
             assert max_rel_err(out, naive_lrn(x, n, 2.0, 1e-4, 0.75)) < 1e-12
 
     def test_gradient_vs_finite_differences(self):
@@ -333,27 +340,27 @@ class TestLrn:
         r = rng.normal(size=(5, 3, 3))
 
         def loss():
-            out, _ = lrn_forward(x, n=5, k=2.0, alpha=0.2, beta=0.75)
+            out, _ = _one(lrn_forward, x, n=5, k=2.0, alpha=0.2, beta=0.75)
             return float(np.sum(out * r))
 
-        out, ctx = lrn_forward(x, n=5, k=2.0, alpha=0.2, beta=0.75)
-        dx = lrn_backward(ctx, r)
+        out, ctx = _one(lrn_forward, x, n=5, k=2.0, alpha=0.2, beta=0.75)
+        dx = lrn_backward(ctx, r[None])[0]
         assert max_rel_err(dx, central_diff_grad(loss, x)) < 1e-5
 
     def test_rejects_nonpositive_denominator(self):
         with pytest.raises(ValueError, match="denominator"):
-            lrn_forward(np.zeros((1, 2, 2)), n=1, k=0.0, alpha=1e-4, beta=0.75)
+            lrn_forward(np.zeros((1, 1, 2, 2)), n=1, k=0.0, alpha=1e-4, beta=0.75)
 
 
 class TestFc:
     def test_identity_weights(self):
         x = np.array([1.0, -2.0, 3.0])
-        out, _ = fc_forward(x, np.eye(3), np.zeros(3))
+        out, _ = _one(fc_forward, x, np.eye(3), np.zeros(3))
         np.testing.assert_array_equal(out, x)
 
     def test_zero_weights_yield_bias(self):
         b = np.array([0.5, -1.5])
-        out, _ = fc_forward(np.ones(4), np.zeros((4, 2)), b)
+        out, _ = _one(fc_forward, np.ones(4), np.zeros((4, 2)), b)
         np.testing.assert_array_equal(out, b)
 
     def test_matches_naive_oracle_bitwise(self):
@@ -364,7 +371,7 @@ class TestFc:
             x = rng.normal(size=d_in)
             w = rng.normal(size=(d_in, d_out))
             b = rng.normal(size=d_out)
-            out, _ = fc_forward(x, w, b)
+            out, _ = _one(fc_forward, x, w, b)
             np.testing.assert_array_equal(out, naive_fc(x, w, b))
 
     @pytest.mark.parametrize("exact", [True, False])
@@ -377,7 +384,7 @@ class TestFc:
         batched, _ = fc_forward(xs, w, b, exact=exact)
         assert batched.shape == (n, d_out)
         for i in range(n):
-            single, _ = fc_forward(xs[i], w, b, exact=exact)  # a 1-D input
+            single, _ = _one(fc_forward, xs[i], w, b, exact=exact)  # a batch of one
             assert single.shape == (d_out,)
             np.testing.assert_array_equal(batched[i], single)
             assert_forward_matches(single, naive_fc(xs[i], w, b), exact)
@@ -393,7 +400,7 @@ class TestFc:
             b = rng.normal(size=d_out)
             batched, _ = fc_forward(xs, w, b, exact=exact)
             for i in range(n):
-                single, _ = fc_forward(xs[i], w, b, exact=exact)
+                single, _ = _one(fc_forward, xs[i], w, b, exact=exact)
                 assert_forward_matches(single, naive_fc(xs[i], w, b), exact)
                 np.testing.assert_array_equal(batched[i], single)
 
@@ -407,7 +414,8 @@ class TestFc:
         want, _ = fc_forward(xs, w, b, exact=exact)
         np.testing.assert_array_equal(fc_forward(x_off, w_off, b, exact=exact)[0], want)
         for i in range(4):
-            np.testing.assert_array_equal(fc_forward(x_off[i], w_off, b, exact=exact)[0], want[i])
+            np.testing.assert_array_equal(_one(fc_forward, x_off[i], w_off, b, exact=exact)[0],
+                                          want[i])
 
     def test_backward_finite_differences(self):
         rng = np.random.default_rng(14)
@@ -417,18 +425,41 @@ class TestFc:
         r = rng.normal(size=4)
 
         def loss():
-            out, _ = fc_forward(x, w, b)
+            out, _ = _one(fc_forward, x, w, b)
             return float(np.sum(out * r))
 
-        out, ctx = fc_forward(x, w, b)
-        dx, dw, db = fc_backward(ctx, r)
-        assert max_rel_err(dx, central_diff_grad(loss, x)) < 1e-7
+        out, ctx = _one(fc_forward, x, w, b)
+        dx, dw, db = fc_backward(ctx, r[None])
+        assert max_rel_err(dx[0], central_diff_grad(loss, x)) < 1e-7
         assert max_rel_err(dw, central_diff_grad(loss, w)) < 1e-7
         assert max_rel_err(db, central_diff_grad(loss, b)) < 1e-7
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
-            fc_forward(np.zeros(3), np.zeros((4, 2)), np.zeros(2))
+            fc_forward(np.zeros((1, 3)), np.zeros((4, 2)), np.zeros(2))
+
+
+@pytest.mark.parametrize("who", ["conv_forward", "conv_backward", "maxpool_forward",
+                                 "maxpool_backward", "lrn_forward", "lrn_backward",
+                                 "fc_forward", "fc_backward"])
+def test_each_op_refuses_a_single_sample(who):
+    img, w, b = np.ones((1, 2, 4, 4)), np.ones((3, 2, 2, 2)), np.zeros(3)
+    conv_ctx = conv_forward(img, w, b)[1]
+    pool_arg = maxpool_forward(img, 2, 2)[1]
+    lrn_ctx = lrn_forward(img, 3, 2.0, 1e-4, 0.75)[1]
+    fc_ctx = fc_forward(np.ones((1, 4)), np.ones((4, 2)), np.zeros(2))[1]
+    calls = {
+        "conv_forward": lambda: conv_forward(img[0], w, b),
+        "conv_backward": lambda: conv_backward(conv_ctx, np.ones((3, 3, 3))),
+        "maxpool_forward": lambda: maxpool_forward(img[0], 2, 2),
+        "maxpool_backward": lambda: maxpool_backward(pool_arg, np.ones((2, 2, 2))),
+        "lrn_forward": lambda: lrn_forward(img[0], 3, 2.0, 1e-4, 0.75),
+        "lrn_backward": lambda: lrn_backward(lrn_ctx, img[0]),
+        "fc_forward": lambda: fc_forward(np.ones(4), np.ones((4, 2)), np.zeros(2)),
+        "fc_backward": lambda: fc_backward(fc_ctx, np.ones(2)),
+    }
+    with pytest.raises(ValueError, match=f"^{who}: "):
+        calls[who]()
 
 
 # Batch invariance of the GEMM path at the paper48 conv2 and fc1 shapes, N=32.
@@ -443,8 +474,8 @@ _GEMM_BATCH_CHECK = textwrap.dedent("""
          rng.normal(size=256)),
     ):
         batched, _ = fwd(xs, w, b, exact=False)
-        for i, x in enumerate(xs):
-            np.testing.assert_array_equal(batched[i], fwd(x, w, b, exact=False)[0])
+        for i in range(len(xs)):
+            np.testing.assert_array_equal(batched[i], fwd(xs[i : i + 1], w, b, exact=False)[0][0])
 """)
 
 

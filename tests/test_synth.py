@@ -5,10 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from facerel import synth
 from facerel.data import RELATION_NAMES, load_manifest
 from facerel.synth import (
-    DEFAULT_RELATION_RATES,
+    CORPUS_GROUPS,
     RELATION_IMBALANCE_COUNTS,
+    RELATION_RATES,
+    SCENE_HEIGHT,
+    SCENE_WIDTH,
     SynthConfig,
     attribute_labels,
     face_landmarks,
@@ -29,39 +33,41 @@ def small_cfg(**kw):
 
 class TestFaces:
     def test_render_deterministic(self):
-        lat = sample_face_latents(np.random.default_rng(0), 10)
-        a = render_face(lat, np.random.default_rng(1), 48, 0.03, 10)
-        b = render_face(lat, np.random.default_rng(1), 48, 0.03, 10)
+        lat = sample_face_latents(np.random.default_rng(0))
+        a = render_face(lat, np.random.default_rng(1), 48)
+        b = render_face(lat, np.random.default_rng(1), 48)
         np.testing.assert_array_equal(a, b)
         assert a.min() >= 0 and a.max() <= 1
 
-    def test_latent_factors_move_pixels(self):
+    def test_latent_factors_move_pixels(self, monkeypatch):
+        monkeypatch.setattr(synth, "NOISE", 0.0)
         rng_img = lambda: np.random.default_rng(2)
         base = dict(mode=3, gender=0, expr=1, smiling=0, mouth_open=0, young=0, beard=0)
         from facerel.synth import FaceLatents
 
-        ref = render_face(FaceLatents(**base), rng_img(), 48, 0.0, 10)
+        ref = render_face(FaceLatents(**base), rng_img(), 48)
         for key, val in (("mode", 7), ("gender", 1), ("expr", 4), ("smiling", 1),
                          ("mouth_open", 1), ("young", 1), ("beard", 2)):
             lat = FaceLatents(**{**base, key: val})
-            img = render_face(lat, rng_img(), 48, 0.0, 10)
+            img = render_face(lat, rng_img(), 48)
             assert np.abs(img - ref).max() > 0.2, f"factor {key} is invisible"
 
     def test_labels_are_exact_function_of_latents(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            lat = sample_face_latents(rng, 10)
-            v = attribute_labels(lat, 10)
+            lat = sample_face_latents(rng)
+            v = attribute_labels(lat)
             # one pose, one expression and one beard slot fire, plus the flags
             expected = 3 + lat.gender + lat.smiling + lat.mouth_open + lat.young
             assert v.sum() == expected
             assert v[1 + lat.mode // 2] == 1.0
             assert v[6 + lat.expr] == 1.0
 
-    def test_landmarks_in_unit_box_and_mode_separated(self):
+    def test_landmarks_in_unit_box_and_mode_separated(self, monkeypatch):
+        monkeypatch.setattr(synth, "LANDMARK_JITTER", 0.0)
         rng = np.random.default_rng(4)
-        lm0 = face_landmarks(0, rng, 0.0, 10)
-        lm9 = face_landmarks(9, rng, 0.0, 10)
+        lm0 = face_landmarks(0, rng)
+        lm9 = face_landmarks(9, rng)
         assert lm0.min() >= 0 and lm0.max() <= 1
         assert np.linalg.norm(lm0 - lm9) > 0.3
 
@@ -91,7 +97,7 @@ class TestPairs:
         cfg = small_cfg(n_pairs_train=60)
         samples, _, latents = synth_pair_corpus(cfg, 60, seed=0)
         for s, pl in zip(samples, latents):
-            np.testing.assert_array_equal(s.relations, relation_labels(pl, cfg.scene_width))
+            np.testing.assert_array_equal(s.relations, relation_labels(pl))
 
     def test_table_imbalance_rate_hit(self):
         # dominant rate set from the 418:7041 split -> fraction near 0.056
@@ -108,7 +114,7 @@ class TestPairs:
         samples, _, _ = synth_pair_corpus(cfg, n, seed=2)
         rel = np.stack([s.relations for s in samples])
         for i, name in enumerate(RELATION_NAMES):
-            want = round(n * DEFAULT_RELATION_RATES[name])
+            want = round(n * RELATION_RATES[name])
             assert rel[:, i].sum() == want, name
 
     def test_seeded_determinism(self):
@@ -126,8 +132,8 @@ class TestPairs:
             for box in (s.left_box, s.right_box):
                 wp, hp = box.pixel_extent(*s.image_dims)
                 assert box.x >= 0 and box.y >= 0
-                assert box.x + wp <= cfg.scene_width
-                assert box.y + hp <= cfg.scene_height
+                assert box.x + wp <= SCENE_WIDTH
+                assert box.y + hp <= SCENE_HEIGHT
 
 
 class TestDatasetOnDisk:
@@ -142,6 +148,9 @@ class TestDatasetOnDisk:
         assert kind == "pairs" and len(pairs) == cfg.n_pairs_train
 
         sidecar = json.loads((tmp_path / "synth_config.json").read_text())
+        assert sorted(sidecar["config"]) == ["image_size", "n_a", "n_b", "n_c",
+                                             "n_pairs_test", "n_pairs_train"]
+        assert cfg.corpus_groups is CORPUS_GROUPS
         assert sidecar["rules"]["warm"] == "both faces smiling"
         assert len(sidecar["latents"]["pairs_train"]) == cfg.n_pairs_train
 
