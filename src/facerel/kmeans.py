@@ -52,6 +52,9 @@ def kmeans(points: np.ndarray, k: int, seed, max_iter: int = 100) -> KMeansResul
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError(f"points must be (N, D), got shape {points.shape}")
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        raise ValueError(f"points row {bad[0]} is not finite")
     n = points.shape[0]
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")

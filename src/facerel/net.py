@@ -84,6 +84,10 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
+        for key in ("kernel", "filters", "out_dim", "stride", "lrn_n"):
+            v = getattr(self, key)
+            if type(v) is not int and (v is not None or key == "stride"):
+                raise ValueError(f"layer field {key!r} must be an int, got {v!r}")
         if self.kind == "conv":
             if not (self.kernel and self.kernel >= 1 and self.filters and self.filters >= 1):
                 raise ValueError("conv layer needs kernel >= 1 and filters >= 1")
@@ -291,6 +295,8 @@ def _trunk_input(
         raise ValueError(
             f"input geometry {image.shape[1:]} does not match trunk input {spec.input_shape}"
         )
+    if spec.bridge_dim == 0 and h is not None:
+        raise ValueError("this trunk takes no bridge descriptor (bridge_dim is 0)")
     if spec.bridge_dim > 0:
         if h is None:
             raise ValueError("this trunk expects a bridge descriptor input")

@@ -27,17 +27,18 @@ Determinism contract.  ``conv_forward`` and ``fc_forward`` have two paths.
   bits do not depend on the batch around it, nor on the sample blocks the
   conv kernel cuts the batch into.
 * ``exact=False`` makes one BLAS call per sample (conv: one GEMM of the
-  filter matrix with the sample's copied-out taps; fc: one GEMV per row),
+  filter matrix with the sample's tap columns; fc: one GEMV per row),
   bias added last.  The BLAS picks the summation order, but it is the same
   call whatever the batch, so at a fixed BLAS thread count the output is
   bitwise batch invariant; its bits may change with the thread count.  It
   agrees with the exact path to within 1e-12 of the output's largest
   magnitude (elementwise relative error can be larger where terms cancel).
 
-The backward passes are BLAS GEMMs (for conv, two per input channel and
-sample block), whatever path the forward took: they are deterministic for a
-given shape and thread count, but not batch invariant, and the tests hold
-them to the naive loops at a relative tolerance, not bitwise.
+The backward passes are BLAS GEMMs whatever path the forward took; the tests
+hold them to the naive loops at a relative tolerance, not bitwise, and their
+bits may change with the BLAS thread count.  The conv backward makes one GEMM
+per sample on the forward's tap columns, so ``dx`` is batch invariant and
+``dw`` sums the samples in ascending order whatever the sample blocks.
 
 Pooling contract.  ``maxpool_forward`` is bitwise equal, output bytes and
 indices alike, to stacking every window's k*k elements in (dy, dx) order and
@@ -76,9 +77,9 @@ def _as_batched_images(x: np.ndarray, who: str) -> np.ndarray:
     return x
 
 
-#: Bytes of per-block scratch the conv and fc forward kernels and the batched
-#: HOG may hold.  They walk their inputs in blocks of as many samples (fc: input
-#: indices) as fit, so scratch stays bounded at any batch.
+#: Bytes of per-block scratch held by the conv forward and backward, the exact
+#: fc forward and the batched HOG.  They walk their inputs in blocks of as many
+#: samples (fc: input indices) as fit, so scratch stays bounded at any batch.
 SCRATCH_BYTES = 1 << 21
 
 
@@ -87,6 +88,22 @@ def sample_blocks(n: int, per_sample_bytes: int):
     step = max(1, SCRATCH_BYTES // max(1, per_sample_bytes))
     for lo in range(0, n, step):
         yield lo, min(n, lo + step)
+
+
+def _conv_columns(x4, k, stride, ho, wo, extra_bytes):
+    """Yield ``(lo, hi, cols)``: a sample block's taps copied into one reused
+    ``(hi - lo, C·k·k, Ho·Wo)`` buffer in (c, i, j) row order, blocks sized so
+    the buffer plus ``extra_bytes`` a sample fit ``SCRATCH_BYTES``."""
+    n, c_in = x4.shape[:2]
+    windows = np.lib.stride_tricks.sliding_window_view(x4, (k, k), axis=(2, 3))
+    taps = windows[:, :, : ho * stride : stride, : wo * stride : stride].transpose(0, 1, 4, 5, 2, 3)
+    buf = None
+    for lo, hi in sample_blocks(n, c_in * k * k * ho * wo * x4.itemsize + extra_bytes):
+        if buf is None:
+            buf = np.empty((hi - lo, c_in * k * k, ho * wo), dtype=x4.dtype)
+        cols = buf[: hi - lo]
+        np.copyto(cols.reshape(hi - lo, c_in, k, k, ho, wo), taps[lo:hi])
+        yield lo, hi, cols
 
 
 def conv_forward(
@@ -121,45 +138,19 @@ def conv_forward(
 
     ho = (h - k) // stride + 1
     wo = (wd - k) // stride + 1
-    if not exact:
-        out = _conv_forward_gemm(x4, w, b, stride, ho, wo)
-        return out, ConvCtx(x4, w, stride, out.shape)
-    # Filter-major accumulator: each tap is one (F, 1) x (1, block) product
-    # over a contiguous row, so every element still sums its taps in
-    # ascending (c, i, j) order, then the bias.
-    out = np.empty((f, n, ho, wo), dtype=np.result_type(x4, w, b))
-    taps = w.reshape(f, c_in * k * k, 1)
-    for lo, hi in sample_blocks(n, (2 * f + 1) * ho * wo * out.itemsize):
-        acc = np.zeros((f, (hi - lo) * ho * wo), dtype=out.dtype)
-        row = np.empty((hi - lo, ho, wo), dtype=x4.dtype)
-        tmp = np.empty(acc.shape, dtype=np.result_type(x4, w))
-        for t, (c, i, j) in enumerate(np.ndindex(c_in, k, k)):
-            np.copyto(row, x4[lo:hi, c, i : i + ho * stride : stride, j : j + wo * stride : stride])
-            np.multiply(taps[:, t], row.reshape(1, -1), out=tmp)
-            acc += tmp
-        acc += b[:, None]
-        out[:, lo:hi] = acc.reshape(f, hi - lo, ho, wo)
-    out = out.transpose(1, 0, 2, 3)
-    return out, ConvCtx(x4, w, stride, out.shape)
-
-
-def _conv_forward_gemm(x4, w, b, stride, ho, wo) -> np.ndarray:
-    """One GEMM per sample: filters (F, C·k·k) times that sample's taps."""
-    n, c_in = x4.shape[:2]
-    f, _, k, _ = w.shape
-    out = np.empty((n, f, ho * wo), dtype=np.result_type(x4, w, b))
-    windows = np.lib.stride_tricks.sliding_window_view(x4, (k, k), axis=(2, 3))
-    taps = windows[:, :, : ho * stride : stride, : wo * stride : stride].transpose(0, 1, 4, 5, 2, 3)
+    out = (np.zeros if exact else np.empty)((n, f, ho * wo), dtype=np.result_type(x4, w, b))
     filters = w.reshape(f, -1)
-    cols = None
-    for lo, hi in sample_blocks(n, c_in * k * k * ho * wo * x4.itemsize):
-        if cols is None:
-            cols = np.empty((hi - lo, c_in * k * k, ho * wo), dtype=x4.dtype)
-        block = cols[: hi - lo]
-        np.copyto(block.reshape(hi - lo, c_in, k, k, ho, wo), taps[lo:hi])
-        np.matmul(filters, block, out=out[lo:hi])
+    extra = f * ho * wo * out.itemsize if exact else 0
+    for lo, hi, cols in _conv_columns(x4, k, stride, ho, wo, extra):
+        if not exact:
+            np.matmul(filters, cols, out=out[lo:hi])
+        else:  # every element sums its taps' products in ascending (c, i, j) order
+            prod = np.empty((hi - lo, f, ho * wo), dtype=np.result_type(x4, w))
+            for t in range(cols.shape[1]):
+                np.multiply(filters[:, t, None], cols[:, t, None, :], out=prod)
+                out[lo:hi] += prod
     out += b[:, None]
-    return out.reshape(n, f, ho, wo)
+    return out.reshape(n, f, ho, wo), ConvCtx(x4, w, stride, (n, f, ho, wo))
 
 
 def conv_backward(
@@ -178,20 +169,19 @@ def conv_backward(
     f, c_in, k, _ = w.shape
     _, _, ho, wo = ctx.out_shape
 
+    filters = w.reshape(f, -1)
     db = up4.sum(axis=(0, 2, 3))
-    dw = np.zeros_like(w)
+    dw = np.zeros(filters.shape, dtype=w.dtype)
     dx = np.zeros_like(x4)
-    for lo, hi in sample_blocks(len(x4), (f + 2 * k * k) * ho * wo * x4.itemsize):
-        up = up4[lo:hi].transpose(1, 0, 2, 3).reshape(f, -1)
-        windows = np.lib.stride_tricks.sliding_window_view(x4[lo:hi], (k, k), axis=(2, 3))
-        for c in range(c_in):
-            cols = windows[:, c, : ho * s : s, : wo * s : s].reshape(-1, k * k)
-            dw[:, c] += (up @ cols).reshape(f, k, k)
-            dcols = (w[:, c].reshape(f, k * k).T @ up).reshape(k, k, hi - lo, ho, wo)
-            for i in range(k):
-                for j in range(k):
-                    dx[lo:hi, c, i : i + ho * s : s, j : j + wo * s : s] += dcols[i, j]
-    return dx, dw, db
+    up3 = up4.reshape(len(up4), f, ho * wo)
+    for lo, hi, cols in _conv_columns(x4, k, s, ho, wo, 0):
+        for i in range(lo, hi):
+            dw += up3[i] @ cols[i - lo].T
+        # the taps' gradients overwrite the taps, then k·k strided adds scatter them
+        dcols = np.matmul(filters.T, up3[lo:hi], out=cols).reshape(hi - lo, c_in, k, k, ho, wo)
+        for i, j in np.ndindex(k, k):
+            dx[lo:hi, :, i : i + ho * s : s, j : j + wo * s : s] += dcols[:, :, i, j]
+    return dx, dw.reshape(w.shape), db
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,10 @@ def _unknown_layer_field(meta, arrays):
     meta["network"]["layers"][0]["dilation"] = 2
 
 
+def _fractional_kernel(meta, arrays):
+    meta["network"]["layers"][0]["kernel"] = 2.5
+
+
 def _infeasible_spec(meta, arrays):
     meta["network"]["input_shape"] = [1, 2, 2]
 
@@ -171,6 +175,7 @@ def _infeasible_spec(meta, arrays):
         (_missing_conv1_bias, "'trunk.conv1.b' of the network is missing"),
         (lambda meta, arrays: meta.pop("network"), "meta field 'network' is missing"),
         (_unknown_layer_field, r"'network'.*unknown layer field\(s\) \['dilation'\]"),
+        (_fractional_kernel, "'network'.*layer field 'kernel' must be an int, got 2.5"),
         (_infeasible_spec, "'network'.*kernel 3 does not fit 2x2"),
         (lambda meta, arrays: meta["param_order"].append(["trunk.fc1.w"]),
          r"'param_order' holds \['trunk.fc1.w'\], not a name"),
@@ -182,7 +187,8 @@ def _infeasible_spec(meta, arrays):
         (lambda meta, arrays: meta["network"].update(layers=[]),
          "'network'.*at least one layer"),
     ],
-    ids=["fc1-shape", "missing-conv1-bias", "no-network", "unknown-layer-field", "infeasible",
+    ids=["fc1-shape", "missing-conv1-bias", "no-network", "unknown-layer-field",
+         "fractional-kernel", "infeasible",
          "list-name", "dict-name", "duplicate-name", "extra-not-dict", "no-layers"],
 )
 def test_load_checkpoint_rejects_malformed(tmp_path, corrupt, match):

@@ -80,6 +80,15 @@ def test_rejects_bad_k():
         kmeans(pts, 5, seed=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_points(bad):
+    pts = np.random.default_rng(0).normal(size=(6, 2))
+    pts[3, 1] = bad
+    pts[5, 0] = bad
+    with pytest.raises(ValueError, match="row 3 is not finite"):
+        kmeans(pts, 2, seed=0)
+
+
 def test_duplicate_points_still_terminate():
     pts = np.zeros((10, 2))
     res = kmeans(pts, 3, seed=0)

@@ -77,6 +77,20 @@ class TestSpecs:
         with pytest.raises(ValueError, match="kind"):
             LayerSpec("dropout")
 
+    @pytest.mark.parametrize("kind, fields, bad", [
+        ("conv", {"kernel": 2.5, "filters": 2}, "kernel"),
+        ("conv", {"kernel": 3.0, "filters": 2}, "kernel"),
+        ("conv", {"kernel": 3, "filters": True}, "filters"),
+        ("conv", {"kernel": 3, "filters": 2, "stride": 2.0}, "stride"),
+        ("conv", {"kernel": 3, "filters": 2, "stride": None}, "stride"),
+        ("maxpool", {"kernel": 2, "filters": 2.5}, "filters"),
+        ("fc", {"out_dim": 4.0}, "out_dim"),
+        ("lrn", {"lrn_n": np.int64(5), "lrn_k": 2.0, "lrn_alpha": 1e-4, "lrn_beta": 0.75}, "lrn_n"),
+    ])
+    def test_rejects_non_int_layer_sizes(self, kind, fields, bad):
+        with pytest.raises(ValueError, match=f"layer field '{bad}' must be an int"):
+            LayerSpec(kind, **fields)
+
 
 class TestTrunkForward:
     def test_deterministic_and_pure(self):
@@ -167,6 +181,16 @@ class TestTrunkForward:
         img = np.zeros(spec.input_shape)
         with pytest.raises(ValueError, match="bridge"):
             trunk_forward(spec, params, img, np.zeros(5))
+
+    def test_rejects_descriptor_on_image_only_trunk(self):
+        spec = tiny_spec(bridge_dim=0)
+        params = init_trunk_params(spec, np.random.default_rng(0))
+        img = np.zeros(spec.input_shape)
+        for h in (np.arange(7.0), np.zeros(0)):
+            with pytest.raises(ValueError, match="takes no bridge descriptor"):
+                trunk_forward(spec, params, img, h)
+        with pytest.raises(ValueError, match="takes no bridge descriptor"):
+            trunk_forward(spec, params, img[None], np.zeros((1, 4)))
 
     def test_rejects_geometry_mismatch(self):
         spec = tiny_spec(bridge_dim=0)
