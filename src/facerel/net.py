@@ -31,8 +31,8 @@ step     ctx
 conv     ``ConvCtx``: the layer's input and weights
 fc       ``FcCtx``: the layer's input and weights
 lrn      ``LrnCtx``: the layer's input (the base is recomputed)
-maxpool  ``PoolArgmax``: the source index of every output
-relu     the bool mask ``out > 0``, one byte per element
+maxpool  ``PoolArgmax``: each output's tap in its window, one byte each
+relu     the mask ``out > 0`` packed by ``np.packbits``, one bit per element
 =======  ==============================================================
 
 A relu writes its output over its input whenever the walk made that input
@@ -44,6 +44,7 @@ hold, so it runs its own forward walk and reads them as it passes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any
 
@@ -341,7 +342,7 @@ def _step_forward(
         return lrn_forward(x, layer.lrn_n, layer.lrn_k, layer.lrn_alpha, layer.lrn_beta)
     if layer.kind == "relu":
         out = relu(x, out=x if owned else None)
-        return out, out > 0
+        return out, np.packbits(out > 0)
     return fc_forward(x, params[f"trunk.{step.name}.w"].data,
                       params[f"trunk.{step.name}.b"].data, exact=False)
 
@@ -392,7 +393,9 @@ def trunk_backward(
         elif kind == "lrn":
             grad = lrn_backward(ctx, grad)
         else:
-            grad = relu_backward(ctx, grad)
+            shape = (len(grad),) + step.out_shape
+            active = np.unpackbits(ctx, count=math.prod(shape)).view(bool).reshape(shape)
+            grad = relu_backward(active, grad)
         if step.flatten:
             if spec.bridge_dim > 0:
                 d_h = grad[:, -spec.bridge_dim:]

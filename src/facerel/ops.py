@@ -12,11 +12,12 @@ drops that axis again.
 What a ctx keeps.  No ctx holds its own forward's output: conv, fc and lrn
 keep their input (lrn also its scalars; ``lrn_backward`` recomputes the
 normalization base from the input with the forward's exact expression, so it
-sees the same bits), max-pooling keeps only its ``PoolArgmax``, and relu has
-no ctx: its backward takes the bool mask ``relu(x) > 0``, which equals
-``x > 0`` (a NaN is inactive either way).  So a caller may let ``relu`` write
-its output over an input that nothing else holds (``relu(x, out=x)``)
-without spoiling any ctx.
+sees the same bits), max-pooling keeps only its ``PoolArgmax``, one small
+unsigned tap per output, and relu has no ctx: its backward takes the bool
+mask ``relu(x) > 0``, which equals ``x > 0`` (a NaN is inactive either way),
+and the caller may store that mask as it likes (the trunk packs it to bits).
+So a caller may let ``relu`` write its output over an input that nothing
+else holds (``relu(x, out=x)``) without spoiling any ctx.
 
 Determinism contract.  ``conv_forward`` and ``fc_forward`` have two paths.
 
@@ -41,13 +42,18 @@ per sample on the forward's tap columns, so ``dx`` is batch invariant and
 ``dw`` sums the samples in ascending order whatever the sample blocks.
 
 Pooling contract.  ``maxpool_forward`` is bitwise equal, output bytes and
-indices alike, to stacking every window's k*k elements in (dy, dx) order and
+taps alike, to stacking every window's k*k elements in (dy, dx) order and
 taking ``argmax``: each output is the window's first maximum, so among tied
 maxima (``0.0`` and ``-0.0`` tie) the lowest flat index wins and the output
 carries that element's exact bits; a window holding a NaN outputs its first
 NaN.  It is batch invariant.  It copies no window out: it walks the k*k taps
-as strided views of the input, one compare-select each, with one bool mask
-and one small-int tap array of output shape as scratch beyond its outputs.
+as strided views of the input, one compare each, and keeps the latest
+winning tap as a running maximum, with one bool mask and one small-int array
+of output shape as scratch beyond its outputs.  It then gathers the
+winners' bits by flat source index, one sample block of indices at a time,
+so no index array of the whole output's size exists.  ``maxpool_backward``
+rebuilds the same indices from the taps and sums the upstream gradient into
+them with one ``bincount``.
 """
 
 from __future__ import annotations
@@ -77,9 +83,10 @@ def _as_batched_images(x: np.ndarray, who: str) -> np.ndarray:
     return x
 
 
-#: Bytes of per-block scratch held by the conv forward and backward, the exact
-#: fc forward and the batched HOG.  They walk their inputs in blocks of as many
-#: samples (fc: input indices) as fit, so scratch stays bounded at any batch.
+#: Bytes of per-block scratch held by the conv forward and backward, the
+#: max-pool gather's source indices, the exact fc forward and the batched HOG.
+#: They walk their inputs in blocks of as many samples (fc: input indices) as
+#: fit, so scratch stays bounded at any batch.
 SCRATCH_BYTES = 1 << 21
 
 
@@ -193,14 +200,17 @@ def conv_backward(
 class PoolArgmax:
     """Where every pooled output came from, for ``maxpool_backward``.
 
-    ``indices[s, c, oy, ox]`` is the flat index into sample ``s``'s
-    ``C*H*W`` input of the value that output took: the first maximum of its
-    window in (dy, dx) order, which is the lowest flat index among tied
-    maxima, or the window's first NaN.  ``input_shape`` is the input's
-    (N, C, H, W).
+    ``taps[s, c, oy, ox]`` is the position ``dy * kernel + dx`` inside its
+    window of the value that output took: the window's first maximum in
+    (dy, dx) order, which is the lowest flat index among tied maxima, or its
+    first NaN.  It is stored in the smallest unsigned type that holds
+    ``kernel * kernel - 1`` (one byte up to a 16x16 window).  ``kernel`` and
+    ``stride`` place the windows; ``input_shape`` is the input's (N, C, H, W).
     """
 
-    indices: np.ndarray    # (N, C, Ho, Wo), int64
+    taps: np.ndarray       # (N, C, Ho, Wo), unsigned
+    kernel: int
+    stride: int
     input_shape: tuple[int, int, int, int]
 
 
@@ -223,6 +233,22 @@ def pool_windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     return np.stack(list(_pool_taps(x, kernel, stride)), axis=-1)
 
 
+def _pool_sources(taps: np.ndarray, kernel: int, stride: int, input_shape) -> np.ndarray:
+    """The flat index into each sample's ``C*H*W`` input of every output of
+    ``taps``, a block of ``PoolArgmax.taps``: the tap's offset inside its
+    window, ``dy * W + dx = t + dy * (W - kernel)``, plus the window's origin.
+    Returns an intp array of the block's shape; nothing else it allocates is
+    larger than one sample's indices."""
+    _, c, h, wd = input_shape
+    _, _, ho, wo = taps.shape
+    sources = np.floor_divide(taps, kernel, out=np.empty(taps.shape, dtype=np.intp))
+    sources *= wd - kernel
+    sources += taps
+    sources += ((np.arange(c) * (h * wd))[:, None, None]
+                + (np.arange(ho) * (stride * wd))[:, None] + np.arange(wo) * stride)
+    return sources
+
+
 def maxpool_forward(
     x: np.ndarray, kernel: int, stride: int
 ) -> tuple[np.ndarray, PoolArgmax]:
@@ -235,20 +261,20 @@ def maxpool_forward(
         raise ValueError(
             f"maxpool_forward: kernel {kernel} exceeds input extent ({h}x{wd})"
         )
-    ho = (h - kernel) // stride + 1
-    wo = (wd - kernel) // stride + 1
 
-    # One compare-select per tap: a later tap wins a window only when
-    # strictly greater, so ``tap`` ends on the window's first maximum.
-    # ``out`` holds the NaN-propagating running max, so it ends NaN exactly
-    # in the windows that hold a NaN.
+    # One compare per tap: a later tap wins a window only when strictly
+    # greater, so ``tap`` ends on the window's first maximum.  Taps come in
+    # ascending order, so the maximum of ``tap`` and ``wins * t`` records the
+    # latest winner.  ``out`` holds the NaN-propagating running max, so it
+    # ends NaN exactly in the windows that hold a NaN.
     taps = _pool_taps(x4, kernel, stride)
     out = next(taps).copy()
     tap = np.zeros(out.shape, dtype=np.min_scalar_type(kernel * kernel - 1))
     wins = np.empty(out.shape, dtype=bool)
+    won = np.empty_like(tap)
     for t, view in enumerate(taps, start=1):
         np.greater(view, out, out=wins)
-        np.copyto(tap, t, where=wins)
+        np.maximum(tap, np.multiply(wins, t, out=won, dtype=tap.dtype), out=tap)
         np.maximum(out, view, out=out)
     if np.isnan(out, out=wins).any():
         # as in argmax, a window's first NaN wins: walk the taps backwards
@@ -256,21 +282,17 @@ def maxpool_forward(
         for t, view in reversed(list(enumerate(_pool_taps(x4, kernel, stride)))):
             np.copyto(tap, t, where=np.isnan(view) & wins)
 
-    # The flat source index, built in place: the tap's offset inside its
-    # window plus the window's origin, plus the sample's only for the gather.
-    in_window = (np.arange(kernel)[:, None] * wd + np.arange(kernel)).reshape(-1)
-    indices = np.take(in_window.astype(np.int64), tap)
-    indices += (np.arange(c) * (h * wd))[:, None, None]
-    indices += (np.arange(ho) * (stride * wd))[:, None]
-    indices += np.arange(wo) * stride
-    sample = (np.arange(n) * (c * h * wd))[:, None, None, None]
-    indices += sample
-    # the gather gives the winners' exact bits, -0.0 included; every index
-    # is in range, and "clip" lets take write to ``out`` without buffering
-    np.take(x4.reshape(-1), indices, out=out, mode="clip")
-    indices -= sample
+    # The gather gives the winners' exact bits, -0.0 included, one sample
+    # block of source indices at a time; every index is in range, and
+    # "clip" lets take write to ``out`` without buffering.
+    flat = x4.reshape(n, c * h * wd)
+    for lo, hi in sample_blocks(n, c * tap.shape[2] * tap.shape[3] * np.dtype(np.intp).itemsize):
+        sources = _pool_sources(tap[lo:hi], kernel, stride, x4.shape)
+        sources += (np.arange(hi - lo) * flat.shape[1])[:, None, None, None]
+        np.take(flat[lo:hi], sources, out=out[lo:hi], mode="clip")
+        del sources  # freed before the next block builds its own
 
-    return out, PoolArgmax(indices, (n, c, h, wd))
+    return out, PoolArgmax(tap, kernel, stride, (n, c, h, wd))
 
 
 def maxpool_backward(argmax: PoolArgmax, upstream: np.ndarray) -> np.ndarray:
@@ -278,20 +300,20 @@ def maxpool_backward(argmax: PoolArgmax, upstream: np.ndarray) -> np.ndarray:
     if argmax is None:
         raise ValueError("maxpool_backward: argmax record is required")
     up4 = _as_batched_images(upstream, "maxpool_backward")
-    if up4.shape != argmax.indices.shape:
+    taps, k = argmax.taps, argmax.kernel
+    if up4.shape != taps.shape:
         raise ValueError(
             f"maxpool_backward: upstream shape {up4.shape} does not match "
-            f"argmax shape {argmax.indices.shape}"
+            f"argmax shape {taps.shape}"
         )
-    n, c, h, wd = argmax.input_shape
-    flat_size = c * h * wd
-    idx = argmax.indices.reshape(n, -1)
-    if idx.size and (idx.min() < 0 or idx.max() >= flat_size):
-        raise ValueError("maxpool_backward: argmax index out of range")
+    if taps.size and (taps.min() < 0 or taps.max() >= k * k):
+        raise ValueError(f"maxpool_backward: argmax tap out of range for a {k}x{k} window")
 
     # One bincount over sample-offset indices sums where windows overlap.
-    flat = (idx + np.arange(n)[:, None] * flat_size).reshape(-1)
-    dx = np.bincount(flat, weights=up4.reshape(-1), minlength=n * flat_size)
+    n, c, h, wd = argmax.input_shape
+    flat = _pool_sources(taps, k, argmax.stride, argmax.input_shape)
+    flat += (np.arange(n) * (c * h * wd))[:, None, None, None]
+    dx = np.bincount(flat.reshape(-1), weights=up4.reshape(-1), minlength=n * c * h * wd)
     return dx.astype(up4.dtype, copy=False).reshape(n, c, h, wd)
 
 

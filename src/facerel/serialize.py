@@ -1,14 +1,14 @@
 """A small self-describing binary container: JSON header plus raw arrays.
 
 Layout: 8-byte magic, little-endian uint64 header length, UTF-8 JSON header,
-then the raw bytes of each array in the header's listed order.  The header
-carries a format version, a container kind, caller metadata, the name /
-shape / dtype of every array, and the SHA-256 of all the array bytes, which
-loading checks, so a damaged byte in array data raises instead of loading.
-Every array is float64, stored ``<f8``, and every number in the header is
-finite.  Writing the same content twice produces byte-identical files: the
-header is dumped with sorted keys and arrays are stored in sorted-name order,
-little-endian, C-contiguous.
+then the raw bytes of each array in the header's listed order, and nothing
+after them.  The header carries a format version, a container kind, caller
+metadata, the name / shape / dtype of every array (each name once), and the
+SHA-256 of all the array bytes, which loading checks, so a damaged byte in
+array data raises instead of loading.  Every array is float64, stored
+``<f8``, and every number in the header is finite.  Writing the same content
+twice produces byte-identical files: the header is dumped with sorted keys
+and arrays are stored in sorted-name order, little-endian, C-contiguous.
 """
 
 from __future__ import annotations
@@ -103,12 +103,16 @@ def load_container(path) -> tuple[str, dict, dict[str, np.ndarray]]:
         digest = hashlib.sha256()
         for i, entry in enumerate(header["arrays"]):
             name, shape = _entry(path, i, entry)
+            if name in arrays:
+                raise ValueError(f"{path}: header lists array {name!r} twice")
             nbytes = math.prod(shape) * np.dtype(_DTYPE).itemsize
             if nbytes > size - f.tell():
                 raise ValueError(f"{path}: truncated array data for {name!r}")
             blob = f.read(nbytes)
             digest.update(blob)
             arrays[name] = np.frombuffer(blob, dtype=_DTYPE).reshape(shape).copy()
+        if f.tell() != size:
+            raise ValueError(f"{path}: {size - f.tell()} trailing byte(s) after the last array")
     if header.get("sha256") != digest.hexdigest():
         raise ValueError(f"{path}: array data does not match the header's sha256 digest")
     return header["kind"], header["meta"], arrays

@@ -80,7 +80,8 @@ def stack_maxpool(x, kernel, stride):
     The k*k window elements are stacked in (dy, dx) order and ``argmax``
     picks the winner: the first maximum, or the first NaN.  Unlike
     ``naive_maxpool``, whose ``v > best`` loop never lets a NaN win, this
-    holds the library's NaN semantics.  Returns (out, flat per-sample index).
+    holds the library's NaN semantics.  Returns (out, the winner's position
+    ``dy * kernel + dx`` in its window, flat per-sample index).
     """
     n, c, h, wd = x.shape
     ho = (h - kernel) // stride + 1
@@ -93,7 +94,7 @@ def stack_maxpool(x, kernel, stride):
     ox = np.arange(wo)[None, None, None, :]
     ch = np.arange(c)[None, :, None, None]
     flat = ch * (h * wd) + (oy * stride + win_arg // kernel) * wd + (ox * stride + win_arg % kernel)
-    return out, flat.astype(np.int64)
+    return out, win_arg, flat.astype(np.int64)
 
 
 def naive_lrn(x, n, k, alpha, beta):

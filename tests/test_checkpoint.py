@@ -104,6 +104,25 @@ def test_container_rejects_truncated_header(tmp_path, tail, match):
         load_container(path)
 
 
+def test_container_rejects_an_array_listed_twice(tmp_path):
+    entry = {"name": "a", "shape": [1], "dtype": "<f8"}
+    header = _header(arrays=[entry, entry])
+    path = tmp_path / "twice.bin"
+    path.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header + b"\x00" * 16)
+    with pytest.raises(ValueError, match="header lists array 'a' twice") as err:
+        load_container(path)
+    assert str(path) in str(err.value)
+
+
+def test_container_rejects_bytes_after_the_last_array(tmp_path):
+    path = tmp_path / "c.bin"
+    save_container(path, "test", {}, {"x": np.linspace(0, 1, 11)})
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ValueError, match=r"1 trailing byte\(s\) after the last array") as err:
+        load_container(path)
+    assert str(path) in str(err.value)
+
+
 def test_save_container_refuses_what_it_cannot_store(tmp_path):
     path = tmp_path / "c.bin"
     with pytest.raises(ValueError, match="array 'x' has unsupported dtype float32"):

@@ -396,19 +396,35 @@ class TestTrunkCache:
         params = init_trunk_params(spec, np.random.default_rng(0))
         rng = np.random.default_rng(8)
         imgs = rng.normal(size=(3,) + spec.input_shape)
-        _, cache = trunk_forward(spec, params, imgs, rng.normal(size=(3, spec.bridge_dim)))
+        h = rng.normal(size=(3, spec.bridge_dim))
+        _, cache = trunk_forward(spec, params, imgs, h)
         kinds = set()
+        cur = imgs.copy()
         for step, ctx in cache.entries:
             kinds.add(step.layer.kind)
+            cur, _ = net._step_forward(spec, params, step, cur, h, owned=True)
             if step.layer.kind == "relu":
-                assert ctx.dtype == bool and ctx.shape == (3,) + step.out_shape
+                assert ctx.dtype == np.uint8 and ctx.shape == (-(-cur.size // 8),)
+                unpacked = np.unpackbits(ctx, count=cur.size).reshape(cur.shape)
+                np.testing.assert_array_equal(unpacked, cur > 0)
             elif step.layer.kind == "lrn":
                 held = list(_arrays_in(ctx))
                 assert len(held) == 1 and held[0].dtype == np.float64
                 assert held[0].shape == (3,) + step.in_shape
             elif step.layer.kind == "maxpool":
                 assert isinstance(ctx, ops.PoolArgmax)
+                held = list(_arrays_in(ctx))
+                assert all(a.dtype != np.int64 for a in held)
+                assert ctx.taps.shape == cur.shape
+                assert sum(a.nbytes for a in held) == cur.size  # one byte per output
         assert kinds == {"conv", "relu", "maxpool", "lrn", "fc"}
+
+    def test_packed_relu_mask_keeps_the_upstream_shape_check(self):
+        spec = NetworkSpec((1, 4, 4), (relu_spec(),))
+        params = init_trunk_params(spec, np.random.default_rng(0))
+        _, cache = trunk_forward(spec, params, np.ones((2, 1, 4, 4)))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            trunk_backward(spec, params, cache, np.ones((2, 1, 4, 3)))
 
     @pytest.mark.parametrize("before_pool", [
         (conv_spec(3, 2), relu_spec()),

@@ -254,12 +254,12 @@ class TestMaxPool:
         out, arg = _one(maxpool_forward, np.array([[[1.0, 2.0], [3.0, 4.0]]]), 2, 2)
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == 4.0
-        assert arg.indices[0, 0, 0, 0] == 3
+        assert arg.taps[0, 0, 0, 0] == 3
 
     def test_constant_input_tie_breaks_low(self):
         out, arg = _one(maxpool_forward, np.ones((1, 4, 4)), 2, 2)
         np.testing.assert_array_equal(out, np.ones((1, 2, 2)))
-        np.testing.assert_array_equal(arg.indices[0, 0], [[0, 2], [8, 10]])
+        np.testing.assert_array_equal(arg.taps[0, 0], [[0, 0], [0, 0]])
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(5)
@@ -267,7 +267,7 @@ class TestMaxPool:
         out, arg = _one(maxpool_forward, x, 2, 2)
         o_out, o_arg = naive_maxpool(x, 2, 2)
         np.testing.assert_array_equal(out, o_out)
-        np.testing.assert_array_equal(arg.indices[0], o_arg)
+        np.testing.assert_array_equal(ops._pool_sources(arg.taps, 2, 2, (1,) + x.shape)[0], o_arg)
 
     def test_backward_routes_to_argmax(self):
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
@@ -306,7 +306,7 @@ class TestMaxPool:
         x = np.array([[[1.0, 2.0, 9.0], [np.nan, -np.nan, 3.0]]])
         out, arg = _one(maxpool_forward, x, 2, 1)
         assert np.isnan(out).all()
-        np.testing.assert_array_equal(arg.indices[0, 0], [[3, 4]])
+        np.testing.assert_array_equal(arg.taps[0, 0], [[2, 2]])
         assert np.signbit(out[0, 0, 1])  # the winner's bits, sign included
 
     def test_rejects_kernel_larger_than_input(self):
@@ -315,7 +315,7 @@ class TestMaxPool:
 
     def test_rejects_out_of_range_index(self):
         out, arg = maxpool_forward(np.ones((1, 1, 2, 2)), 2, 2)
-        arg.indices[0, 0, 0, 0] = 99
+        arg.taps[0, 0, 0, 0] = 4  # a 2x2 window has taps 0..3
         with pytest.raises(ValueError, match="out of range"):
             maxpool_backward(arg, np.ones_like(out))
 

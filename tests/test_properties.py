@@ -27,7 +27,7 @@ from facerel.net import (
     trunk_backward,
     trunk_forward,
 )
-from facerel.ops import conv_forward, maxpool_forward
+from facerel.ops import conv_forward, maxpool_backward, maxpool_forward
 
 from oracles import (
     assert_forward_matches,
@@ -84,15 +84,28 @@ def pool_cases(draw):
 @given(pool_cases())
 def test_maxpool_forward_is_the_stacked_window_argmax(case):
     x, k, stride = case
-    want_out, want_idx = stack_maxpool(x, k, stride)
+    want_out, want_taps, want_idx = stack_maxpool(x, k, stride)
     out, argmax = maxpool_forward(x, k, stride)
     assert out.dtype == want_out.dtype and out.shape == want_out.shape
     assert out.tobytes() == want_out.tobytes()
-    assert argmax.indices.dtype == np.int64
-    np.testing.assert_array_equal(argmax.indices, want_idx)
+    assert argmax.taps.dtype == np.uint8
+    np.testing.assert_array_equal(argmax.taps, want_taps)
+    np.testing.assert_array_equal(ops._pool_sources(argmax.taps, k, stride, x.shape), want_idx)
     single, single_arg = maxpool_forward(x[:1], k, stride)
     assert single[0].tobytes() == want_out[0].tobytes()
-    np.testing.assert_array_equal(single_arg.indices, want_idx[:1])
+    np.testing.assert_array_equal(single_arg.taps, want_taps[:1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool_cases(), st.integers(0, 2**32 - 1))
+def test_maxpool_backward_is_the_bincount_over_the_stacked_argmax(case, seed):
+    x, k, stride = case
+    _, _, want_idx = stack_maxpool(x, k, stride)
+    out, argmax = maxpool_forward(x, k, stride)
+    up = np.random.default_rng(seed).normal(size=out.shape)
+    flat = want_idx + (np.arange(len(x)) * x[0].size)[:, None, None, None]
+    want = np.bincount(flat.reshape(-1), weights=up.reshape(-1), minlength=x.size)
+    assert maxpool_backward(argmax, up).tobytes() == want.reshape(x.shape).tobytes()
 
 
 @st.composite
