@@ -10,11 +10,17 @@ as many images as fit ``ops.SCRATCH_BYTES`` of scratch, and
 ``compute_hog`` is its one-image case.  Every sum keeps the per-image order
 (a cell's pixels in row-major order, a block's squares in one contiguous
 row), so an image's bits do not depend on the stack around it.
+
+The index tables of a geometry (each pixel's cell, each block's cells) are
+built once by ``_tables``, keyed on image height, image width and the
+``HogConfig``, kept in an LRU cache of 32 entries and marked read-only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,17 +35,22 @@ class HogConfig:
     eps: float = 1e-5     # block normalization guard
 
     def __post_init__(self):
-        if self.cell < 1 or self.block < 1 or self.bins < 1:
-            raise ValueError("cell, block and bins must all be >= 1")
-        if self.eps <= 0:
-            raise ValueError("normalization epsilon must be positive")
+        for name in ("cell", "block", "bins"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"HogConfig {name} must be an int, got {v!r}")
+            if v < 1:
+                raise ValueError(f"HogConfig {name} must be >= 1, got {v}")
+        eps = self.eps
+        if isinstance(eps, bool) or not isinstance(eps, (int, float)) or not 0 < eps < math.inf:
+            raise ValueError(f"HogConfig eps must be a finite number > 0, got {eps!r}")
 
     def to_dict(self) -> dict:
         return {"cell": self.cell, "block": self.block, "bins": self.bins, "eps": self.eps}
 
     @staticmethod
     def from_dict(d: dict) -> "HogConfig":
-        return HogConfig(int(d["cell"]), int(d["block"]), int(d["bins"]), float(d["eps"]))
+        return HogConfig(d["cell"], d["block"], d["bins"], d["eps"])
 
     def length_for(self, height: int, width: int) -> int:
         cy, cx = height // self.cell, width // self.cell
@@ -67,7 +78,10 @@ def _checked_stack(images, cfg: HogConfig, first: int | None = None) -> np.ndarr
     imgs = np.asarray(images, dtype=np.float64)
     if imgs.ndim != 3:
         raise ValueError(f"expected an (N, H, W) stack of grayscale images, got ndim={imgs.ndim}")
-    cfg.length_for(*imgs.shape[1:])
+    h, w = imgs.shape[1:]
+    cfg.length_for(h, w)
+    if h < 2 or w < 2:
+        raise ValueError(f"image {h}x{w} needs at least 2 pixels a side for its gradients")
     finite = np.isfinite(imgs)
     if not finite.all():
         bad = np.argwhere(~finite)
@@ -79,30 +93,68 @@ def _checked_stack(images, cfg: HogConfig, first: int | None = None) -> np.ndarr
     return imgs
 
 
+@lru_cache(maxsize=32)
+def _tables(h: int, w: int, cfg: HogConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only index tables of one image geometry.
+
+    ``scatter`` (used rows, used columns) holds each pixel's ``cell * bins``,
+    the base its orientation bin is added to for ``bincount``.  ``gather``
+    (by * bx, block * block * bins) lists each block's (cell row, cell
+    column, bin) entries of an image's flat histogram, row-major.
+    """
+    cy, cx, b = h // cfg.cell, w // cfg.cell, cfg.block
+    rows = np.arange(cy * cfg.cell) // cfg.cell
+    cols = np.arange(cx * cfg.cell) // cfg.cell
+    scatter = (rows[:, None] * cx + cols) * cfg.bins
+    flat = np.arange(cy * cx * cfg.bins).reshape(cy, cx, cfg.bins)
+    windows = np.lib.stride_tricks.sliding_window_view(flat, (b, b), axis=(0, 1))
+    gather = windows.transpose(0, 1, 3, 4, 2).reshape(-1, b * b * cfg.bins)
+    scatter.setflags(write=False)
+    gather.setflags(write=False)
+    return scatter, gather
+
+
+def _gradient(f: np.ndarray, axis: int) -> np.ndarray:
+    """``np.gradient(f, axis=axis)``: central differences inside, one-sided at the ends."""
+    f = np.moveaxis(f, axis, 0)
+    g = np.empty_like(f)
+    np.subtract(f[2:], f[:-2], out=g[1:-1])
+    g[1:-1] /= 2.0
+    np.subtract(f[1], f[0], out=g[0])
+    np.subtract(f[-1], f[-2], out=g[-1])
+    return np.moveaxis(g, 0, axis)
+
+
 def _histograms(imgs: np.ndarray, cfg: HogConfig) -> np.ndarray:
-    """Per-cell histograms of a checked stack, shape (N, cy, cx, bins)."""
+    """Per-cell histograms of a checked stack, shape (N, cy * cx * bins)."""
     n, h, w = imgs.shape
-    cy, cx = h // cfg.cell, w // cfg.cell
-    gy, gx = np.gradient(imgs, axis=(1, 2))
+    scatter, _ = _tables(h, w, cfg)
+    used_h, used_w = scatter.shape
+    gy = _gradient(imgs, 1)[:, :used_h, :used_w]
+    gx = _gradient(imgs, 2)[:, :used_h, :used_w]
     mag = np.hypot(gx, gy)
-    theta = np.mod(np.arctan2(gy, gx), np.pi)  # unsigned orientation in [0, pi)
-    bin_idx = np.minimum((theta / (np.pi / cfg.bins)).astype(np.int64), cfg.bins - 1)
+    # unsigned orientation in [0, pi]: np.mod(theta, pi) spelled out for
+    # arctan2's range, the same bits up to the sign of a zero at a third of
+    # the cost (np.mod is fmod plus this fold)
+    theta = np.arctan2(gy, gx)
+    theta[theta == np.pi] = 0.0
+    np.add(theta, np.pi, out=theta, where=theta < 0)
+    theta /= np.pi / cfg.bins
+    idx = np.minimum(theta.astype(np.int64), cfg.bins - 1)
 
     # One bincount over (image, cell, bin) indices adds each cell's pixels in
     # row-major order, as a per-image scatter would.
-    used_h, used_w = cy * cfg.cell, cx * cfg.cell
-    cell = (np.arange(used_h) // cfg.cell)[:, None] * cx + np.arange(used_w) // cfg.cell
-    idx = (np.arange(n)[:, None, None] * (cy * cx) + cell) * cfg.bins
-    idx += bin_idx[:, :used_h, :used_w]
-    hist = np.bincount(
-        idx.ravel(), weights=mag[:, :used_h, :used_w].ravel(), minlength=n * cy * cx * cfg.bins
-    )
-    return hist.reshape(n, cy, cx, cfg.bins)
+    length = (h // cfg.cell) * (w // cfg.cell) * cfg.bins
+    idx += scatter
+    idx += np.arange(0, n * length, length)[:, None, None]
+    return np.bincount(idx.ravel(), weights=mag.ravel(), minlength=n * length).reshape(n, length)
 
 
 def cell_histograms(image: np.ndarray, cfg: HogConfig) -> np.ndarray:
     """Unnormalized per-cell orientation histograms, shape (cy, cx, bins)."""
-    return _histograms(_checked_stack(_one_image(image), cfg), cfg)[0]
+    imgs = _checked_stack(_one_image(image), cfg)
+    h, w = imgs.shape[1:]
+    return _histograms(imgs, cfg).reshape(h // cfg.cell, w // cfg.cell, cfg.bins)
 
 
 def compute_hog_batch(images, cfg: HogConfig | None = None) -> np.ndarray:
@@ -114,21 +166,20 @@ def compute_hog_batch(images, cfg: HogConfig | None = None) -> np.ndarray:
     """
     cfg = cfg or HogConfig()
     n = len(images)
-    h, w = _checked_stack(images[:1], cfg).shape[1:]
-    b = cfg.block
-    by, bx = h // cfg.cell - b + 1, w // cfg.cell - b + 1
-    out = np.empty((n, cfg.length_for(h, w)))
+    imgs = _checked_stack(images[:1], cfg, None if n == 1 else 0)
+    h, w = imgs.shape[1:]
+    _, gather = _tables(h, w, cfg)
+    out = np.empty((n, gather.size))
     # about ten pixel-sized float64/int64 temporaries live at once per image
     for lo, hi in ops.sample_blocks(n, 10 * h * w * out.itemsize):
-        for k, img in enumerate(images[lo:hi], lo):
-            if np.shape(img) != (h, w):
-                raise ValueError(f"image {k} has shape {np.shape(img)}, not {(h, w)} like image 0")
-        imgs = _checked_stack(images[lo:hi], cfg, None if n == 1 else lo)
-        hist = _histograms(imgs, cfg)
-        # each block's (cell row, cell column, bin) values as one contiguous row
-        windows = np.lib.stride_tricks.sliding_window_view(hist, (b, b), axis=(1, 2))
-        blocks = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
-        blocks = blocks.reshape(hi - lo, by, bx, b * b * cfg.bins)
+        if n > 1:  # a lone image was checked above
+            for k, img in enumerate(images[lo:hi], lo):
+                if np.shape(img) != (h, w):
+                    raise ValueError(f"image {k} has shape {np.shape(img)}, not {(h, w)} like image 0")
+            imgs = _checked_stack(images[lo:hi], cfg, lo)
+        # each block's (cell row, cell column, bin) values as one contiguous
+        # row; np.take writes them C-ordered, where fancy indexing would not
+        blocks = np.take(_histograms(imgs, cfg), gather, axis=1)
         norm = np.sqrt(np.sum(blocks * blocks, axis=-1, keepdims=True) + cfg.eps * cfg.eps)
         np.divide(blocks, norm, out=out[lo:hi].reshape(blocks.shape))
     return out

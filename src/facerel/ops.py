@@ -472,7 +472,8 @@ def relu_backward(active: np.ndarray, upstream: np.ndarray) -> np.ndarray:
         raise ValueError(f"relu_backward: expected a bool mask, got dtype {active.dtype}")
     if up.shape != active.shape:
         raise ValueError(f"relu_backward: shape mismatch {up.shape} vs {active.shape}")
-    return up * active
+    # a same-dtype multiply: the bool-times-float one costs twice as much
+    return up * active.astype(up.dtype)
 
 
 def sigmoid(z):

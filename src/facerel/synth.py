@@ -25,12 +25,22 @@ box-normalized), ``SCENE_HEIGHT`` and ``SCENE_WIDTH`` (pair scene extent in
 pixels), ``RELATION_RATES`` (positive rate per relation trait, mirroring
 ``RELATION_IMBALANCE_COUNTS``) and ``CORPUS_GROUPS`` (the attribute groups
 each of corpora a, b and c labels).
+
+``render_face`` builds what depends only on the geometry once per process,
+each in an LRU cache of 128 entries and read-only: the coordinate grid
+(``_grid``, keyed on height and width), the stripe background
+(``_background``, keyed on pose mode and face size) and the glyph mask
+(``_glyph_mask``, keyed on expression and mouth-region height and width).
+A face copies its background and draws on the copy.  The module constants
+are not meant to be patched: ``POSE_MODES`` is read when a background is
+built, and a cached background keeps the value it saw.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -168,43 +178,61 @@ def _mode_angle(mode: int) -> float:
     return np.deg2rad(-80.0 + 160.0 * mode / (POSE_MODES - 1))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=128)
+def _grid(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column coordinates in [0, 1) of an ``h`` x ``w`` canvas."""
+    yy, xx = np.meshgrid(np.linspace(0, 1, h, endpoint=False),
+                         np.linspace(0, 1, w, endpoint=False), indexing="ij")
+    return _read_only(yy), _read_only(xx)
+
+
+@lru_cache(maxsize=128)
+def _background(mode: int, size: int) -> np.ndarray:
+    """The stripe texture of one pose mode on a ``size`` x ``size`` canvas."""
+    yy, xx = _grid(size, size)
+    theta = _mode_angle(mode)
+    phase = np.cos(theta) * xx + np.sin(theta) * yy
+    return _read_only(0.45 + 0.18 * np.sin(2 * np.pi * phase / 0.18))
+
+
+@lru_cache(maxsize=128)
+def _glyph_mask(expr: int, h: int, w: int) -> np.ndarray:
+    """The pixels one expression's glyph fills in an ``h`` x ``w`` mouth region."""
+    gy, gx = _grid(h, w)
+    if expr == 0:    # angry: X cross
+        mask = (np.abs(gy - gx) < 0.18) | (np.abs(gy - (1 - gx)) < 0.18)
+    elif expr == 1:  # disgust: horizontal bars
+        mask = np.sin(2 * np.pi * 3 * gy) > 0
+    elif expr == 2:  # fear: vertical bars
+        mask = np.sin(2 * np.pi * 3 * gx) > 0
+    elif expr == 3:  # happy: lower half filled
+        mask = gy > 0.5
+    elif expr == 4:  # sad: upper half filled
+        mask = gy < 0.5
+    elif expr == 5:  # surprise: ring
+        r = np.hypot(gy - 0.5, gx - 0.5)
+        mask = (r > 0.22) & (r < 0.42)
+    else:            # neutral: thin middle line
+        mask = np.abs(gy - 0.5) < 0.12
+    return _read_only(mask)
+
+
 def render_face(lat: FaceLatents, rng: np.random.Generator, size: int) -> np.ndarray:
     """One grayscale face crop in [0, 1], square with side ``size``."""
-    yy, xx = np.meshgrid(np.linspace(0, 1, size, endpoint=False),
-                         np.linspace(0, 1, size, endpoint=False), indexing="ij")
-    theta = _mode_angle(lat.mode)
-    phase = np.cos(theta) * xx + np.sin(theta) * yy
-    img = 0.45 + 0.18 * np.sin(2 * np.pi * phase / 0.18)
+    img = _background(lat.mode, size).copy()
 
     _rect(img, 0.0, 0.5, 0.0, 0.125, 0.9 if lat.gender else 0.1)
     _rect(img, 0.0, 0.5, 0.875, 1.0, 0.9 if lat.young else 0.1)
 
     # expression glyph in the mouth region
     gy0, gy1, gx0, gx1 = 0.58, 0.79, 0.3, 0.7
-    ys = slice(int(gy0 * size), int(gy1 * size))
-    xs = slice(int(gx0 * size), int(gx1 * size))
-    g_h, g_w = img[ys, xs].shape
-    gy, gx = np.meshgrid(np.linspace(0, 1, g_h, endpoint=False),
-                         np.linspace(0, 1, g_w, endpoint=False), indexing="ij")
-    e = lat.expr
-    if e == 0:    # angry: X cross
-        mask = (np.abs(gy - gx) < 0.18) | (np.abs(gy - (1 - gx)) < 0.18)
-    elif e == 1:  # disgust: horizontal bars
-        mask = np.sin(2 * np.pi * 3 * gy) > 0
-    elif e == 2:  # fear: vertical bars
-        mask = np.sin(2 * np.pi * 3 * gx) > 0
-    elif e == 3:  # happy: lower half filled
-        mask = gy > 0.5
-    elif e == 4:  # sad: upper half filled
-        mask = gy < 0.5
-    elif e == 5:  # surprise: ring
-        r = np.hypot(gy - 0.5, gx - 0.5)
-        mask = (r > 0.22) & (r < 0.42)
-    else:         # neutral: thin middle line
-        mask = np.abs(gy - 0.5) < 0.12
-    region = img[ys, xs]
-    region[mask] = 0.98
-    img[ys, xs] = region
+    region = img[int(gy0 * size) : int(gy1 * size), int(gx0 * size) : int(gx1 * size)]
+    region[_glyph_mask(lat.expr, *region.shape)] = 0.98
 
     _rect(img, 0.6, 0.7, 0.16, 0.27, 0.98 if lat.smiling else 0.02)
     _rect(img, 0.6, 0.7, 0.73, 0.84, 0.98 if lat.smiling else 0.02)
@@ -221,8 +249,8 @@ def render_face(lat: FaceLatents, rng: np.random.Generator, size: int) -> np.nda
         checker = (np.add.outer(np.arange(band.shape[0]), np.arange(band.shape[1])) % 2)
         band[:] = np.where(checker, 0.25, 0.6)
 
-    img = img + rng.normal(0.0, NOISE, size=img.shape)
-    return np.clip(img, 0.0, 1.0)
+    img += rng.normal(0.0, NOISE, size=img.shape)
+    return np.clip(img, 0.0, 1.0, out=img)
 
 
 def face_landmarks(mode: int, rng: np.random.Generator) -> np.ndarray:

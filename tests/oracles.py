@@ -4,11 +4,14 @@ The kernels here are written as plain nested loops over scalars, directly
 from the defining formulas, and share no code with the package under test.
 ``copying_trunk_walk`` is the one exception: it composes ``ops`` layer calls,
 to hold the trunk walk itself (its cache, its in-place relu) to them.
+``naive_render_face`` is vectorised too: it is the face renderer with every
+grid, background and glyph mask rebuilt on each call, to hold the cached
+renderer to it.
 """
 
 import numpy as np
 
-from facerel import ops
+from facerel import ops, synth
 
 
 def naive_conv(x, w, b, stride=1):
@@ -265,3 +268,58 @@ def naive_hog(img, cell, block, bins, eps):
                           for i in range(block) for j in range(block) for k in range(bins)])
             out.extend(v / np.sqrt(np.sum(v * v) + eps * eps))
     return np.array(out)
+
+
+def naive_render_face(lat, rng, size):
+    """``synth.render_face`` built from scratch on every call: its own grids,
+    background and glyph mask, nothing cached.  Draws the same noise from
+    ``rng``, so both leave the generator in the same state."""
+
+    def rect(img, y0, y1, x0, x1, value):
+        s_y, s_x = img.shape
+        img[int(y0 * s_y) : int(y1 * s_y), int(x0 * s_x) : int(x1 * s_x)] = value
+
+    yy, xx = np.meshgrid(np.linspace(0, 1, size, endpoint=False),
+                         np.linspace(0, 1, size, endpoint=False), indexing="ij")
+    theta = np.deg2rad(-80.0 + 160.0 * lat.mode / (synth.POSE_MODES - 1))
+    phase = np.cos(theta) * xx + np.sin(theta) * yy
+    img = 0.45 + 0.18 * np.sin(2 * np.pi * phase / 0.18)
+
+    rect(img, 0.0, 0.5, 0.0, 0.125, 0.9 if lat.gender else 0.1)
+    rect(img, 0.0, 0.5, 0.875, 1.0, 0.9 if lat.young else 0.1)
+
+    ys = slice(int(0.58 * size), int(0.79 * size))
+    xs = slice(int(0.3 * size), int(0.7 * size))
+    g_h, g_w = img[ys, xs].shape
+    gy, gx = np.meshgrid(np.linspace(0, 1, g_h, endpoint=False),
+                         np.linspace(0, 1, g_w, endpoint=False), indexing="ij")
+    masks = [
+        (np.abs(gy - gx) < 0.18) | (np.abs(gy - (1 - gx)) < 0.18),  # angry: X cross
+        np.sin(2 * np.pi * 3 * gy) > 0,                            # disgust: horizontal bars
+        np.sin(2 * np.pi * 3 * gx) > 0,                            # fear: vertical bars
+        gy > 0.5,                                                  # happy: lower half
+        gy < 0.5,                                                  # sad: upper half
+        (np.hypot(gy - 0.5, gx - 0.5) > 0.22) & (np.hypot(gy - 0.5, gx - 0.5) < 0.42),  # ring
+        np.abs(gy - 0.5) < 0.12,                                   # neutral: middle line
+    ]
+    region = img[ys, xs]
+    region[masks[lat.expr]] = 0.98
+    img[ys, xs] = region
+
+    rect(img, 0.6, 0.7, 0.16, 0.27, 0.98 if lat.smiling else 0.02)
+    rect(img, 0.6, 0.7, 0.73, 0.84, 0.98 if lat.smiling else 0.02)
+    if lat.mouth_open:
+        rect(img, 0.82, 0.9, 0.38, 0.62, 0.02)
+
+    if lat.beard == 1:
+        rect(img, 0.92, 1.0, 0.4, 0.6, 0.05)
+    elif lat.beard == 2:
+        rect(img, 0.8, 1.0, 0.0, 0.125, 0.05)
+        rect(img, 0.8, 1.0, 0.875, 1.0, 0.05)
+    elif lat.beard == 3:
+        band = img[int(0.92 * size) :, int(0.16 * size) : int(0.84 * size)]
+        checker = np.add.outer(np.arange(band.shape[0]), np.arange(band.shape[1])) % 2
+        band[:] = np.where(checker, 0.25, 0.6)
+
+    img = img + rng.normal(0.0, synth.NOISE, size=img.shape)
+    return np.clip(img, 0.0, 1.0)

@@ -289,9 +289,17 @@ def _repeat_rows(arrays, name):
         (lambda meta, arrays: meta["schema"]["point_names"].reverse(), "'schema'"),
         (lambda meta, arrays: meta.pop("schema"), "'schema'"),
         (lambda meta, arrays: meta["hog"].update(bins=8), "'hog'"),
+        (lambda meta, arrays: meta["hog"].update(cell=8.5), "'hog'"),
+        (lambda meta, arrays: meta["hog"].update(cell=8.0), "'hog'"),
+        (lambda meta, arrays: meta["hog"].update(block=True), "'hog'"),
+        (lambda meta, arrays: meta["hog"].update(bins="9"), "'hog'"),
+        (lambda meta, arrays: meta["hog"].update(eps=0), "'hog'"),
+        (lambda meta, arrays: meta["hog"].update(eps="1e-5"), "'hog'"),
     ],
     ids=["missing-templates", "missing-sentinel", "too-many-children", "short-h-mean",
-         "template-width", "other-split", "other-points", "missing-schema", "hog-bins"],
+         "template-width", "other-split", "other-points", "missing-schema", "hog-bins",
+         "hog-cell-fraction", "hog-cell-float", "hog-block-bool", "hog-bins-string",
+         "hog-eps-zero", "hog-eps-string"],
 )
 def test_load_bank_rejects_malformed_field(tmp_path, edit, field):
     corpus, _ = make_corpus(24, seed=15)

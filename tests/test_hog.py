@@ -106,3 +106,52 @@ def test_batch_rejects_images_of_another_size():
     imgs = [np.zeros((48, 48))] * 12 + [np.zeros((40, 48))]
     with pytest.raises(ValueError, match=r"image 12 has shape \(40, 48\), not \(48, 48\)"):
         compute_hog_batch(imgs, CFG)
+
+
+def test_rejects_image_without_room_for_a_gradient():
+    with pytest.raises(ValueError, match="at least 2 pixels a side"):
+        compute_hog(np.zeros((1, 6)), HogConfig(cell=1, block=1))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("cell", 8.5), ("cell", 8.0), ("block", True), ("bins", "9"), ("bins", 0),
+     ("eps", 0.0), ("eps", -1e-5), ("eps", float("nan")), ("eps", float("inf")),
+     ("eps", True), ("eps", "1e-5")],
+)
+def test_config_refuses_non_integer_sizes_and_bad_eps(field, value):
+    with pytest.raises(ValueError, match=f"HogConfig {field} must be"):
+        HogConfig(**{field: value})
+    with pytest.raises(ValueError, match=f"HogConfig {field} must be"):
+        HogConfig.from_dict({**CFG.to_dict(), field: value})
+
+
+_X = np.arange(32.0)
+
+
+@pytest.mark.parametrize(
+    "img",
+    [
+        np.tile(-_X, (32, 1)),                           # gx = -1, gy = +0: arctan2 is pi
+        np.add.outer(-1e-300 * _X, _X),                  # column 0: arctan2 is -1e-300
+        -np.add.outer(-1e-300 * _X, _X),                 # column 0: pi - 1e-300 rounds to pi
+        np.add.outer(_X, -_X) + np.random.default_rng(3).random((32, 32)) * 1e-12,
+    ],
+    ids=["exact-pi", "tiny-negative", "rounds-to-pi", "anti-diagonal"],
+)
+def test_orientation_fold_at_the_pi_seam_matches_naive(img):
+    np.testing.assert_array_equal(compute_hog(img, CFG), naive_hog(img, 8, 2, 9, 1e-5))
+
+
+def test_tables_follow_geometry_and_config(monkeypatch):
+    # tables keyed on too few fields would hand one geometry another's indices
+    odd = HogConfig(cell=6, block=3, bins=7)
+    cases = [((48, 48), CFG), ((37, 50), odd), ((48, 48), odd)]
+    rng = np.random.default_rng(8)
+    for _ in range(2):
+        for (h, w), cfg in cases:
+            monkeypatch.setattr(ops, "SCRATCH_BYTES", 2 * 10 * h * w * 8)  # two images a chunk
+            imgs = rng.random((5, h, w))
+            want = np.stack([naive_hog(im, cfg.cell, cfg.block, cfg.bins, cfg.eps) for im in imgs])
+            np.testing.assert_array_equal(compute_hog(imgs[0], cfg), want[0])
+            np.testing.assert_array_equal(compute_hog_batch(imgs, cfg), want)

@@ -515,6 +515,16 @@ class TestActivations:
         y = x.copy()
         assert relu(y, out=y) is y and y.tobytes() == out.tobytes()
 
+    def test_relu_backward_is_the_float_mask_product(self):
+        specials = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1.5, 2.0])
+        up = np.repeat(specials, 2).reshape(3, 2, 3)  # each value under both mask bits
+        active = np.tile([True, False], len(specials)).reshape(up.shape)
+        with np.errstate(invalid="ignore"):  # inf * 0 is NaN on both sides
+            got = relu_backward(active, up)
+            assert got.dtype == up.dtype
+            assert got.tobytes() == (up * active.astype(float)).tobytes()
+            assert got.tobytes() == (up * active).tobytes()  # the bool multiply it replaced
+
     def test_sigmoid_midpoint(self):
         assert sigmoid(0.0) == 0.5
 

@@ -4,15 +4,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facerel import synth
 from facerel.data import RELATION_NAMES, load_manifest
 from facerel.synth import (
     CORPUS_GROUPS,
+    N_EXPR,
+    POSE_MODES,
     RELATION_IMBALANCE_COUNTS,
     RELATION_RATES,
     SCENE_HEIGHT,
     SCENE_WIDTH,
+    FaceLatents,
     SynthConfig,
     attribute_labels,
     face_landmarks,
@@ -23,6 +28,8 @@ from facerel.synth import (
     synth_pair_corpus,
     write_synth_dataset,
 )
+
+from oracles import naive_render_face
 
 
 def small_cfg(**kw):
@@ -43,8 +50,6 @@ class TestFaces:
         monkeypatch.setattr(synth, "NOISE", 0.0)
         rng_img = lambda: np.random.default_rng(2)
         base = dict(mode=3, gender=0, expr=1, smiling=0, mouth_open=0, young=0, beard=0)
-        from facerel.synth import FaceLatents
-
         ref = render_face(FaceLatents(**base), rng_img(), 48)
         for key, val in (("mode", 7), ("gender", 1), ("expr", 4), ("smiling", 1),
                          ("mouth_open", 1), ("young", 1), ("beard", 2)):
@@ -70,6 +75,45 @@ class TestFaces:
         lm9 = face_landmarks(9, rng)
         assert lm0.min() >= 0 and lm0.max() <= 1
         assert np.linalg.norm(lm0 - lm9) > 0.3
+
+
+face_latents = st.builds(
+    FaceLatents,
+    mode=st.integers(0, POSE_MODES - 1),
+    gender=st.integers(0, 1),
+    expr=st.integers(0, N_EXPR - 1),
+    smiling=st.integers(0, 1),
+    mouth_open=st.integers(0, 1),
+    young=st.integers(0, 1),
+    beard=st.integers(0, 3),
+)
+
+
+class TestCachedRender:
+    @settings(max_examples=80, deadline=None)
+    @given(face_latents, st.sampled_from([24, 48]) | st.integers(40, 56),
+           st.integers(0, 2**32 - 1))
+    def test_render_is_the_uncached_render(self, lat, size, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = render_face(lat, rng, size)
+        want = naive_render_face(lat, ref, size)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_writing_into_a_face_leaves_the_next_render_alone(self):
+        lat = FaceLatents(mode=4, gender=1, expr=5, smiling=0, mouth_open=1, young=0, beard=3)
+        first = render_face(lat, np.random.default_rng(6), 48)
+        first[:] = -1.0
+        again = render_face(lat, np.random.default_rng(6), 48)
+        assert again.tobytes() == naive_render_face(lat, np.random.default_rng(6), 48).tobytes()
+
+    def test_cached_arrays_refuse_writes(self):
+        render_face(FaceLatents(2, 0, 1, 1, 0, 1, 0), np.random.default_rng(0), 48)
+        for a in (*synth._grid(48, 48), synth._background(2, 48), synth._glyph_mask(1, 10, 19)):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0
 
 
 class TestAttrCorpora:
