@@ -129,6 +129,9 @@ class ClusterTree:
                     f"{name} has shape {np.shape(getattr(self, name))}, "
                     f"expected ({offset},) for the descriptor length"
                 )
+            _check_finite(name, getattr(self, name))
+        if np.any(self.h_std < 0):
+            raise ValueError("h_std holds negative values")
         self.templates = np.concatenate(blocks)
         self.slots = np.concatenate(slots)
         self.top_templates = self.templates[:t]
@@ -157,12 +160,19 @@ class ClusterTree:
 
 
 def _check_rows(name: str, a: np.ndarray, lo: int, hi: int, width: int | None) -> None:
-    """``a`` must be 2-D with ``lo..hi`` rows and, unless None, ``width`` columns."""
+    """``a`` must be 2-D with ``lo..hi`` rows and, unless None, ``width``
+    columns, all finite."""
     shape = np.shape(a)
     if len(shape) != 2 or not lo <= shape[0] <= hi or width not in (None, shape[1]):
         rows = str(lo) if lo == hi else f"{lo} to {hi}"
         cols = "any" if width is None else str(width)
         raise ValueError(f"{name} has shape {shape}, expected {rows} rows of {cols} columns")
+    _check_finite(name, a)
+
+
+def _check_finite(name: str, a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} holds non-finite values")
 
 
 def _flat(points: np.ndarray) -> np.ndarray:

@@ -49,6 +49,8 @@ def load_checkpoint(path) -> tuple[NetworkSpec, ParameterSet, dict]:
         if name not in arrays:
             raise ValueError(f"{path}: parameter {name!r} listed but missing")
         data = arrays[name]
+        if not np.isfinite(data).all():
+            raise ValueError(f"{path}: parameter {name!r} holds non-finite values")
         params.add(name, Tensor(data, np.zeros_like(data)))
     for name, shape in spec.param_shapes().items():
         key = "trunk." + name

@@ -144,14 +144,10 @@ def write_manifest(path, kind: str, split: str, records) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_manifest(path) -> tuple[str, str, list]:
-    """Parse a manifest into (kind, split, records); errors carry line numbers."""
-    kind, split, numbered = _read_numbered(Path(path))
-    return kind, split, [rec for _, rec in numbered]
-
-
-def _read_numbered(path: Path) -> tuple[str, str, list[tuple[int, AttrRecord | PairRecord]]]:
-    """``read_manifest`` with each record paired with its line number."""
+def read_manifest(path) -> tuple[str, str, list[tuple[int, AttrRecord | PairRecord]]]:
+    """Parse a manifest into (kind, split, [(line number, record), ...]);
+    errors carry line numbers."""
+    path = Path(path)
     lines = path.read_text().splitlines()
     if not lines or not lines[0].startswith("#facerel-manifest"):
         raise ValueError(f"{path}:1: missing manifest header")
@@ -276,7 +272,7 @@ def load_manifest(path, face_size: tuple[int, int] = (48, 48)):
     ``bridge.check_landmarks``).
     """
     path = Path(path)
-    kind, split, records = _read_numbered(path)
+    kind, split, records = read_manifest(path)
     base = path.parent
     out = []
     for ln, rec in records:

@@ -150,13 +150,6 @@ def _histograms(imgs: np.ndarray, cfg: HogConfig) -> np.ndarray:
     return np.bincount(idx.ravel(), weights=mag.ravel(), minlength=n * length).reshape(n, length)
 
 
-def cell_histograms(image: np.ndarray, cfg: HogConfig) -> np.ndarray:
-    """Unnormalized per-cell orientation histograms, shape (cy, cx, bins)."""
-    imgs = _checked_stack(_one_image(image), cfg)
-    h, w = imgs.shape[1:]
-    return _histograms(imgs, cfg).reshape(h // cfg.cell, w // cfg.cell, cfg.bins)
-
-
 def compute_hog_batch(images, cfg: HogConfig | None = None) -> np.ndarray:
     """The descriptor of every image, shape (N, D).
 

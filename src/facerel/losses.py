@@ -21,16 +21,6 @@ def _check_binary_labels(y: np.ndarray) -> np.ndarray:
     return y
 
 
-def bce_loss(p, y):
-    """Cross-entropy ``-y ln p - (1-y) ln(1-p)`` for p strictly inside (0,1)."""
-    p = np.asarray(p, dtype=np.float64)
-    y = _check_binary_labels(y)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise ValueError("probabilities must lie strictly inside (0, 1)")
-    out = -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
-    return float(out) if out.ndim == 0 else out
-
-
 def bce_from_logit(z, y):
     """Stable cross-entropy evaluated at the pre-sigmoid logit.
 

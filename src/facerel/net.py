@@ -10,20 +10,14 @@ without changing any parameter shape.
 A ``NetworkSpec`` places its layers once, at construction, into one plan of
 ``LayerStep``s: each layer's name, in and out shapes and parameter shapes,
 and a ``flatten`` flag on the first fc layer, where the descriptor joins.
-``trace``, ``param_shapes``, ``init_trunk_params``, the forward and backward
-walks and ``min_kink_margin`` all read that plan; none re-derives a shape.
-The trunk runs the per-sample GEMM forward of ``ops`` (``exact=False``).
+``trace``, ``param_shapes``, ``init_trunk_params`` and the forward and
+backward walks all read that plan; none re-derives a shape.  The trunk runs
+the per-sample GEMM forward of ``ops`` (``exact=False``) and, like every op,
+takes batches only: an (N,C,H,W) image batch and an (N, bridge_dim)
+descriptor batch.
 
-The ops take batches only; the trunk is the one place that also accepts a
-single image.  ``_trunk_input`` lifts a (C,H,W) image and its flat descriptor
-to a batch of one, and ``trunk_forward`` (on its output) and
-``trunk_backward`` (on ``d_image`` and ``d_h``) drop that axis again, so a
-single image gets exactly the bits of row 0 of the batch-of-one call.
-
-``trunk_forward`` and ``min_kink_margin`` both walk the plan through one
-per-step forward, ``_step_forward``.  ``trunk_forward``'s cache keeps one
-``(step, ctx)`` entry per layer, and in it only what ``trunk_backward``
-reads:
+``trunk_forward``'s cache is a list of one ``(step, ctx)`` entry per layer,
+and in it only what ``trunk_backward`` reads:
 
 =======  ==============================================================
 step     ctx
@@ -38,13 +32,12 @@ relu     the mask ``out > 0`` packed by ``np.packbits``, one bit per element
 A relu writes its output over its input whenever the walk made that input
 (every step but the first, so the caller's image is never written): no ctx
 holds its own step's output, so nothing else reads the overwritten array.
-``min_kink_margin`` needs the relu and pool inputs, which the cache does not
-hold, so it runs its own forward walk and reads them as it passes.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Any
 
@@ -59,7 +52,6 @@ from .ops import (
     lrn_forward,
     maxpool_backward,
     maxpool_forward,
-    pool_windows,
     relu,
     relu_backward,
 )
@@ -89,6 +81,11 @@ class LayerSpec:
             v = getattr(self, key)
             if type(v) is not int and (v is not None or key == "stride"):
                 raise ValueError(f"layer field {key!r} must be an int, got {v!r}")
+        for key in ("lrn_k", "lrn_alpha", "lrn_beta"):
+            v = getattr(self, key)
+            real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+            if v is not None and not (real and math.isfinite(v)):
+                raise ValueError(f"layer field {key!r} must be a finite real number, got {v!r}")
         if self.kind == "conv":
             if not (self.kernel and self.kernel >= 1 and self.filters and self.filters >= 1):
                 raise ValueError("conv layer needs kernel >= 1 and filters >= 1")
@@ -176,12 +173,14 @@ class NetworkSpec:
     plan: tuple[LayerStep, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "input_shape", tuple(int(v) for v in self.input_shape))
+        object.__setattr__(self, "input_shape", tuple(self.input_shape))
         object.__setattr__(self, "layers", tuple(self.layers))
-        if len(self.input_shape) != 3 or any(v < 1 for v in self.input_shape):
-            raise ValueError(f"input_shape must be (C,H,W) of positive ints, got {self.input_shape}")
-        if self.bridge_dim < 0:
-            raise ValueError("bridge_dim must be >= 0")
+        if len(self.input_shape) != 3 or any(type(v) is not int or v < 1 for v in self.input_shape):
+            raise ValueError(
+                f"network field 'input_shape' must be (C,H,W) of positive ints, got {self.input_shape}"
+            )
+        if type(self.bridge_dim) is not int or self.bridge_dim < 0:
+            raise ValueError(f"network field 'bridge_dim' must be an int >= 0, got {self.bridge_dim!r}")
         object.__setattr__(self, "plan", self._place())
 
     def _place(self) -> tuple[LayerStep, ...]:
@@ -250,7 +249,7 @@ class NetworkSpec:
         return NetworkSpec(
             input_shape=tuple(d["input_shape"]),
             layers=tuple(LayerSpec.from_dict(ld) for ld in d["layers"]),
-            bridge_dim=int(d.get("bridge_dim", 0)),
+            bridge_dim=d.get("bridge_dim", 0),
         )
 
 
@@ -269,29 +268,13 @@ def init_trunk_params(
     return params
 
 
-@dataclass
-class TrunkCache:
-    """``(step, ctx)`` for every layer of one forward pass, for the backward
-    (the module docstring's table says what each ctx keeps); ``single`` says
-    the forward lifted a single image to a batch of one."""
-
-    entries: list[tuple[LayerStep, Any]] = field(default_factory=list)
-    single: bool = False
-
-
 def _trunk_input(
     spec: NetworkSpec, image: np.ndarray, h: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray | None, bool]:
-    """``image`` and ``h`` as a float64 batch, checked against the spec, and
-    whether the caller passed a single image.
-
-    The one place that accepts a single image: a (C,H,W) ``image`` and its
-    flat ``h`` become a batch of one, which the caller drops again.
-    """
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``image`` and ``h`` as float64 batches, checked against the spec."""
     image = np.asarray(image, dtype=np.float64)
-    single = image.ndim != 4
-    if single:
-        image = image[None]
+    if image.ndim != 4:
+        raise ValueError(f"the trunk takes an (N,C,H,W) batch of images, got shape {image.shape}")
     if image.shape[1:] != spec.input_shape:
         raise ValueError(
             f"input geometry {image.shape[1:]} does not match trunk input {spec.input_shape}"
@@ -302,49 +285,12 @@ def _trunk_input(
         if h is None:
             raise ValueError("this trunk expects a bridge descriptor input")
         h = np.asarray(h, dtype=np.float64)
-        if h.shape[-1] != spec.bridge_dim:
-            raise ValueError(
-                f"bridge descriptor length {h.shape[-1]} does not match "
-                f"configured bridge_dim {spec.bridge_dim}"
-            )
-        if single:
-            h = h[None]
         if h.shape != (len(image), spec.bridge_dim):
-            raise ValueError("a batch needs one descriptor row per image, a single image "
-                             "a flat descriptor")
-    return image, h, single
-
-
-def _step_forward(
-    spec: NetworkSpec,
-    params: ParameterSet,
-    step: LayerStep,
-    x: np.ndarray,
-    h: np.ndarray | None,
-    owned: bool,
-) -> tuple[np.ndarray, Any]:
-    """Run one plan step on ``x``; returns (output, cache ctx).
-
-    ``owned`` says the walk made ``x``, so a relu may write over it: no ctx
-    holds its step's own output (see ``ops``), so nothing else reads ``x``.
-    """
-    layer = step.layer
-    if step.flatten:
-        x = x.reshape(len(x), -1)
-        if spec.bridge_dim > 0:
-            x = np.concatenate([x, h], axis=1)
-    if layer.kind == "conv":
-        return conv_forward(x, params[f"trunk.{step.name}.w"].data,
-                            params[f"trunk.{step.name}.b"].data, layer.stride, exact=False)
-    if layer.kind == "maxpool":
-        return maxpool_forward(x, layer.kernel, layer.stride)
-    if layer.kind == "lrn":
-        return lrn_forward(x, layer.lrn_n, layer.lrn_k, layer.lrn_alpha, layer.lrn_beta)
-    if layer.kind == "relu":
-        out = relu(x, out=x if owned else None)
-        return out, np.packbits(out > 0)
-    return fc_forward(x, params[f"trunk.{step.name}.w"].data,
-                      params[f"trunk.{step.name}.b"].data, exact=False)
+            raise ValueError(
+                f"bridge descriptor has shape {h.shape}, expected (N, bridge_dim) = "
+                f"({len(image)}, {spec.bridge_dim})"
+            )
+    return image, h
 
 
 def trunk_forward(
@@ -352,36 +298,49 @@ def trunk_forward(
     params: ParameterSet,
     image: np.ndarray,
     h: np.ndarray | None = None,
-) -> tuple[np.ndarray, TrunkCache]:
-    """Run the trunk on one image or a batch; returns (features, cache).
+) -> tuple[np.ndarray, list[tuple[LayerStep, Any]]]:
+    """Run the trunk on an (N,C,H,W) batch; returns (features, cache).
 
-    ``h`` is the bridging descriptor (already standardized); it is mandatory
-    when the spec declares ``bridge_dim > 0`` and must have that length.
-    Parameters are read under the ``trunk.`` names that ``init_trunk_params``
-    gives by default and checkpoints store.  The caller's arrays are never
-    written.
+    ``h`` is the (N, bridge_dim) bridging descriptor (already standardized);
+    it is mandatory when the spec declares ``bridge_dim > 0``.  Parameters
+    are read under the ``trunk.`` names that ``init_trunk_params`` gives by
+    default and checkpoints store.  The caller's arrays are never written.
     """
-    cur, h, single = _trunk_input(spec, image, h)
-    cache = TrunkCache(single=single)
+    x, h = _trunk_input(spec, image, h)
+    cache = []
     for i, step in enumerate(spec.plan):
-        cur, ctx = _step_forward(spec, params, step, cur, h, owned=i > 0)
-        cache.entries.append((step, ctx))
-    return (cur[0] if single else cur), cache
+        layer = step.layer
+        if step.flatten:
+            x = x.reshape(len(x), -1)
+            if spec.bridge_dim > 0:
+                x = np.concatenate([x, h], axis=1)
+        if layer.kind == "conv":
+            x, ctx = conv_forward(x, params[f"trunk.{step.name}.w"].data,
+                                  params[f"trunk.{step.name}.b"].data, layer.stride, exact=False)
+        elif layer.kind == "fc":
+            x, ctx = fc_forward(x, params[f"trunk.{step.name}.w"].data,
+                                params[f"trunk.{step.name}.b"].data, exact=False)
+        elif layer.kind == "maxpool":
+            x, ctx = maxpool_forward(x, layer.kernel, layer.stride)
+        elif layer.kind == "lrn":
+            x, ctx = lrn_forward(x, layer.lrn_n, layer.lrn_k, layer.lrn_alpha, layer.lrn_beta)
+        else:  # the walk made x (every step but the first), so nothing else reads it
+            x = relu(x, out=x if i > 0 else None)
+            ctx = np.packbits(x > 0)
+        cache.append((step, ctx))
+    return x, cache
 
 
 def trunk_backward(
     spec: NetworkSpec,
     params: ParameterSet,
-    cache: TrunkCache,
+    cache: list[tuple[LayerStep, Any]],
     upstream: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Accumulate parameter grads; returns (d_image, d_descriptor), each
-    without the batch axis when the forward took a single image."""
+    """Accumulate parameter grads; returns (d_image, d_descriptor)."""
     grad = np.asarray(upstream)
-    if cache.single:
-        grad = grad[None]
     d_h = None
-    for step, ctx in reversed(cache.entries):
+    for step, ctx in reversed(cache):
         kind = step.layer.kind
         if kind in ("conv", "fc"):
             backward = conv_backward if kind == "conv" else fc_backward
@@ -401,42 +360,4 @@ def trunk_backward(
                 d_h = grad[:, -spec.bridge_dim:]
                 grad = grad[:, : -spec.bridge_dim]
             grad = grad.reshape((len(grad),) + step.in_shape)
-    if cache.single:
-        return grad[0], (None if d_h is None else d_h[0])
     return grad, d_h
-
-
-def min_kink_margin(
-    spec: NetworkSpec,
-    params: ParameterSet,
-    image: np.ndarray,
-    h: np.ndarray | None = None,
-) -> float:
-    """Distance of the forward pass on ``image`` from its nearest non-smooth
-    point.
-
-    The minimum over all ReLU pre-activations of ``|x|`` and over all pooling
-    windows of the gap between the top two values.  Finite-difference probes
-    are only trustworthy when this margin comfortably exceeds the probe step.
-    The cache keeps neither, so this runs its own forward walk and reads each
-    relu and pool input as it passes.
-    """
-    cur, h, _ = _trunk_input(spec, image, h)
-    margin = np.inf
-    for i, step in enumerate(spec.plan):
-        layer = step.layer
-        if layer.kind == "relu":
-            margin = min(margin, float(np.min(np.abs(cur))))
-        elif layer.kind == "maxpool" and layer.kernel >= 2:
-            stack = pool_windows(cur, layer.kernel, layer.stride)
-            top2 = np.sort(stack, axis=-1)[..., -2:]
-            gap = top2[..., 1] - top2[..., 0]
-            # Windows whose top two entries are exactly 0 are upstream
-            # ReLU clips, frozen in a neighborhood; the ReLU margin
-            # already guards against them flipping sign.
-            frozen = (gap == 0.0) & (top2[..., 1] == 0.0)
-            live = gap[~frozen]
-            if live.size:
-                margin = min(margin, float(np.min(live)))
-        cur, _ = _step_forward(spec, params, step, cur, h, owned=i > 0)
-    return margin

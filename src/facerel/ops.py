@@ -5,9 +5,7 @@ Every forward returns ``(output, ctx)`` where ``ctx`` carries exactly what the
 matching backward needs.  The layer ops take and return batches only:
 conv, max-pooling and lrn use ``(N, C, H, W)``, fc uses ``(N, D)``, and each,
 forward and backward, refuses any other rank with a ``ValueError`` that names
-it (the activations are elementwise and take any shape).  A single image is
-the trunk's business: ``net.trunk_forward`` lifts it to a batch of one and
-drops that axis again.
+it (the activations are elementwise and take any shape).
 
 What a ctx keeps.  No ctx holds its own forward's output: conv, fc and lrn
 keep their input (lrn also its scalars; ``lrn_backward`` recomputes the
@@ -222,15 +220,6 @@ def _pool_taps(x: np.ndarray, kernel: int, stride: int):
     wo = (wd - kernel) // stride + 1
     for dy, dx in np.ndindex(kernel, kernel):
         yield x[..., dy : dy + ho * stride : stride, dx : dx + wo * stride : stride]
-
-
-def pool_windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """Every pooling window of ``x`` over its last two axes, copied out.
-
-    Returns shape ``x.shape[:-2] + (Ho, Wo, kernel * kernel)``, the window
-    elements in ascending (dy, dx) order.
-    """
-    return np.stack(list(_pool_taps(x, kernel, stride)), axis=-1)
 
 
 def _pool_sources(taps: np.ndarray, kernel: int, stride: int, input_shape) -> np.ndarray:

@@ -8,6 +8,8 @@ contribution to reported loss values comes from ``losses.weight_decay_term``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tensor import ParameterSet
@@ -19,10 +21,10 @@ class DivergenceError(ArithmeticError):
 
 def sgd_step(params: ParameterSet, lr: float, lam: float = 0.0) -> None:
     """One descent step over every parameter; gradients are cleared after."""
-    if lr < 0:
-        raise ValueError("learning rate must be >= 0")
-    if lam < 0:
-        raise ValueError("decay coefficient must be >= 0")
+    if not (math.isfinite(lr) and lr >= 0):
+        raise ValueError(f"learning rate must be finite and >= 0, got {lr!r}")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"decay coefficient must be finite and >= 0, got {lam!r}")
     for name, t in params.items():
         if t.grad is None:
             raise ValueError(f"parameter {name!r} has no gradient; run a backward pass first")

@@ -2,8 +2,11 @@
 
 The kernels here are written as plain nested loops over scalars, directly
 from the defining formulas, and share no code with the package under test.
-``copying_trunk_walk`` is the one exception: it composes ``ops`` layer calls,
-to hold the trunk walk itself (its cache, its in-place relu) to them.
+``copying_trunk_forward`` and ``copying_trunk_backward`` are the exception:
+they compose ``ops`` layer calls, to hold the trunk walk itself (its cache,
+its in-place relu) to them; ``kink_margin`` reads that forward's inputs.
+``spoil_entry`` is not an oracle: it is the one corruption helper the
+checkpoint and bank loader tests share.
 ``naive_render_face`` is vectorised too: it is the face renderer with every
 grid, background and glyph mask rebuilt on each call, to hold the cached
 renderer to it.
@@ -77,20 +80,28 @@ def naive_maxpool(x, kernel, stride):
     return out, arg
 
 
+def pool_stack(x, kernel, stride):
+    """Every pooling window of an (N,C,H,W) batch, copied out: shape
+    (N, C, Ho, Wo, kernel * kernel), the window elements in (dy, dx) order."""
+    _, _, h, wd = x.shape
+    ho = (h - kernel) // stride + 1
+    wo = (wd - kernel) // stride + 1
+    return np.stack([x[:, :, dy : dy + ho * stride : stride, dx : dx + wo * stride : stride]
+                     for dy in range(kernel) for dx in range(kernel)], axis=-1)
+
+
 def stack_maxpool(x, kernel, stride):
     """Max-pool of an (N,C,H,W) batch by copying out every window.
 
-    The k*k window elements are stacked in (dy, dx) order and ``argmax``
-    picks the winner: the first maximum, or the first NaN.  Unlike
-    ``naive_maxpool``, whose ``v > best`` loop never lets a NaN win, this
-    holds the library's NaN semantics.  Returns (out, the winner's position
-    ``dy * kernel + dx`` in its window, flat per-sample index).
+    ``argmax`` over the ``pool_stack`` windows picks the winner: the first
+    maximum, or the first NaN.  Unlike ``naive_maxpool``, whose ``v > best``
+    loop never lets a NaN win, this holds the library's NaN semantics.
+    Returns (out, the winner's position ``dy * kernel + dx`` in its window,
+    flat per-sample index).
     """
-    n, c, h, wd = x.shape
-    ho = (h - kernel) // stride + 1
-    wo = (wd - kernel) // stride + 1
-    stack = np.stack([x[:, :, dy : dy + ho * stride : stride, dx : dx + wo * stride : stride]
-                      for dy in range(kernel) for dx in range(kernel)], axis=-1)
+    _, c, h, wd = x.shape
+    stack = pool_stack(x, kernel, stride)
+    _, _, ho, wo, _ = stack.shape
     win_arg = stack.argmax(axis=-1)
     out = np.take_along_axis(stack, win_arg[..., None], axis=-1)[..., 0]
     oy = np.arange(ho)[None, None, :, None]
@@ -126,14 +137,14 @@ def _channel_window_sum(v, n):
     return out
 
 
-def copying_trunk_walk(spec, params, images, h, upstream):
-    """The trunk's forward and backward over a batch, from ``ops`` calls.
+def copying_trunk_forward(spec, params, images, h):
+    """The trunk's forward over a batch, from ``ops`` calls.
 
     Every activation is copied before the next layer reads it, a relu keeps
-    its full float pre-activation and gates by ``x > 0``, and an lrn keeps
-    its base ``k + alpha * window sum of squares`` and differentiates with
-    it.  Returns (output, d_images, d_h, {parameter name: gradient}), each
-    gradient added onto zeros as ``trunk_backward`` adds it onto fresh grads.
+    its full float pre-activation, and an lrn keeps its base
+    ``k + alpha * window sum of squares``.  Returns (output, one
+    ``(step, the step's input, ctx)`` per layer) for
+    ``copying_trunk_backward``.
     """
     x = np.array(images, dtype=np.float64)
     kept = []
@@ -154,14 +165,21 @@ def copying_trunk_walk(spec, params, images, h, upstream):
             out, ctx = ops.maxpool_forward(x, layer.kernel, layer.stride)
         elif layer.kind == "lrn":
             out, _ = ops.lrn_forward(x, layer.lrn_n, layer.lrn_k, layer.lrn_alpha, layer.lrn_beta)
-            ctx = (x, layer.lrn_k + layer.lrn_alpha * _channel_window_sum(x * x, layer.lrn_n))
+            ctx = layer.lrn_k + layer.lrn_alpha * _channel_window_sum(x * x, layer.lrn_n)
         else:
-            out, ctx = ops.relu(x), x
-        kept.append((step, ctx))
+            out, ctx = ops.relu(x), None
+        kept.append((step, x, ctx))
         x = out
+    return x, kept
 
+
+def copying_trunk_backward(spec, kept, upstream):
+    """The backward of ``copying_trunk_forward``: a relu gates by its input
+    ``> 0`` and an lrn differentiates with its kept base.  Returns
+    (d_images, d_h, {parameter name: gradient}), each gradient added onto
+    zeros as ``trunk_backward`` adds it onto fresh grads."""
     grad, d_h, grads = np.array(upstream, dtype=np.float64), None, {}
-    for step, ctx in reversed(kept):
+    for step, x, ctx in reversed(kept):
         layer = step.layer
         if layer.kind in ("conv", "fc"):
             backward = ops.conv_backward if layer.kind == "conv" else ops.fc_backward
@@ -172,19 +190,41 @@ def copying_trunk_walk(spec, params, images, h, upstream):
         elif layer.kind == "maxpool":
             grad = ops.maxpool_backward(ctx, grad)
         elif layer.kind == "lrn":
-            xin, base = ctx
             beta, n = layer.lrn_beta, layer.lrn_n
-            inv_pow = np.power(base, -beta)
-            t = grad * xin * inv_pow / base
-            grad = grad * inv_pow - 2.0 * layer.lrn_alpha * beta * xin * _channel_window_sum(t, n)
+            inv_pow = np.power(ctx, -beta)
+            t = grad * x * inv_pow / ctx
+            grad = grad * inv_pow - 2.0 * layer.lrn_alpha * beta * x * _channel_window_sum(t, n)
         else:
-            grad = grad * (ctx > 0)
+            grad = grad * (x > 0)
         if step.flatten:
             if spec.bridge_dim:
                 d_h = grad[:, -spec.bridge_dim:]
                 grad = grad[:, : -spec.bridge_dim]
             grad = grad.reshape((len(grad),) + step.in_shape)
-    return x, grad, d_h, grads
+    return grad, d_h, grads
+
+
+def kink_margin(spec, params, images, h=None):
+    """Distance of the trunk's forward on ``images`` from its nearest kink.
+
+    The least ``|x|`` over every relu input, and the least gap between the
+    top two values over every pooling window.  A window whose top two are
+    both exactly 0.0 holds upstream relu clips, frozen in a neighborhood;
+    the relu term already guards them.  Finite differences are trustworthy
+    only where this margin well exceeds the probe step.
+    """
+    _, kept = copying_trunk_forward(spec, params, images, h)
+    margin = np.inf
+    for step, x, _ in kept:
+        if step.layer.kind == "relu":
+            margin = min(margin, float(np.min(np.abs(x))))
+        elif step.layer.kind == "maxpool" and step.layer.kernel >= 2:
+            top2 = np.sort(pool_stack(x, step.layer.kernel, step.layer.stride), axis=-1)[..., -2:]
+            gap = top2[..., 1] - top2[..., 0]
+            live = gap[(gap != 0.0) | (top2[..., 1] != 0.0)]
+            if live.size:
+                margin = min(margin, float(np.min(live)))
+    return margin
 
 
 def naive_fc(x, w, b):
@@ -230,6 +270,14 @@ def assert_forward_matches(got, want, exact):
     else:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def spoil_entry(arrays, name, value):
+    """Replace ``arrays[name]`` by a copy whose last element is ``value``:
+    the corruption the loaders' finiteness and sign checks must name."""
+    spoiled = arrays[name].copy()
+    spoiled.flat[-1] = value
+    arrays[name] = spoiled
 
 
 def naive_hog(img, cell, block, bins, eps):

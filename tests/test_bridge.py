@@ -18,6 +18,8 @@ from facerel.bridge import (
 from facerel.hog import HogConfig, compute_hog, compute_hog_batch
 from facerel.serialize import load_container, save_container
 
+from oracles import spoil_entry
+
 CFG = HogConfig(cell=8, block=2, bins=9, eps=1e-5)
 
 BASE_POINTS = np.array(
@@ -295,11 +297,23 @@ def _repeat_rows(arrays, name):
         (lambda meta, arrays: meta["hog"].update(bins="9"), "'hog'"),
         (lambda meta, arrays: meta["hog"].update(eps=0), "'hog'"),
         (lambda meta, arrays: meta["hog"].update(eps="1e-5"), "'hog'"),
+        (lambda meta, arrays: spoil_entry(arrays, "h_std", np.nan), "h_std holds non-finite"),
+        (lambda meta, arrays: spoil_entry(arrays, "h_std", -0.5), "h_std holds negative"),
+        (lambda meta, arrays: spoil_entry(arrays, "h_mean", -np.inf), "h_mean holds non-finite"),
+        (lambda meta, arrays: spoil_entry(arrays, "top_templates", np.inf),
+         "top_templates holds non-finite"),
+        (lambda meta, arrays: spoil_entry(arrays, "top_centroids", np.nan),
+         "top_centroids holds non-finite"),
+        (lambda meta, arrays: spoil_entry(arrays, "lower_1.templates", np.nan),
+         "lower_1.templates holds non-finite"),
+        (lambda meta, arrays: spoil_entry(arrays, "upper_0.centroids", np.inf),
+         "upper_0.centroids holds non-finite"),
     ],
     ids=["missing-templates", "missing-sentinel", "too-many-children", "short-h-mean",
          "template-width", "other-split", "other-points", "missing-schema", "hog-bins",
          "hog-cell-fraction", "hog-cell-float", "hog-block-bool", "hog-bins-string",
-         "hog-eps-zero", "hog-eps-string"],
+         "hog-eps-zero", "hog-eps-string", "nan-h-std", "negative-h-std", "inf-h-mean",
+         "inf-top-template", "nan-top-centroid", "nan-lower-template", "inf-upper-centroid"],
 )
 def test_load_bank_rejects_malformed_field(tmp_path, edit, field):
     corpus, _ = make_corpus(24, seed=15)

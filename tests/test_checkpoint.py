@@ -10,6 +10,8 @@ from facerel.checkpoint import load_checkpoint, save_checkpoint
 from facerel.net import NetworkSpec, conv_spec, fc_spec, init_trunk_params, pool_spec, relu_spec
 from facerel.serialize import FORMAT_VERSION, MAGIC, load_container, save_container
 
+from oracles import spoil_entry
+
 
 def small_spec():
     return NetworkSpec(
@@ -205,10 +207,19 @@ def _infeasible_spec(meta, arrays):
         (lambda meta, arrays: meta.update(extra=["tiny"]), "meta field 'extra' is missing or not a dict"),
         (lambda meta, arrays: meta["network"].update(layers=[]),
          "'network'.*at least one layer"),
+        (lambda meta, arrays: meta["network"].update(bridge_dim=3.9),
+         "'network'.*field 'bridge_dim' must be an int >= 0, got 3.9"),
+        (lambda meta, arrays: meta["network"].update(input_shape=[1, 6.5, 6]),
+         r"'network'.*field 'input_shape' must be \(C,H,W\) of positive ints"),
+        (lambda meta, arrays: spoil_entry(arrays, "trunk.conv1.w", np.nan),
+         "parameter 'trunk.conv1.w' holds non-finite values"),
+        (lambda meta, arrays: spoil_entry(arrays, "trunk.fc1.b", -np.inf),
+         "parameter 'trunk.fc1.b' holds non-finite values"),
     ],
     ids=["fc1-shape", "missing-conv1-bias", "no-network", "unknown-layer-field",
          "fractional-kernel", "infeasible",
-         "list-name", "dict-name", "duplicate-name", "extra-not-dict", "no-layers"],
+         "list-name", "dict-name", "duplicate-name", "extra-not-dict", "no-layers",
+         "fractional-bridge-dim", "fractional-input-shape", "nan-weight", "inf-bias"],
 )
 def test_load_checkpoint_rejects_malformed(tmp_path, corrupt, match):
     path = tmp_path / "ckpt.bin"

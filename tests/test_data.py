@@ -60,21 +60,21 @@ class TestManifests:
     def test_partial_labels_become_mask(self, tmp_path):
         p = tmp_path / "m.txt"
         write_manifest(p, "attributes", "train", self._attr_records())
-        _, _, records = read_manifest(p)
-        assert sum(records[0].mask) == 3
+        _, _, [(line, rec)] = read_manifest(p)
+        assert line == 2 and sum(rec.mask) == 3
         # missing labels are never defaulted into the present set
-        assert records[0].mask[3] is False
+        assert rec.mask[3] is False
 
     def test_attr_round_trip_exact(self, tmp_path):
         p = tmp_path / "m.txt"
         recs = self._attr_records()
         write_manifest(p, "attributes", "test", recs)
-        _, split, loaded = read_manifest(p)
+        _, split, [(_, loaded)] = read_manifest(p)
         assert split == "test"
-        assert loaded[0].image_path == recs[0].image_path
-        assert loaded[0].mask == recs[0].mask
+        assert loaded.image_path == recs[0].image_path
+        assert loaded.mask == recs[0].mask
         assert all(
-            l == r for l, r, m in zip(loaded[0].labels, recs[0].labels, recs[0].mask) if m
+            l == r for l, r, m in zip(loaded.labels, recs[0].labels, recs[0].mask) if m
         )
 
     def test_pair_round_trip_exact(self, tmp_path):
@@ -85,7 +85,7 @@ class TestManifests:
         ]
         write_manifest(p, "pairs", "train", recs)
         _, _, loaded = read_manifest(p)
-        assert loaded[0] == recs[0]
+        assert loaded == [(2, recs[0])]
 
     def test_malformed_line_reports_number(self, tmp_path):
         p = tmp_path / "bad.txt"

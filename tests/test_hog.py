@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from facerel import ops
-from facerel.hog import HogConfig, cell_histograms, compute_hog, compute_hog_batch
+from facerel.hog import HogConfig, compute_hog, compute_hog_batch
 
 from oracles import naive_hog
 
@@ -59,11 +59,6 @@ def test_rejects_image_smaller_than_block():
         compute_hog(np.zeros((12, 12)), CFG)  # only one 8px cell per axis
 
 
-def test_cell_histograms_shape():
-    hist = cell_histograms(np.zeros((40, 48)), CFG)
-    assert hist.shape == (5, 6, 9)
-
-
 def test_rejects_non_2d():
     with pytest.raises(ValueError, match="2-D"):
         compute_hog(np.zeros((3, 32, 32)), CFG)
@@ -71,7 +66,7 @@ def test_rejects_non_2d():
 
 def test_rejects_all_nan_image():
     with pytest.raises(ValueError, match="2304 non-finite pixel"):
-        cell_histograms(np.full((48, 48), np.nan), CFG)
+        compute_hog(np.full((48, 48), np.nan), CFG)
 
 
 def test_rejects_single_inf_pixel():

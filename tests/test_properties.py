@@ -31,7 +31,8 @@ from facerel.ops import conv_forward, maxpool_backward, maxpool_forward
 
 from oracles import (
     assert_forward_matches,
-    copying_trunk_walk,
+    copying_trunk_backward,
+    copying_trunk_forward,
     naive_conv,
     naive_hog,
     stack_maxpool,
@@ -191,21 +192,37 @@ def test_trunk_walks_the_plan(case):
     assert {name: t.shape for name, t in params.items()} == {
         "trunk." + name: shape for name, shape in spec.param_shapes().items()
     }
-    images = rng.normal(size=(n,) + spec.input_shape)
-    h = rng.normal(size=(n, spec.bridge_dim)) if spec.bridge_dim else None
-    batched, cache = trunk_forward(spec, params, images, h)
-    assert batched.shape == (n,) + spec.trace()[-1]
-    singles = [trunk_forward(spec, params, images[i], None if h is None else h[i])
-               for i in range(n)]
-    np.testing.assert_array_equal(batched, np.stack([out for out, _ in singles]))
+    # n pairs, interleaved: left faces at rows 0::2, right faces at 1::2
+    faces = rng.normal(size=(2 * n,) + spec.input_shape)
+    h = rng.normal(size=(2 * n, spec.bridge_dim)) if spec.bridge_dim else None
+    up = rng.normal(size=(2 * n,) + spec.trace()[-1])
 
-    d_image, d_h = trunk_backward(spec, params, cache, rng.normal(size=batched.shape))
-    assert d_image.shape == images.shape
+    def walk(rows):
+        """One trunk walk over ``faces[rows]``: (out, d_image, d_h, grads)."""
+        out, cache = trunk_forward(spec, params, faces[rows], None if h is None else h[rows])
+        d_image, d_h = trunk_backward(spec, params, cache, up[rows])
+        grads = {name: t.grad for name, t in params.items()}
+        params.clear_grads()
+        return out, d_image, d_h, grads
+
+    def close(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    out, d_image, d_h, tied = walk(slice(None))
+    assert out.shape == up.shape and d_image.shape == faces.shape
     assert (d_h is None) if h is None else (d_h.shape == h.shape)
-    out, single_cache = singles[0]
-    d_image, d_h = trunk_backward(spec, params, single_cache, rng.normal(size=out.shape))
-    assert d_image.shape == spec.input_shape
-    assert (d_h is None) if h is None else (d_h.shape == (spec.bridge_dim,))
+    for i in range(2 * n):
+        one_out, one_d_image, one_d_h, _ = walk(slice(i, i + 1))
+        np.testing.assert_array_equal(out[i : i + 1], one_out)
+        close(d_image[i : i + 1], one_d_image)
+        if h is not None:
+            close(d_h[i : i + 1], one_d_h)
+    # the Siamese tying: both branches' gradients add into the same tensors
+    left, right = walk(slice(0, None, 2))[3], walk(slice(1, None, 2))[3]
+    assert tied.keys() == left.keys() == right.keys()
+    for name in tied:
+        close(tied[name], left[name] + right[name])
 
 
 #: Layer orderings whose caches alias most easily: a relu reading the
@@ -245,7 +262,8 @@ def test_trunk_matches_the_copying_walk_bitwise(case):
     h = rng.normal(size=(n, spec.bridge_dim)) if spec.bridge_dim else None
     up = rng.normal(size=(n, spec.feature_dim))
     image_bytes = images.tobytes()
-    want_out, want_d_image, want_d_h, want_grads = copying_trunk_walk(spec, params, images, h, up)
+    want_out, kept = copying_trunk_forward(spec, params, images, h)
+    want_d_image, want_d_h, want_grads = copying_trunk_backward(spec, kept, up)
 
     out, cache = trunk_forward(spec, params, images, h)
     d_image, d_h = trunk_backward(spec, params, cache, up)
@@ -378,4 +396,6 @@ def test_manifest_write_read_round_trip(tmp_path_factory, case):
     kind, split, records = case
     path = tmp_path_factory.getbasetemp() / f"roundtrip-{kind}.txt"
     write_manifest(path, kind, split, records)
-    assert read_manifest(path) == (kind, split, records)
+    # one record a line, after the header line
+    numbered = list(enumerate(records, start=2))
+    assert read_manifest(path) == (kind, split, numbered)
