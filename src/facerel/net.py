@@ -16,22 +16,38 @@ the per-sample GEMM forward of ``ops`` (``exact=False``) and, like every op,
 takes batches only: an (N,C,H,W) image batch and an (N, bridge_dim)
 descriptor batch.
 
-``trunk_forward``'s cache is a list of one ``(step, ctx)`` entry per layer,
-and in it only what ``trunk_backward`` reads:
+The walk runs the spatial steps (every step before the flatten) one sample
+block of at most ``TRUNK_BLOCK`` faces at a time: a block goes through all
+of them before the next block starts, and its output rows are written into
+one (N, ...) array.  The fc tail (the flatten step and all after it) then
+runs once over the whole batch.  ``trunk_backward`` walks the tail once,
+then each block's spatial steps in reverse, writing that block's rows of
+the image gradient and adding its parameter gradients, blocks in ascending
+order.  Every op is batch invariant, so outputs and input gradients carry
+the bits of a one-block walk; a parameter gradient sums its blocks' parts,
+which may round differently (within 1e-12 of its largest magnitude).
 
-=======  ==============================================================
-step     ctx
-=======  ==============================================================
-conv     ``ConvCtx``: the layer's input and weights
-fc       ``FcCtx``: the layer's input and weights
-lrn      ``LrnCtx``: the layer's input (the base is recomputed)
-maxpool  ``PoolArgmax``: each output's tap in its window, one byte each
-relu     the mask ``out > 0`` packed by ``np.packbits``, one bit per element
-=======  ==============================================================
+``trunk_forward``'s cache is a list of ``(step, ctx)`` entries: one per
+spatial step and block, block after block, then one per tail step.  A ctx
+covers its block's rows (a spatial step) or the whole batch (a tail step),
+and keeps only what ``trunk_backward`` reads:
+
+=======  ==========  ======================================================
+step     rows        ctx
+=======  ==========  ======================================================
+conv     a block     ``ConvCtx``: the layer's input and weights
+lrn      a block     ``LrnCtx``: the layer's input (the base is recomputed)
+maxpool  a block     ``PoolArgmax``: each output's tap in its window, one byte
+relu     either      the mask ``out > 0`` packed by ``np.packbits``, one bit
+                     per element
+fc       the batch   ``FcCtx``: the layer's input and weights
+=======  ==========  ======================================================
 
 A relu writes its output over its input whenever the walk made that input
 (every step but the first, so the caller's image is never written): no ctx
 holds its own step's output, so nothing else reads the overwritten array.
+Its backward likewise gates the gradient in place whenever the walk made
+that gradient, so the caller's ``upstream`` is never written either.
 """
 
 from __future__ import annotations
@@ -58,6 +74,12 @@ from .ops import (
 from .tensor import ParameterSet, Tensor
 
 LAYER_KINDS = ("conv", "maxpool", "lrn", "fc", "relu")
+
+#: Faces per sample block of the trunk's spatial steps (every step before the
+#: flatten).  A larger batch runs them one block at a time, so their scratch
+#: is bounded by a block, not by the batch; a training batch of 32 faces and
+#: a scored pair stay one block.
+TRUNK_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -275,6 +297,8 @@ def _trunk_input(
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 4:
         raise ValueError(f"the trunk takes an (N,C,H,W) batch of images, got shape {image.shape}")
+    if len(image) == 0:
+        raise ValueError("the trunk takes at least one image, got an empty batch (N = 0)")
     if image.shape[1:] != spec.input_shape:
         raise ValueError(
             f"input geometry {image.shape[1:]} does not match trunk input {spec.input_shape}"
@@ -293,6 +317,51 @@ def _trunk_input(
     return image, h
 
 
+def _walk_parts(spec: NetworkSpec, n: int):
+    """The plan's spatial steps, the ``(lo, hi)`` rows of each sample block
+    they run on, and its fc tail (the flatten step and every step after it)."""
+    split = next((i for i, step in enumerate(spec.plan) if step.flatten), len(spec.plan))
+    blocks = [(lo, min(n, lo + TRUNK_BLOCK)) for lo in range(0, n, TRUNK_BLOCK)] if split else []
+    return spec.plan[:split], blocks, spec.plan[split:]
+
+
+def _step_forward(step: LayerStep, params: ParameterSet, x: np.ndarray, made: bool):
+    """One plan step on ``x``; ``made`` says the walk made ``x``, so that
+    nothing else reads it and a relu may write over it."""
+    layer = step.layer
+    if layer.kind == "conv":
+        return conv_forward(x, params[f"trunk.{step.name}.w"].data,
+                            params[f"trunk.{step.name}.b"].data, layer.stride, exact=False)
+    if layer.kind == "fc":
+        return fc_forward(x, params[f"trunk.{step.name}.w"].data,
+                          params[f"trunk.{step.name}.b"].data, exact=False)
+    if layer.kind == "maxpool":
+        return maxpool_forward(x, layer.kernel, layer.stride)
+    if layer.kind == "lrn":
+        return lrn_forward(x, layer.lrn_n, layer.lrn_k, layer.lrn_alpha, layer.lrn_beta)
+    x = relu(x, out=x if made else None)
+    return x, np.packbits(x > 0)
+
+
+def _step_backward(step: LayerStep, params: ParameterSet, ctx, grad: np.ndarray, made: bool):
+    """The gradient at ``step``'s input; adds its parameter grads.  ``made``
+    says the walk made ``grad``, so that a relu may write over it."""
+    kind = step.layer.kind
+    if kind in ("conv", "fc"):
+        backward = conv_backward if kind == "conv" else fc_backward
+        grad, dw, db = backward(ctx, grad)
+        params[f"trunk.{step.name}.w"].accumulate_grad(dw)
+        params[f"trunk.{step.name}.b"].accumulate_grad(db)
+        return grad
+    if kind == "maxpool":
+        return maxpool_backward(ctx, grad)
+    if kind == "lrn":
+        return lrn_backward(ctx, grad)
+    shape = (len(grad),) + step.out_shape
+    active = np.unpackbits(ctx, count=math.prod(shape)).view(bool).reshape(shape)
+    return relu_backward(active, grad, out=grad if made else None)
+
+
 def trunk_forward(
     spec: NetworkSpec,
     params: ParameterSet,
@@ -307,26 +376,26 @@ def trunk_forward(
     default and checkpoints store.  The caller's arrays are never written.
     """
     x, h = _trunk_input(spec, image, h)
+    spatial, blocks, tail = _walk_parts(spec, len(x))
     cache = []
-    for i, step in enumerate(spec.plan):
-        layer = step.layer
+    features = np.empty((len(x),) + spatial[-1].out_shape) if len(blocks) > 1 else None
+    for lo, hi in blocks:
+        y = x[lo:hi]
+        for i, step in enumerate(spatial):  # the first step reads the caller's image
+            y, ctx = _step_forward(step, params, y, made=i > 0)
+            cache.append((step, ctx))
+        if features is None:  # one block: its output is the batch's
+            features = y
+        else:
+            features[lo:hi] = y
+    if blocks:
+        x = features
+    for step in tail:
         if step.flatten:
             x = x.reshape(len(x), -1)
             if spec.bridge_dim > 0:
                 x = np.concatenate([x, h], axis=1)
-        if layer.kind == "conv":
-            x, ctx = conv_forward(x, params[f"trunk.{step.name}.w"].data,
-                                  params[f"trunk.{step.name}.b"].data, layer.stride, exact=False)
-        elif layer.kind == "fc":
-            x, ctx = fc_forward(x, params[f"trunk.{step.name}.w"].data,
-                                params[f"trunk.{step.name}.b"].data, exact=False)
-        elif layer.kind == "maxpool":
-            x, ctx = maxpool_forward(x, layer.kernel, layer.stride)
-        elif layer.kind == "lrn":
-            x, ctx = lrn_forward(x, layer.lrn_n, layer.lrn_k, layer.lrn_alpha, layer.lrn_beta)
-        else:  # the walk made x (every step but the first), so nothing else reads it
-            x = relu(x, out=x if i > 0 else None)
-            ctx = np.packbits(x > 0)
+        x, ctx = _step_forward(step, params, x, made=True)
         cache.append((step, ctx))
     return x, cache
 
@@ -337,27 +406,38 @@ def trunk_backward(
     cache: list[tuple[LayerStep, Any]],
     upstream: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Accumulate parameter grads; returns (d_image, d_descriptor)."""
+    """Accumulate parameter grads; returns (d_image, d_descriptor).
+
+    ``upstream`` is the gradient at the features of the batch ``cache``
+    came from; it is never written.
+    """
     grad = np.asarray(upstream)
+    spatial, blocks, tail = _walk_parts(spec, len(grad))
+    if len(cache) != len(blocks) * len(spatial) + len(tail):
+        raise ValueError(
+            f"the cache holds {len(cache)} steps, but a walk of {len(grad)} images "
+            f"through this trunk makes {len(blocks) * len(spatial) + len(tail)}"
+        )
     d_h = None
-    for step, ctx in reversed(cache):
-        kind = step.layer.kind
-        if kind in ("conv", "fc"):
-            backward = conv_backward if kind == "conv" else fc_backward
-            grad, dw, db = backward(ctx, grad)
-            params[f"trunk.{step.name}.w"].accumulate_grad(dw)
-            params[f"trunk.{step.name}.b"].accumulate_grad(db)
-        elif kind == "maxpool":
-            grad = maxpool_backward(ctx, grad)
-        elif kind == "lrn":
-            grad = lrn_backward(ctx, grad)
-        else:
-            shape = (len(grad),) + step.out_shape
-            active = np.unpackbits(ctx, count=math.prod(shape)).view(bool).reshape(shape)
-            grad = relu_backward(active, grad)
+    made = False
+    for step, ctx in reversed(cache[len(cache) - len(tail):]):
+        grad = _step_backward(step, params, ctx, grad, made)
+        made = True
         if step.flatten:
             if spec.bridge_dim > 0:
                 d_h = grad[:, -spec.bridge_dim:]
                 grad = grad[:, : -spec.bridge_dim]
             grad = grad.reshape((len(grad),) + step.in_shape)
-    return grad, d_h
+    if not blocks:
+        return grad, d_h
+    d_image = np.empty((len(grad),) + spec.input_shape) if len(blocks) > 1 else None
+    for b, (lo, hi) in enumerate(blocks):
+        g, block_made = grad[lo:hi], made
+        for step, ctx in reversed(cache[b * len(spatial) : (b + 1) * len(spatial)]):
+            g = _step_backward(step, params, ctx, g, block_made)
+            block_made = True
+        if d_image is None:  # one block: its gradient is the batch's
+            d_image = g
+        else:
+            d_image[lo:hi] = g
+    return d_image, d_h

@@ -32,16 +32,15 @@ _DTYPE = "<f8"
 def save_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     entries = []
     blobs = []
+    digest = hashlib.sha256()
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name])
         if arr.dtype != np.float64:
             raise ValueError(f"array {name!r} has unsupported dtype {arr.dtype}")
-        arr = arr.astype(_DTYPE, copy=False)
+        # a byte view of the C-ordered little-endian array, not a copy of it
+        blob = arr.astype(_DTYPE, copy=False).reshape(-1).view(np.uint8)
         entries.append({"name": name, "shape": list(arr.shape), "dtype": _DTYPE})
-        blobs.append(arr.tobytes(order="C"))
-
-    digest = hashlib.sha256()
-    for blob in blobs:
+        blobs.append(blob)
         digest.update(blob)
     header = {
         "format_version": FORMAT_VERSION,
@@ -108,9 +107,12 @@ def load_container(path) -> tuple[str, dict, dict[str, np.ndarray]]:
             nbytes = math.prod(shape) * np.dtype(_DTYPE).itemsize
             if nbytes > size - f.tell():
                 raise ValueError(f"{path}: truncated array data for {name!r}")
-            blob = f.read(nbytes)
+            arr = np.empty(shape, dtype=_DTYPE)
+            blob = arr.reshape(-1).view(np.uint8)  # the file's bytes land in the array itself
+            if f.readinto(blob) != nbytes:  # the file shrank after its size was read
+                raise ValueError(f"{path}: truncated array data for {name!r}")
             digest.update(blob)
-            arrays[name] = np.frombuffer(blob, dtype=_DTYPE).reshape(shape).copy()
+            arrays[name] = arr
         if f.tell() != size:
             raise ValueError(f"{path}: {size - f.tell()} trailing byte(s) after the last array")
     if header.get("sha256") != digest.hexdigest():

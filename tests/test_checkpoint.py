@@ -2,10 +2,12 @@
 
 import json
 import struct
+import types
 
 import numpy as np
 import pytest
 
+from facerel import serialize
 from facerel.checkpoint import load_checkpoint, save_checkpoint
 from facerel.net import NetworkSpec, conv_spec, fc_spec, init_trunk_params, pool_spec, relu_spec
 from facerel.serialize import FORMAT_VERSION, MAGIC, load_container, save_container
@@ -36,6 +38,23 @@ def test_container_bytes_are_reproducible(tmp_path):
     save_container(p1, "test", {"k": "v"}, arrays)
     save_container(p2, "test", {"k": "v"}, arrays)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_container_stores_each_arrays_c_ordered_bytes(tmp_path):
+    rng = np.random.default_rng(1)
+    arrays = {"wide": rng.normal(size=(5, 6))[:, ::2], "t": rng.normal(size=(4, 3)).T,
+              "empty": np.zeros((0, 3)), "flat": rng.normal(size=9)}
+    path = tmp_path / "c.bin"
+    save_container(path, "test", {}, arrays)
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    data = b"".join(np.ascontiguousarray(arrays[n]).tobytes() for n in sorted(arrays))
+    assert blob[16 + header_len :] == data
+    _, _, loaded = load_container(path)
+    for name, arr in arrays.items():
+        got = loaded[name]
+        assert got.shape == arr.shape and got.tobytes() == np.ascontiguousarray(arr).tobytes()
+        assert got.flags.owndata and got.flags.writeable
 
 
 def test_container_rejects_damaged_array_data(tmp_path):
@@ -112,6 +131,17 @@ def test_container_rejects_an_array_listed_twice(tmp_path):
     path = tmp_path / "twice.bin"
     path.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header + b"\x00" * 16)
     with pytest.raises(ValueError, match="header lists array 'a' twice") as err:
+        load_container(path)
+    assert str(path) in str(err.value)
+
+
+def test_container_rejects_a_file_that_shrinks_while_read(tmp_path, monkeypatch):
+    path = tmp_path / "c.bin"
+    save_container(path, "test", {}, {"x": np.linspace(0, 1, 11)})
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-8])  # the last value is gone after fstat
+    monkeypatch.setattr(serialize.os, "fstat", lambda fd: types.SimpleNamespace(st_size=size))
+    with pytest.raises(ValueError, match="truncated array data for 'x'") as err:
         load_container(path)
     assert str(path) in str(err.value)
 

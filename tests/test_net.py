@@ -4,6 +4,7 @@ gradient checks."""
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from facerel.ops import fc_backward, fc_forward
 from oracles import (
     assert_forward_matches,
     central_diff_grad,
+    copying_trunk_backward,
     copying_trunk_forward,
     kink_margin,
     max_rel_err,
@@ -213,6 +215,96 @@ class TestTrunkForward:
         a, _ = trunk_forward(spec, params, img, rng.normal(size=(1, 4)))
         b, _ = trunk_forward(spec, params, img, rng.normal(size=(1, 4)))
         np.testing.assert_array_equal(a, b)
+
+
+class TestSampleBlocks:
+    def test_rejects_an_empty_batch(self):
+        spec = tiny_spec(bridge_dim=4)
+        params = init_trunk_params(spec, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"empty batch \(N = 0\)"):
+            trunk_forward(spec, params, np.zeros((0,) + spec.input_shape), np.zeros((0, 4)))
+
+    def test_blocked_walk_matches_one_block(self, monkeypatch):
+        spec = tiny_spec()
+        params = init_trunk_params(spec, np.random.default_rng(0))
+        rng = np.random.default_rng(9)
+        imgs = rng.normal(size=(5,) + spec.input_shape)
+        hs = rng.normal(size=(5, spec.bridge_dim))
+        up = rng.normal(size=(5, spec.feature_dim))
+        image_bytes, up_bytes = imgs.tobytes(), up.tobytes()
+
+        def walk(rows):
+            """One walk over ``imgs[rows]``: (out, d_image, d_h, grads, cache length)."""
+            out, cache = trunk_forward(spec, params, imgs[rows], hs[rows])
+            d_image, d_h = trunk_backward(spec, params, cache, up[rows])
+            grads = {name: t.grad.copy() for name, t in params.items()}
+            params.clear_grads()
+            return out, d_image, d_h, grads, len(cache)
+
+        def close(got, want):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+        one = walk(slice(None))
+        monkeypatch.setattr(net, "TRUNK_BLOCK", 2)  # blocks of 2, 2 and 1 faces
+        blocked = walk(slice(None))
+        assert imgs.tobytes() == image_bytes and up.tobytes() == up_bytes
+        assert one[4] == len(spec.plan) and blocked[4] == 3 * 6 + 3  # 6 steps before fc1
+        for got, want in zip(blocked[:3], one[:3], strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for name, want in one[3].items():
+            close(blocked[3][name], want)
+        # the Siamese tying holds across blocks: the left faces, rows 0, 2
+        # and 4, walk as two blocks, the right faces as one
+        left, right = walk(slice(0, None, 2))[3], walk(slice(1, None, 2))[3]
+        for name, tied in blocked[3].items():
+            close(tied, left[name] + right[name])
+
+    @pytest.mark.parametrize("layers", [
+        (conv_spec(3, 2), relu_spec()),
+        (conv_spec(3, 2), relu_spec(), fc_spec(4), relu_spec()),
+    ], ids=["spatial-only", "relu-last"])
+    def test_backward_never_writes_the_upstream(self, monkeypatch, layers):
+        spec = NetworkSpec((1, 6, 6), layers)
+        params = init_trunk_params(spec, np.random.default_rng(0))
+        rng = np.random.default_rng(10)
+        imgs = rng.normal(size=(3,) + spec.input_shape)
+        up = rng.normal(size=(3,) + spec.trace()[-1])
+        up_bytes = up.tobytes()
+        _, kept = copying_trunk_forward(spec, params, imgs, None)
+        want, _, _ = copying_trunk_backward(spec, kept, up)
+        monkeypatch.setattr(net, "TRUNK_BLOCK", 2)
+        _, cache = trunk_forward(spec, params, imgs)
+        d_image, _ = trunk_backward(spec, params, cache, up)
+        assert up.tobytes() == up_bytes
+        assert d_image.tobytes() == want.tobytes()
+
+    def test_backward_refuses_a_cache_of_another_batch(self, monkeypatch):
+        spec = tiny_spec(bridge_dim=0)
+        params = init_trunk_params(spec, np.random.default_rng(0))
+        monkeypatch.setattr(net, "TRUNK_BLOCK", 2)
+        _, cache = trunk_forward(spec, params, np.ones((3,) + spec.input_shape))
+        with pytest.raises(ValueError, match="the cache holds 15 steps, but a walk of 5 images"):
+            trunk_backward(spec, params, cache, np.ones((5, spec.feature_dim)))
+
+    def test_blocks_bound_the_forward_scratch(self, monkeypatch):
+        spec = NetworkSpec((1, 24, 24), (conv_spec(3, 8), relu_spec(), conv_spec(3, 16),
+                                         relu_spec(), pool_spec(2, 2), fc_spec(4)))
+        params = init_trunk_params(spec, np.random.default_rng(0))
+        imgs = np.random.default_rng(1).normal(size=(8,) + spec.input_shape)
+
+        def scratch(block):
+            """The forward's peak allocation above what it returns holding."""
+            monkeypatch.setattr(net, "TRUNK_BLOCK", block)
+            tracemalloc.start()
+            try:
+                kept = trunk_forward(spec, params, imgs)  # held while measured
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak - held
+
+        # at 2 faces a block, each transient activation is a quarter of the batch's
+        assert scratch(2) < scratch(8)
 
 
 def _worst_fd_error(loss_fn, params, h=1e-5):

@@ -525,6 +525,21 @@ class TestActivations:
             assert got.tobytes() == (up * active.astype(float)).tobytes()
             assert got.tobytes() == (up * active).tobytes()  # the bool multiply it replaced
 
+    def test_relu_backward_out_overwrites_the_upstream(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        up = rng.normal(size=(5, 3, 4))
+        active = rng.normal(size=up.shape) > 0
+        want = up * active.astype(float)
+        monkeypatch.setattr(ops, "SCRATCH_BYTES", 2 * up[0].nbytes)  # blocks of 2, 2, 1 samples
+        got = up.copy()
+        assert relu_backward(active, got, out=got) is got
+        assert got.tobytes() == want.tobytes()
+        assert relu_backward(active, up).tobytes() == want.tobytes()
+        zero = np.array(-2.5)
+        assert relu_backward(np.array(False), zero, out=zero) is zero and zero == 0.0
+        with pytest.raises(ValueError, match=r"out has shape \(5, 3\)"):
+            relu_backward(active, up, out=np.empty((5, 3)))
+
     def test_sigmoid_midpoint(self):
         assert sigmoid(0.0) == 0.5
 

@@ -261,13 +261,14 @@ def test_trunk_matches_the_copying_walk_bitwise(case):
     n = len(images)
     h = rng.normal(size=(n, spec.bridge_dim)) if spec.bridge_dim else None
     up = rng.normal(size=(n, spec.feature_dim))
-    image_bytes = images.tobytes()
+    image_bytes, up_bytes = images.tobytes(), up.tobytes()
     want_out, kept = copying_trunk_forward(spec, params, images, h)
     want_d_image, want_d_h, want_grads = copying_trunk_backward(spec, kept, up)
 
     out, cache = trunk_forward(spec, params, images, h)
     d_image, d_h = trunk_backward(spec, params, cache, up)
-    assert images.tobytes() == image_bytes  # the caller's image is never written
+    # the caller's image and upstream are never written
+    assert images.tobytes() == image_bytes and up.tobytes() == up_bytes
     for got, want in ((out, want_out), (d_image, want_d_image)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert (d_h is None and want_d_h is None) or d_h.tobytes() == want_d_h.tobytes()
