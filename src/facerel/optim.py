@@ -9,6 +9,7 @@ contribution to reported loss values comes from ``losses.weight_decay_term``.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -21,10 +22,10 @@ class DivergenceError(ArithmeticError):
 
 def sgd_step(params: ParameterSet, lr: float, lam: float = 0.0) -> None:
     """One descent step over every parameter; gradients are cleared after."""
-    if not (math.isfinite(lr) and lr >= 0):
-        raise ValueError(f"learning rate must be finite and >= 0, got {lr!r}")
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ValueError(f"decay coefficient must be finite and >= 0, got {lam!r}")
+    for name, v in (("learning rate", lr), ("decay coefficient", lam)):
+        real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+        if not (real and math.isfinite(v) and v >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
     for name, t in params.items():
         if t.grad is None:
             raise ValueError(f"parameter {name!r} has no gradient; run a backward pass first")

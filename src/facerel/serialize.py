@@ -34,7 +34,7 @@ def save_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -
     blobs = []
     digest = hashlib.sha256()
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
+        arr = np.asarray(arrays[name], order="C")  # np.ascontiguousarray makes 0-d 1-d
         if arr.dtype != np.float64:
             raise ValueError(f"array {name!r} has unsupported dtype {arr.dtype}")
         # a byte view of the C-ordered little-endian array, not a copy of it

@@ -115,6 +115,17 @@ class TestBuild:
         with pytest.raises(ValueError, match="landmark coordinates must be finite"):
             build_cluster_tree(corpus, t_top=2, u_children=3, l_children=3, seed=0, hog_cfg=CFG)
 
+    @pytest.mark.parametrize("field, value", [
+        ("t_top", 2.0), ("t_top", True), ("u_children", "3"), ("l_children", None),
+        ("l_children", np.float64(3)),
+    ], ids=["t-float", "t-bool", "u-string", "l-none", "l-numpy-float"])
+    def test_rejects_non_int_cluster_counts(self, field, value):
+        corpus, _ = make_corpus(24, n_modes=2)
+        counts = dict(t_top=2, u_children=3, l_children=3)
+        counts[field] = value
+        with pytest.raises(ValueError, match=f"'{field}' must be an int"):
+            build_cluster_tree(corpus, **counts, seed=0, hog_cfg=CFG)
+
     def test_rejects_tiny_corpus(self):
         corpus, _ = make_corpus(5)
         with pytest.raises(ValueError, match="too small"):
@@ -228,6 +239,7 @@ class TestDescriptorPath:
 
     def test_build_statistics_come_from_query_time_descriptors(self):
         corpus, tree = pruned_bank(1)
+        tree.build_rows.clear()  # every query below computes its descriptor
         assert tree.pruned_nodes()
         hs = np.stack([extract_descriptor(img, tree) for _, img in corpus])
         np.testing.assert_array_equal(descriptors(corpus_hogs(corpus), tree), hs)
@@ -239,6 +251,7 @@ class TestDescriptorPath:
 
     def test_descriptor_is_the_per_template_norm(self):
         corpus, tree = pruned_bank(1)
+        tree.build_rows.clear()
         hog = compute_hog(corpus[0][1], CFG)
         want = np.full(tree.descriptor_length, tree.sentinel)
         want[: tree.t_top] = np.linalg.norm(tree.top_templates - hog, axis=1)
@@ -270,6 +283,59 @@ class TestDescriptorPath:
         np.testing.assert_array_equal(loaded.slots, tree.slots)
         hogs = corpus_hogs(corpus)
         np.testing.assert_array_equal(descriptors(hogs, loaded), descriptors(hogs, tree))
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBuildRows:
+    """A built tree looks up the descriptors of its own build faces."""
+
+    @pytest.fixture
+    def banks(self, tmp_path):
+        corpus, tree = pruned_bank(1)
+        assert tree.pruned_nodes()
+        save_bank(tmp_path / "bank.bin", tree)
+        loaded = load_bank(tmp_path / "bank.bin")
+        assert len(tree.build_rows) == len(corpus) and not loaded.build_rows
+        return corpus, tree, loaded
+
+    @pytest.fixture
+    def hog_calls(self, monkeypatch):
+        calls = []
+        single = bridge.compute_hog
+        monkeypatch.setattr(bridge, "compute_hog",
+                            lambda img, cfg=None: calls.append(1) or single(img, cfg))
+        return calls
+
+    def test_hits_equal_the_computed_descriptors(self, banks):
+        corpus, tree, loaded = banks
+        for _, img in corpus:
+            for query in (extract_descriptor, network_descriptor):
+                assert _same_bits(query(img, tree), query(img, loaded))
+
+    def test_hit_computes_no_hog_and_returns_a_copy(self, banks, hog_calls):
+        corpus, tree, loaded = banks
+        face = corpus[3][1]
+        extract_descriptor(face, tree)[:] = -1.0
+        network_descriptor(face, tree)
+        assert hog_calls == []
+        assert _same_bits(extract_descriptor(face, tree), extract_descriptor(face, loaded))
+
+    def test_altered_face_misses(self, banks, hog_calls):
+        corpus, tree, loaded = banks
+        face = corpus[5][1].copy()
+        face[7, 11] += 0.25
+        h = extract_descriptor(face, tree)
+        assert hog_calls == [1]
+        assert _same_bits(h, extract_descriptor(face, loaded))
+        assert not _same_bits(h, extract_descriptor(corpus[5][1], tree))
+
+    def test_reshaped_build_face_is_refused(self, banks):
+        corpus, tree, _ = banks
+        with pytest.raises(ValueError, match="2-D"):
+            extract_descriptor(corpus[0][1].reshape(-1), tree)
 
 
 def _repeat_rows(arrays, name):

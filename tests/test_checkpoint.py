@@ -57,6 +57,17 @@ def test_container_stores_each_arrays_c_ordered_bytes(tmp_path):
         assert got.flags.owndata and got.flags.writeable
 
 
+def test_container_keeps_zero_d_shapes(tmp_path):
+    arrays = {"d": np.array(2.5), "v": np.linspace(0, 1, 4), "m": np.arange(6.0).reshape(2, 3)}
+    p1, p2 = tmp_path / "one.bin", tmp_path / "two.bin"
+    save_container(p1, "test", {}, arrays)
+    save_container(p2, "test", {}, arrays)
+    assert p1.read_bytes() == p2.read_bytes()
+    _, _, loaded = load_container(p1)
+    for name, arr in arrays.items():
+        assert loaded[name].shape == arr.shape and loaded[name].tobytes() == arr.tobytes()
+
+
 def test_container_rejects_damaged_array_data(tmp_path):
     path = tmp_path / "c.bin"
     save_container(path, "test", {}, {"x": np.linspace(0, 1, 11)})

@@ -159,7 +159,15 @@ class TestSgd:
         (np.inf, 0.0, "learning rate"),
         (0.1, np.nan, "decay coefficient"),
         (0.1, np.inf, "decay coefficient"),
-    ], ids=["lr-nan", "lr-inf", "lam-nan", "lam-inf"])
+        (-0.1, 0.0, "learning rate"),
+        ("0.1", 0.0, "learning rate"),
+        (None, 0.0, "learning rate"),
+        (True, 0.0, "learning rate"),
+        (0.1, "0", "decay coefficient"),
+        (0.1, None, "decay coefficient"),
+        (0.1, False, "decay coefficient"),
+    ], ids=["lr-nan", "lr-inf", "lam-nan", "lam-inf", "lr-negative", "lr-string", "lr-none",
+            "lr-bool", "lam-string", "lam-none", "lam-bool"])
     def test_non_finite_rate_refused(self, lr, lam, bad):
         ps = self._single(1.0, 0.5)
         with pytest.raises(ValueError, match=f"{bad} must be finite"):
