@@ -45,8 +45,9 @@ def masked_attr_loss(
 
     ``mask`` is boolean, True where the label is present.  Missing heads
     contribute zero loss and an exactly-zero logit gradient.  When the head
-    logits are available, pass them for a saturation-proof loss value; the
-    gradient is ``p - y`` on present heads either way.
+    logits are available, pass them (shaped as ``probs``) for a
+    saturation-proof loss value; the gradient is ``p - y`` on present heads
+    either way.
     """
     probs = np.asarray(probs, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
@@ -55,12 +56,15 @@ def masked_attr_loss(
         raise ValueError(
             f"probs {probs.shape}, labels {labels.shape} and mask {mask.shape} must align"
         )
+    if logits is not None:
+        logits = np.asarray(logits, dtype=np.float64)
+        if logits.shape != probs.shape:
+            raise ValueError(f"logits {logits.shape} must have the shape of probs {probs.shape}")
     if not np.all((labels[mask] == 0.0) | (labels[mask] == 1.0)):
         raise ValueError("present labels must be 0 or 1")
 
     safe_labels = np.where(mask, labels, 0.0)
     if logits is not None:
-        logits = np.asarray(logits, dtype=np.float64)
         per_head = np.maximum(logits, 0.0) - logits * safe_labels + np.log1p(np.exp(-np.abs(logits)))
     else:
         p = np.clip(probs, 1e-300, 1.0 - 1e-16)

@@ -48,6 +48,12 @@ A relu writes its output over its input whenever the walk made that input
 holds its own step's output, so nothing else reads the overwritten array.
 Its backward likewise gates the gradient in place whenever the walk made
 that gradient, so the caller's ``upstream`` is never written either.
+
+``trunk_backward`` consumes the cache: it sets each entry to ``None`` as
+soon as that step's backward has run, so each ctx, with the input array it
+keeps, is freed partway through the walk, not when the walk returns.  A
+second ``trunk_backward`` on a consumed cache raises ``ValueError``; a
+caller that needs another backward runs the forward again.
 """
 
 from __future__ import annotations
@@ -343,23 +349,27 @@ def _step_forward(step: LayerStep, params: ParameterSet, x: np.ndarray, made: bo
     return x, np.packbits(x > 0)
 
 
-def _step_backward(step: LayerStep, params: ParameterSet, ctx, grad: np.ndarray, made: bool):
-    """The gradient at ``step``'s input; adds its parameter grads.  ``made``
-    says the walk made ``grad``, so that a relu may write over it."""
+def _step_backward(cache: list, i: int, params: ParameterSet, grad: np.ndarray, made: bool):
+    """The gradient at the input of cache entry ``i``'s step; adds its
+    parameter grads, then clears the entry, so its ctx is freed on return.
+    ``made`` says the walk made ``grad``, so that a relu may write over it."""
+    step, ctx = cache[i]
     kind = step.layer.kind
     if kind in ("conv", "fc"):
         backward = conv_backward if kind == "conv" else fc_backward
         grad, dw, db = backward(ctx, grad)
         params[f"trunk.{step.name}.w"].accumulate_grad(dw)
         params[f"trunk.{step.name}.b"].accumulate_grad(db)
-        return grad
-    if kind == "maxpool":
-        return maxpool_backward(ctx, grad)
-    if kind == "lrn":
-        return lrn_backward(ctx, grad)
-    shape = (len(grad),) + step.out_shape
-    active = np.unpackbits(ctx, count=math.prod(shape)).view(bool).reshape(shape)
-    return relu_backward(active, grad, out=grad if made else None)
+    elif kind == "maxpool":
+        grad = maxpool_backward(ctx, grad)
+    elif kind == "lrn":
+        grad = lrn_backward(ctx, grad)
+    else:
+        shape = (len(grad),) + step.out_shape
+        active = np.unpackbits(ctx, count=math.prod(shape)).view(bool).reshape(shape)
+        grad = relu_backward(active, grad, out=grad if made else None)
+    cache[i] = None
+    return grad
 
 
 def trunk_forward(
@@ -409,7 +419,8 @@ def trunk_backward(
     """Accumulate parameter grads; returns (d_image, d_descriptor).
 
     ``upstream`` is the gradient at the features of the batch ``cache``
-    came from; it is never written.
+    came from; it is never written.  ``cache`` is consumed: every entry is
+    ``None`` on return.
     """
     grad = np.asarray(upstream)
     spatial, blocks, tail = _walk_parts(spec, len(grad))
@@ -418,10 +429,14 @@ def trunk_backward(
             f"the cache holds {len(cache)} steps, but a walk of {len(grad)} images "
             f"through this trunk makes {len(blocks) * len(spatial) + len(tail)}"
         )
+    if any(entry is None for entry in cache):
+        raise ValueError("the cache was consumed by an earlier trunk_backward; "
+                         "run trunk_forward again")
     d_h = None
     made = False
-    for step, ctx in reversed(cache[len(cache) - len(tail):]):
-        grad = _step_backward(step, params, ctx, grad, made)
+    for i in reversed(range(len(cache) - len(tail), len(cache))):
+        step = cache[i][0]
+        grad = _step_backward(cache, i, params, grad, made)
         made = True
         if step.flatten:
             if spec.bridge_dim > 0:
@@ -433,8 +448,8 @@ def trunk_backward(
     d_image = np.empty((len(grad),) + spec.input_shape) if len(blocks) > 1 else None
     for b, (lo, hi) in enumerate(blocks):
         g, block_made = grad[lo:hi], made
-        for step, ctx in reversed(cache[b * len(spatial) : (b + 1) * len(spatial)]):
-            g = _step_backward(step, params, ctx, g, block_made)
+        for i in reversed(range(b * len(spatial), (b + 1) * len(spatial))):
+            g = _step_backward(cache, i, params, g, block_made)
             block_made = True
         if d_image is None:  # one block: its gradient is the batch's
             d_image = g

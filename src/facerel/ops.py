@@ -20,6 +20,16 @@ else holds (``relu(x, out=x)``) without spoiling any ctx.  Likewise
 the mask to the gradient's dtype one sample block at a time, so its scratch
 beyond ``out`` stays within ``SCRATCH_BYTES``.
 
+LRN scratch.  ``lrn_forward`` works in two input-sized arrays, its output
+and the base, and ``lrn_backward`` in three, its output among them: every
+step writes into one of them (``out=`` or in place), and the one windowed
+sum, ``_window_sum``, writes into a given array.  Each keeps its
+expressions' operation order, ``x / base**beta`` forward and
+``up * p - (c * x) * S(((up * x) * p) / base)`` backward, with
+``p = base**-beta``, ``c = 2 * alpha * beta`` and ``S`` the window sum
+added in ascending channel order onto 0.0, so the bits do not depend on
+the scratch.
+
 Determinism contract.  ``conv_forward`` and ``fc_forward`` have two paths.
 
 * ``exact=True`` (the default) accumulates element by element in ascending
@@ -323,11 +333,13 @@ class LrnCtx:
     beta: float
 
 
-def _channel_window_sum(v: np.ndarray, n: int) -> np.ndarray:
-    """Sum ``v`` over the clipped channel window [c - n//2, c + n//2]."""
+def _window_sum(v: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` the sum of ``v`` over the clipped channel window
+    [c - n//2, c + n//2], each channel's terms added in ascending channel
+    order onto 0.0; ``out`` must not share memory with ``v``."""
     c = v.shape[1]
     half = n // 2
-    out = np.zeros_like(v)
+    out.fill(0.0)
     for d in range(-half, half + 1):
         lo = max(0, -d)
         hi = min(c, c - d)
@@ -336,10 +348,12 @@ def _channel_window_sum(v: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _lrn_base(x4: np.ndarray, n: int, k: float, alpha: float) -> np.ndarray:
-    """``k + alpha * windowed sum of squares``: one expression for the forward
-    and for the backward, which recomputes it, so both see the same bits."""
-    base = _channel_window_sum(x4 * x4, n)
+def _lrn_base(x4: np.ndarray, n: int, k: float, alpha: float, sq: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+    """Write ``k + alpha * windowed sum of squares`` into ``out``, with ``sq``
+    as scratch for the squares: one expression for the forward and for the
+    backward, which recomputes it, so both see the same bits."""
+    base = _window_sum(np.multiply(x4, x4, out=sq), n, out)
     base *= alpha
     base += k
     return base
@@ -356,10 +370,11 @@ def lrn_forward(
     x4 = _as_batched_images(x, "lrn_forward")
     if n < 1:
         raise ValueError(f"lrn_forward: window depth must be >= 1, got {n}")
-    base = _lrn_base(x4, n, k, alpha)
+    out = np.empty_like(x4)
+    base = _lrn_base(x4, n, k, alpha, sq=out, out=np.empty_like(x4))
     if np.any(base <= 0):
         raise ValueError("lrn_forward: non-positive normalization denominator")
-    out = x4 / np.power(base, beta, out=base)
+    np.divide(x4, np.power(base, beta, out=base), out=out)
     return out, LrnCtx(x4, n, k, alpha, beta)
 
 
@@ -367,14 +382,25 @@ def lrn_backward(ctx: LrnCtx, upstream: np.ndarray) -> np.ndarray:
     if ctx is None:
         raise ValueError("lrn_backward: forward context is required")
     up4 = _as_batched_images(upstream, "lrn_backward")
-    if up4.shape != ctx.x.shape:
+    x = ctx.x
+    if up4.shape != x.shape:
         raise ValueError(
-            f"lrn_backward: upstream shape {up4.shape} does not match input {ctx.x.shape}"
+            f"lrn_backward: upstream shape {up4.shape} does not match input {x.shape}"
         )
-    base = _lrn_base(ctx.x, ctx.n, ctx.k, ctx.alpha)
-    inv_pow = np.power(base, -ctx.beta)
-    t = up4 * ctx.x * inv_pow / base
-    return up4 * inv_pow - 2.0 * ctx.alpha * ctx.beta * ctx.x * _channel_window_sum(t, ctx.n)
+    # the module's LRN scratch: a holds the squares, then p, then dx; b the
+    # base, then the window sum; t the summand, then c * x times that sum
+    a, b, t = (np.empty(x.shape, dtype=np.result_type(x, up4)) for _ in range(3))
+    base = _lrn_base(x, ctx.n, ctx.k, ctx.alpha, sq=a, out=b)
+    inv_pow = np.power(base, -ctx.beta, out=a)
+    np.multiply(up4, x, out=t)
+    t *= inv_pow
+    t /= base
+    ws = _window_sum(t, ctx.n, out=b)
+    cx = np.multiply(2.0 * ctx.alpha * ctx.beta, x, out=t)
+    cx *= ws
+    dx = np.multiply(up4, inv_pow, out=a)
+    dx -= cx
+    return dx
 
 
 # ---------------------------------------------------------------------------

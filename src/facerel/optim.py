@@ -21,7 +21,12 @@ class DivergenceError(ArithmeticError):
 
 
 def sgd_step(params: ParameterSet, lr: float, lam: float = 0.0) -> None:
-    """One descent step over every parameter; gradients are cleared after."""
+    """One descent step over every parameter.
+
+    The step consumes the gradients: each is scaled in place into its
+    update, so no ``lr * grad`` temporary is made, and then cleared.  The
+    arithmetic runs in the order of ``w - lr * (grad + 2 * lam * w)``.
+    """
     for name, v in (("learning rate", lr), ("decay coefficient", lam)):
         real = isinstance(v, numbers.Real) and not isinstance(v, bool)
         if not (real and math.isfinite(v) and v >= 0):
@@ -33,9 +38,9 @@ def sgd_step(params: ParameterSet, lr: float, lam: float = 0.0) -> None:
             raise DivergenceError(f"non-finite gradient on parameter {name!r}; step refused")
     for name, t in params.items():
         if lam != 0.0 and not params.is_bias(name):
-            t.data -= lr * (t.grad + 2.0 * lam * t.data)
-        else:
-            t.data -= lr * t.grad
+            t.grad += (2.0 * lam) * t.data
+        np.multiply(t.grad, lr, out=t.grad)
+        t.data -= t.grad
     params.clear_grads()
 
 

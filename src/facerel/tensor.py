@@ -102,8 +102,11 @@ class ParameterSet:
             t.clear_grad()
 
     def merge(self, other: "ParameterSet") -> None:
-        for name, t in other.items():
-            self.add(name, t)
+        """Add every tensor of ``other``; a name clash adds none of them."""
+        clash = [name for name in other.names() if name in self._params]
+        if clash:
+            raise ValueError(f"duplicate parameter name(s): {clash}")
+        self._params.update(other.items())
 
     def __repr__(self) -> str:
         total = sum(t.size for t in self._params.values())

@@ -10,6 +10,9 @@ checkpoint and bank loader tests share.
 ``naive_render_face`` is vectorised too: it is the face renderer with every
 grid, background and glyph mask rebuilt on each call, to hold the cached
 renderer to it.
+``lrn_expr_forward`` and ``lrn_expr_backward`` are vectorised too: each LRN
+kernel written as one expression, temporaries and all, whose bits the
+library's scratch-reusing kernels must keep.
 """
 
 import numpy as np
@@ -137,6 +140,25 @@ def _channel_window_sum(v, n):
     return out
 
 
+def lrn_base(x, n, k, alpha):
+    """``k + alpha * window sum of squares`` as one expression: the LRN
+    base with the library's operation order."""
+    return k + alpha * _channel_window_sum(x * x, n)
+
+
+def lrn_expr_forward(x, n, k, alpha, beta):
+    """The LRN forward as one expression."""
+    return x / lrn_base(x, n, k, alpha) ** beta
+
+
+def lrn_expr_backward(x, base, up, n, alpha, beta):
+    """The LRN input gradient as one expression, from the forward's input
+    ``x`` and its ``base``."""
+    inv_pow = np.power(base, -beta)
+    t = up * x * inv_pow / base
+    return up * inv_pow - 2.0 * alpha * beta * x * _channel_window_sum(t, n)
+
+
 def copying_trunk_forward(spec, params, images, h):
     """The trunk's forward over a batch, from ``ops`` calls.
 
@@ -165,7 +187,7 @@ def copying_trunk_forward(spec, params, images, h):
             out, ctx = ops.maxpool_forward(x, layer.kernel, layer.stride)
         elif layer.kind == "lrn":
             out, _ = ops.lrn_forward(x, layer.lrn_n, layer.lrn_k, layer.lrn_alpha, layer.lrn_beta)
-            ctx = layer.lrn_k + layer.lrn_alpha * _channel_window_sum(x * x, layer.lrn_n)
+            ctx = lrn_base(x, layer.lrn_n, layer.lrn_k, layer.lrn_alpha)
         else:
             out, ctx = ops.relu(x), None
         kept.append((step, x, ctx))
@@ -190,10 +212,7 @@ def copying_trunk_backward(spec, kept, upstream):
         elif layer.kind == "maxpool":
             grad = ops.maxpool_backward(ctx, grad)
         elif layer.kind == "lrn":
-            beta, n = layer.lrn_beta, layer.lrn_n
-            inv_pow = np.power(ctx, -beta)
-            t = grad * x * inv_pow / ctx
-            grad = grad * inv_pow - 2.0 * layer.lrn_alpha * beta * x * _channel_window_sum(t, n)
+            grad = lrn_expr_backward(x, ctx, grad, layer.lrn_n, layer.lrn_alpha, layer.lrn_beta)
         else:
             grad = grad * (x > 0)
         if step.flatten:

@@ -86,6 +86,19 @@ class TestMaskedLoss:
         with pytest.raises(ValueError, match="0 or 1"):
             masked_attr_loss(np.full(2, 0.5), np.array([2.0, 0.0]), np.array([True, False]))
 
+    @pytest.mark.parametrize("shapes, message", [
+        (((4, 3), (4, 2), (4, 3), None), r"labels \(4, 2\) and mask \(4, 3\) must align"),
+        (((4, 3), (4, 3), (3, 4), None), r"labels \(4, 3\) and mask \(3, 4\) must align"),
+        (((4, 3), (4, 3), (4, 3), (3,)), r"logits \(3,\) must have the shape of probs \(4, 3\)"),
+        (((4, 3), (4, 3), (4, 3), (1, 3)), r"logits \(1, 3\) must have the shape of probs \(4, 3\)"),
+        (((4, 3), (4, 3), (4, 3), (4, 3, 1)), r"logits \(4, 3, 1\) must have the shape"),
+    ], ids=["labels", "mask", "logits-row", "logits-one-sample", "logits-extra-axis"])
+    def test_rejects_misshapen_inputs(self, shapes, message):
+        probs, labels, mask, logits = shapes
+        with pytest.raises(ValueError, match=message):
+            masked_attr_loss(np.full(probs, 0.5), np.zeros(labels), np.ones(mask, dtype=bool),
+                             logits=None if logits is None else np.zeros(logits))
+
 
 class TestWeightDecay:
     def _params(self, w, b=None):
@@ -174,6 +187,22 @@ class TestSgd:
             sgd_step(ps, lr=lr, lam=lam)
         assert ps["fc1.w"].data[0] == 1.0 and ps["fc1.w"].grad is not None
 
+    @pytest.mark.parametrize("lam", [0.0, 0.03])
+    def test_update_keeps_the_expressions_bits(self, lam):
+        rng = np.random.default_rng(5)
+        ps = ParameterSet()
+        for name, shape in (("conv1.w", (4, 3, 5, 5)), ("conv1.b", (4,)), ("fc1.w", (30, 7))):
+            ps.add(name, Tensor(rng.normal(size=shape), rng.normal(size=shape)))
+        want = {}
+        for name, t in ps.items():
+            if lam != 0.0 and not ps.is_bias(name):
+                want[name] = t.data - 0.37 * (t.grad + 2.0 * lam * t.data)
+            else:
+                want[name] = t.data - 0.37 * t.grad
+        sgd_step(ps, lr=0.37, lam=lam)
+        for name, t in ps.items():
+            assert t.data.tobytes() == want[name].tobytes() and t.grad is None
+
     def test_bias_sees_no_decay(self):
         ps = ParameterSet()
         ps.add("fc1.b", Tensor(np.array([1.0]), np.array([0.0])))
@@ -185,3 +214,23 @@ def test_lr_schedule_steps_down():
     assert lr_at(0, 30, 0.01) == 0.01
     assert lr_at(19, 30, 0.01) == 0.01
     assert lr_at(20, 30, 0.01) == pytest.approx(0.001)
+
+
+class TestParameterSet:
+    def test_refused_merge_adds_nothing(self):
+        ps = ParameterSet()
+        ps.add("x", Tensor(np.zeros(2)))
+        other = ParameterSet()
+        other.add("y", Tensor(np.ones(3)))
+        other.add("x", Tensor(np.ones(2)))
+        with pytest.raises(ValueError, match=r"duplicate parameter name\(s\): \['x'\]"):
+            ps.merge(other)
+        assert ps.names() == ["x"] and not ps["x"].data.any()
+
+    def test_merge_appends_in_order(self):
+        ps, other = ParameterSet(), ParameterSet()
+        ps.add("a", Tensor(np.zeros(1)))
+        for name in ("c", "b"):
+            other.add(name, Tensor(np.zeros(1)))
+        ps.merge(other)
+        assert ps.names() == ["a", "c", "b"] and ps["c"] is other["c"]

@@ -493,6 +493,47 @@ class TestTrunkCache:
                 assert sum(a.nbytes for a in held) == out_size  # one byte per output
         assert kinds == {"conv", "relu", "maxpool", "lrn", "fc"}
 
+    def test_backward_consumes_the_cache(self):
+        spec = tiny_spec()
+        params = init_trunk_params(spec, np.random.default_rng(0))
+        rng = np.random.default_rng(4)
+        imgs = rng.normal(size=(3,) + spec.input_shape)
+        up = rng.normal(size=(3, spec.feature_dim))
+        _, cache = trunk_forward(spec, params, imgs, rng.normal(size=(3, spec.bridge_dim)))
+        trunk_backward(spec, params, cache, up)
+        assert len(cache) == len(spec.plan) and all(entry is None for entry in cache)
+        grads = {name: t.grad.copy() for name, t in params.items()}
+        with pytest.raises(ValueError, match="cache was consumed by an earlier trunk_backward"):
+            trunk_backward(spec, params, cache, up)
+        for name, t in params.items():  # the refused walk added nothing
+            assert t.grad.tobytes() == grads[name].tobytes()
+
+    def test_paper48_step_peak_is_bounded(self):
+        """One forward+backward of 32 faces at the paper-like geometry peaks
+        below 19 MiB above what was held before the forward: the backward
+        frees each ctx once used, and lrn works in three scratch arrays."""
+        lrn = lrn_spec(5, 2.0, 1e-4, 0.75)
+        spec = NetworkSpec((1, 48, 48), (
+            conv_spec(5, 16), relu_spec(), pool_spec(2, 2), lrn,
+            conv_spec(5, 32), relu_spec(), pool_spec(2, 2), lrn,
+            conv_spec(3, 48), relu_spec(), fc_spec(256), relu_spec(),
+        ), bridge_dim=210)
+        rng = np.random.default_rng(0)
+        params = init_trunk_params(spec, rng)
+        params.clear_grads()  # as after an SGD step: the backward makes every grad
+        imgs = rng.uniform(size=(32,) + spec.input_shape)
+        h = rng.normal(size=(32, spec.bridge_dim))
+        up = rng.normal(size=(32, spec.feature_dim))
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            _, cache = trunk_forward(spec, params, imgs, h)
+            trunk_backward(spec, params, cache, up)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 19 * 2**20
+
     def test_packed_relu_mask_keeps_the_upstream_shape_check(self):
         spec = NetworkSpec((1, 4, 4), (relu_spec(),))
         params = init_trunk_params(spec, np.random.default_rng(0))

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,9 @@ from facerel import ops
 from oracles import (
     assert_forward_matches,
     central_diff_grad,
+    lrn_base,
+    lrn_expr_backward,
+    lrn_expr_forward,
     max_rel_err,
     naive_conv,
     naive_conv_backward,
@@ -355,6 +359,45 @@ class TestLrn:
     def test_rejects_nonpositive_denominator(self):
         with pytest.raises(ValueError, match="denominator"):
             lrn_forward(np.zeros((1, 1, 2, 2)), n=1, k=0.0, alpha=1e-4, beta=0.75)
+
+    @pytest.mark.parametrize("shape, n", [
+        ((2, 1, 3, 3), 5),   # C = 1
+        ((3, 2, 4, 4), 5),   # C < n: every window is clipped at both edges
+        ((2, 7, 3, 5), 3),   # windows clipped at the first and last channel
+        ((4, 5, 3, 3), 4),   # an even depth spans n // 2 to either side
+        ((1, 6, 2, 2), 1),
+        ((5, 16, 5, 5), 5),
+    ], ids=["c1", "c-below-n", "clipped", "even-n", "n1", "wide"])
+    def test_kernels_keep_the_expressions_bits(self, shape, n):
+        rng = np.random.default_rng(sum(shape) + n)
+        x = rng.normal(size=shape)
+        up = rng.normal(size=shape)
+        x.flat[::7] = 0.0  # signed zeros through every product
+        up.flat[::5] = -0.0
+        for k, alpha, beta in ((2.0, 1e-4, 0.75), (1.0, 0.3, 0.6)):
+            out, ctx = lrn_forward(x, n, k, alpha, beta)
+            assert out.tobytes() == lrn_expr_forward(x, n, k, alpha, beta).tobytes()
+            want = lrn_expr_backward(x, lrn_base(x, n, k, alpha), up, n, alpha, beta)
+            assert lrn_backward(ctx, up).tobytes() == want.tobytes()
+
+    def test_kernels_work_in_two_and_three_input_sized_arrays(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(8, 16, 22, 22))
+        up = rng.normal(size=x.shape)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                held, _ = tracemalloc.get_traced_memory()
+                fn()
+                return tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+
+        _, ctx = lrn_forward(x, 5, 2.0, 1e-4, 0.75)
+        # the forward's output and base, and the bool mask of its sign check
+        assert peak(lambda: lrn_forward(x, 5, 2.0, 1e-4, 0.75)) <= 2.125 * x.nbytes + (64 << 10)
+        assert peak(lambda: lrn_backward(ctx, up)) <= 3 * x.nbytes + (64 << 10)
 
 
 class TestFc:
