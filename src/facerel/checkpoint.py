@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .net import NetworkSpec
+from .net import NetworkSpec, check_trunk_params
 from .serialize import load_container, save_container
 from .tensor import ParameterSet, Tensor
 
@@ -52,13 +52,8 @@ def load_checkpoint(path) -> tuple[NetworkSpec, ParameterSet, dict]:
         if not np.isfinite(data).all():
             raise ValueError(f"{path}: parameter {name!r} holds non-finite values")
         params.add(name, Tensor(data, np.zeros_like(data)))
-    for name, shape in spec.param_shapes().items():
-        key = "trunk." + name
-        if key not in params:
-            raise ValueError(f"{path}: parameter {key!r} of the network is missing")
-        if params[key].shape != shape:
-            raise ValueError(
-                f"{path}: parameter {key!r} has shape {params[key].shape}, "
-                f"the network needs {shape}"
-            )
+    try:
+        check_trunk_params(spec, params)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     return spec, params, meta["extra"]

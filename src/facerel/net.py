@@ -27,21 +27,34 @@ order.  Every op is batch invariant, so outputs and input gradients carry
 the bits of a one-block walk; a parameter gradient sums its blocks' parts,
 which may round differently (within 1e-12 of its largest magnitude).
 
-``trunk_forward``'s cache is a list of ``(step, ctx)`` entries: one per
-spatial step and block, block after block, then one per tail step.  A ctx
-covers its block's rows (a spatial step) or the whole batch (a tail step),
-and keeps only what ``trunk_backward`` reads:
+``trunk_forward``'s cache is a list of entries: one ``(None, rows)`` per
+sample block but the last, where ``rows`` is a view of the block's rows of
+the input (the image the first step read); then one ``(step, ctx)`` per
+spatial step of the last block; then one per tail step.  A ctx covers the
+last block's rows (a spatial step) or the whole batch (a tail step), and
+keeps only what ``trunk_backward`` reads:
 
 =======  ==========  ======================================================
 step     rows        ctx
 =======  ==========  ======================================================
-conv     a block     ``ConvCtx``: the layer's input and weights
-lrn      a block     ``LrnCtx``: the layer's input (the base is recomputed)
-maxpool  a block     ``PoolArgmax``: each output's tap in its window, one byte
+conv     last block  ``ConvCtx``: the layer's input and weights
+lrn      last block  ``LrnCtx``: the layer's input (the base is recomputed)
+maxpool  last block  ``PoolArgmax``: each output's tap in its window, one byte
 relu     either      the mask ``out > 0`` packed by ``np.packbits``, one bit
                      per element
 fc       the batch   ``FcCtx``: the layer's input and weights
 =======  ==========  ======================================================
+
+So a forward holds one block's spatial ctxs whatever N is, and a caller
+that never runs the backward pays for no more.  A batch of at most
+``TRUNK_BLOCK`` faces is one block and keeps every ctx.  Before an earlier
+block's backward, ``trunk_backward`` re-runs that block's spatial steps
+from its rows, through the same calls as the forward: the walk is
+deterministic, so the re-made ctxs carry the forward's bits and the
+gradients those of a walk that kept every ctx.  The price is one more
+spatial forward per earlier block.  It rests on one contract: the
+parameters and the caller's image must not change between the forward and
+the backward (the conv ctxs already hold both by reference).
 
 A relu writes its output over its input whenever the walk made that input
 (every step but the first, so the caller's image is never written): no ctx
@@ -50,10 +63,11 @@ Its backward likewise gates the gradient in place whenever the walk made
 that gradient, so the caller's ``upstream`` is never written either.
 
 ``trunk_backward`` consumes the cache: it sets each entry to ``None`` as
-soon as that step's backward has run, so each ctx, with the input array it
-keeps, is freed partway through the walk, not when the walk returns.  A
-second ``trunk_backward`` on a consumed cache raises ``ValueError``; a
-caller that needs another backward runs the forward again.
+soon as that step's backward has run (an earlier block's entry once its
+steps have been re-run), so each ctx, with the input array it keeps, is
+freed partway through the walk, not when the walk returns.  A second
+``trunk_backward`` on a consumed cache raises ``ValueError``; a caller that
+needs another backward runs the forward again.
 """
 
 from __future__ import annotations
@@ -83,8 +97,9 @@ LAYER_KINDS = ("conv", "maxpool", "lrn", "fc", "relu")
 
 #: Faces per sample block of the trunk's spatial steps (every step before the
 #: flatten).  A larger batch runs them one block at a time, so their scratch
-#: is bounded by a block, not by the batch; a training batch of 32 faces and
-#: a scored pair stay one block.
+#: and the ctxs the forward keeps (the last block's) are bounded by a block,
+#: not by the batch; its backward re-runs each earlier block.  A training
+#: batch of 32 faces and a scored pair stay one block.
 TRUNK_BLOCK = 32
 
 
@@ -372,33 +387,57 @@ def _step_backward(cache: list, i: int, params: ParameterSet, grad: np.ndarray, 
     return grad
 
 
+def check_trunk_params(spec: NetworkSpec, params: ParameterSet) -> None:
+    """Raise ``ValueError`` naming the first ``trunk.`` parameter of ``spec``
+    that ``params`` lacks or holds in another shape; other names are not read."""
+    for name, shape in spec.param_shapes().items():
+        key = "trunk." + name
+        if key not in params:
+            raise ValueError(f"parameter {key!r} of the network is missing")
+        if params[key].shape != shape:
+            raise ValueError(
+                f"parameter {key!r} has shape {params[key].shape}, the network needs {shape}"
+            )
+
+
+def _block_forward(spatial, params: ParameterSet, x: np.ndarray, entries: list) -> np.ndarray:
+    """One sample block through the spatial steps; appends each step's
+    ``(step, ctx)`` to ``entries`` and returns the block's output."""
+    for i, step in enumerate(spatial):  # the first step reads the caller's image
+        x, ctx = _step_forward(step, params, x, made=i > 0)
+        entries.append((step, ctx))
+    return x
+
+
 def trunk_forward(
     spec: NetworkSpec,
     params: ParameterSet,
     image: np.ndarray,
     h: np.ndarray | None = None,
-) -> tuple[np.ndarray, list[tuple[LayerStep, Any]]]:
+) -> tuple[np.ndarray, list[tuple[LayerStep | None, Any]]]:
     """Run the trunk on an (N,C,H,W) batch; returns (features, cache).
 
     ``h`` is the (N, bridge_dim) bridging descriptor (already standardized);
     it is mandatory when the spec declares ``bridge_dim > 0``.  Parameters
     are read under the ``trunk.`` names that ``init_trunk_params`` gives by
-    default and checkpoints store.  The caller's arrays are never written.
+    default and checkpoints store; a missing or misshapen one raises
+    ``ValueError``.  The caller's arrays are never written.
     """
+    check_trunk_params(spec, params)
     x, h = _trunk_input(spec, image, h)
     spatial, blocks, tail = _walk_parts(spec, len(x))
     cache = []
     features = np.empty((len(x),) + spatial[-1].out_shape) if len(blocks) > 1 else None
     for lo, hi in blocks:
-        y = x[lo:hi]
-        for i, step in enumerate(spatial):  # the first step reads the caller's image
-            y, ctx = _step_forward(step, params, y, made=i > 0)
-            cache.append((step, ctx))
+        entries = []  # frees the previous block's ctxs before this block runs
+        y = _block_forward(spatial, params, x[lo:hi], entries)
+        cache.append((None, x[lo:hi]))
         if features is None:  # one block: its output is the batch's
             features = y
         else:
             features[lo:hi] = y
     if blocks:
+        cache[-1:] = entries  # the last block keeps its ctxs in place of its input
         x = features
     for step in tail:
         if step.flatten:
@@ -413,28 +452,36 @@ def trunk_forward(
 def trunk_backward(
     spec: NetworkSpec,
     params: ParameterSet,
-    cache: list[tuple[LayerStep, Any]],
+    cache: list[tuple[LayerStep | None, Any]],
     upstream: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Accumulate parameter grads; returns (d_image, d_descriptor).
 
     ``upstream`` is the gradient at the features of the batch ``cache``
     came from; it is never written.  ``cache`` is consumed: every entry is
-    ``None`` on return.
+    ``None`` on return.  The parameters and the image of the forward must
+    not have changed since: an earlier block's spatial steps are re-run here.
     """
     grad = np.asarray(upstream)
-    spatial, blocks, tail = _walk_parts(spec, len(grad))
-    if len(cache) != len(blocks) * len(spatial) + len(tail):
+    out_shape = spec.plan[-1].out_shape
+    if grad.ndim != 1 + len(out_shape):
         raise ValueError(
-            f"the cache holds {len(cache)} steps, but a walk of {len(grad)} images "
-            f"through this trunk makes {len(blocks) * len(spatial) + len(tail)}"
+            f"upstream has shape {grad.shape}, expected the features' shape "
+            f"(N, {', '.join(map(str, out_shape))})"
+        )
+    spatial, blocks, tail = _walk_parts(spec, len(grad))
+    kept = len(blocks) - 1 + len(spatial) if blocks else 0
+    if len(cache) != kept + len(tail):
+        raise ValueError(
+            f"the cache holds {len(cache)} entries, but a walk of {len(grad)} images "
+            f"through this trunk makes {kept + len(tail)}"
         )
     if any(entry is None for entry in cache):
         raise ValueError("the cache was consumed by an earlier trunk_backward; "
                          "run trunk_forward again")
     d_h = None
     made = False
-    for i in reversed(range(len(cache) - len(tail), len(cache))):
+    for i in reversed(range(kept, len(cache))):
         step = cache[i][0]
         grad = _step_backward(cache, i, params, grad, made)
         made = True
@@ -445,11 +492,18 @@ def trunk_backward(
             grad = grad.reshape((len(grad),) + step.in_shape)
     if not blocks:
         return grad, d_h
-    d_image = np.empty((len(grad),) + spec.input_shape) if len(blocks) > 1 else None
+    last = len(blocks) - 1
+    d_image = np.empty((len(grad),) + spec.input_shape) if last else None
     for b, (lo, hi) in enumerate(blocks):
+        if b < last:  # an earlier block kept its input: re-run its spatial steps
+            entries, first = [], 0
+            _block_forward(spatial, params, cache[b][1], entries)
+            cache[b] = None
+        else:  # the last block kept its ctxs
+            entries, first = cache, last
         g, block_made = grad[lo:hi], made
-        for i in reversed(range(b * len(spatial), (b + 1) * len(spatial))):
-            g = _step_backward(cache, i, params, g, block_made)
+        for i in reversed(range(first, first + len(spatial))):
+            g = _step_backward(entries, i, params, g, block_made)
             block_made = True
         if d_image is None:  # one block: its gradient is the batch's
             d_image = g

@@ -24,6 +24,7 @@ from facerel.net import (
     trunk_forward,
 )
 from facerel.ops import fc_backward, fc_forward
+from facerel.tensor import ParameterSet
 
 from oracles import (
     assert_forward_matches,
@@ -206,6 +207,25 @@ class TestTrunkForward:
         with pytest.raises(ValueError, match="geometry"):
             trunk_forward(spec, params, np.zeros((1, 1, 9, 9)))
 
+    def test_rejects_parameters_that_do_not_fit_the_spec(self):
+        spec = tiny_spec(bridge_dim=0)
+        img = np.zeros((2,) + spec.input_shape)
+        wider = NetworkSpec(spec.input_shape, spec.layers[:-1] + (fc_spec(7),))
+        more_filters = NetworkSpec(spec.input_shape, (conv_spec(3, 3),) + spec.layers[1:])
+        partial = ParameterSet()
+        for name, t in init_trunk_params(spec, np.random.default_rng(0)).items():
+            if name != "trunk.conv1.w":
+                partial.add(name, t)
+        for params, message in (
+            (partial, "parameter 'trunk.conv1.w' of the network is missing"),
+            (init_trunk_params(wider, np.random.default_rng(0)),
+             "parameter 'trunk.fc2.w' has shape (6, 7), the network needs (6, 5)"),
+            (init_trunk_params(more_filters, np.random.default_rng(0)),
+             "parameter 'trunk.conv1.w' has shape (3, 1, 3, 3), the network needs (2, 1, 3, 3)"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                trunk_forward(spec, params, img)
+
     def test_zeroed_bridge_columns_make_descriptor_dead(self):
         spec = tiny_spec(bridge_dim=4)
         params = init_trunk_params(spec, np.random.default_rng(0))
@@ -248,7 +268,8 @@ class TestSampleBlocks:
         monkeypatch.setattr(net, "TRUNK_BLOCK", 2)  # blocks of 2, 2 and 1 faces
         blocked = walk(slice(None))
         assert imgs.tobytes() == image_bytes and up.tobytes() == up_bytes
-        assert one[4] == len(spec.plan) and blocked[4] == 3 * 6 + 3  # 6 steps before fc1
+        # the two earlier blocks keep one entry each, the last its 6 steps before fc1
+        assert one[4] == len(spec.plan) and blocked[4] == 2 + 6 + 3
         for got, want in zip(blocked[:3], one[:3], strict=True):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         for name, want in one[3].items():
@@ -283,7 +304,8 @@ class TestSampleBlocks:
         params = init_trunk_params(spec, np.random.default_rng(0))
         monkeypatch.setattr(net, "TRUNK_BLOCK", 2)
         _, cache = trunk_forward(spec, params, np.ones((3,) + spec.input_shape))
-        with pytest.raises(ValueError, match="the cache holds 15 steps, but a walk of 5 images"):
+        with pytest.raises(ValueError, match="the cache holds 10 entries, but a walk of 5 images "
+                                             "through this trunk makes 11"):
             trunk_backward(spec, params, cache, np.ones((5, spec.feature_dim)))
 
     def test_blocks_bound_the_forward_scratch(self, monkeypatch):
@@ -464,6 +486,32 @@ def _pool_gap_margin(x, kernel, stride):
     return float(np.min(gap[~((gap == 0.0) & (top2[..., 1] == 0.0))]))
 
 
+def _paper48_peak(n, backward):
+    """The tracemalloc peak of one walk of ``n`` faces at the paper-like
+    geometry, above what was held before its forward."""
+    lrn = lrn_spec(5, 2.0, 1e-4, 0.75)
+    spec = NetworkSpec((1, 48, 48), (
+        conv_spec(5, 16), relu_spec(), pool_spec(2, 2), lrn,
+        conv_spec(5, 32), relu_spec(), pool_spec(2, 2), lrn,
+        conv_spec(3, 48), relu_spec(), fc_spec(256), relu_spec(),
+    ), bridge_dim=210)
+    rng = np.random.default_rng(0)
+    params = init_trunk_params(spec, rng)
+    params.clear_grads()  # as after an SGD step: the backward makes every grad
+    imgs = rng.uniform(size=(n,) + spec.input_shape)
+    h = rng.normal(size=(n, spec.bridge_dim))
+    up = rng.normal(size=(n, spec.feature_dim))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        _, cache = trunk_forward(spec, params, imgs, h)
+        if backward:
+            trunk_backward(spec, params, cache, up)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 class TestTrunkCache:
     def test_entries_keep_only_what_the_backward_reads(self):
         spec = tiny_spec()
@@ -493,46 +541,74 @@ class TestTrunkCache:
                 assert sum(a.nbytes for a in held) == out_size  # one byte per output
         assert kinds == {"conv", "relu", "maxpool", "lrn", "fc"}
 
-    def test_backward_consumes_the_cache(self):
+    @pytest.mark.parametrize("block, entries", [(32, 9), (2, 1 + 6 + 3)],
+                             ids=["one-block", "two-blocks"])
+    def test_backward_consumes_the_cache(self, monkeypatch, block, entries):
         spec = tiny_spec()
         params = init_trunk_params(spec, np.random.default_rng(0))
         rng = np.random.default_rng(4)
         imgs = rng.normal(size=(3,) + spec.input_shape)
         up = rng.normal(size=(3, spec.feature_dim))
+        monkeypatch.setattr(net, "TRUNK_BLOCK", block)
         _, cache = trunk_forward(spec, params, imgs, rng.normal(size=(3, spec.bridge_dim)))
         trunk_backward(spec, params, cache, up)
-        assert len(cache) == len(spec.plan) and all(entry is None for entry in cache)
+        assert len(cache) == entries and all(entry is None for entry in cache)
         grads = {name: t.grad.copy() for name, t in params.items()}
         with pytest.raises(ValueError, match="cache was consumed by an earlier trunk_backward"):
             trunk_backward(spec, params, cache, up)
         for name, t in params.items():  # the refused walk added nothing
             assert t.grad.tobytes() == grads[name].tobytes()
 
+    def test_earlier_blocks_keep_only_their_input(self, monkeypatch):
+        spec = NetworkSpec((1, 24, 24), (conv_spec(3, 8), relu_spec(), conv_spec(3, 16),
+                                         relu_spec(), pool_spec(4, 4), fc_spec(4)))
+        params = init_trunk_params(spec, np.random.default_rng(0))
+        imgs = np.random.default_rng(1).normal(size=(8,) + spec.input_shape)
+
+        def cache_bytes(block):
+            """What the returned cache alone holds, by tracemalloc."""
+            monkeypatch.setattr(net, "TRUNK_BLOCK", block)
+            tracemalloc.start()
+            try:
+                _, cache = trunk_forward(spec, params, imgs)
+                held = tracemalloc.get_traced_memory()[0]
+                earlier = cache[:-len(spec.plan)]
+                del cache
+                return held - tracemalloc.get_traced_memory()[0], earlier
+            finally:
+                tracemalloc.stop()
+
+        one, _ = cache_bytes(8)
+        blocked, earlier = cache_bytes(2)
+        # the first three blocks each keep one entry: a view of their rows of the image
+        assert [step for step, _ in earlier] == [None] * 3
+        for b, (_, rows) in enumerate(earlier):
+            assert rows.base is imgs and rows.tobytes() == imgs[2 * b : 2 * b + 2].tobytes()
+        assert blocked < one / 2
+
+    def test_backward_refuses_an_upstream_of_another_rank(self):
+        spec = tiny_spec()
+        params = init_trunk_params(spec, np.random.default_rng(0))
+        _, cache = trunk_forward(spec, params, np.ones((2,) + spec.input_shape), np.ones((2, 4)))
+        for upstream in (np.float64(1.0), np.ones(5), np.ones((2, 5, 1))):
+            with pytest.raises(ValueError, match=r"expected the features' shape \(N, 5\)"):
+                trunk_backward(spec, params, cache, upstream)
+        assert all(entry is not None for entry in cache)  # refused before the walk
+
     def test_paper48_step_peak_is_bounded(self):
         """One forward+backward of 32 faces at the paper-like geometry peaks
         below 19 MiB above what was held before the forward: the backward
         frees each ctx once used, and lrn works in three scratch arrays."""
-        lrn = lrn_spec(5, 2.0, 1e-4, 0.75)
-        spec = NetworkSpec((1, 48, 48), (
-            conv_spec(5, 16), relu_spec(), pool_spec(2, 2), lrn,
-            conv_spec(5, 32), relu_spec(), pool_spec(2, 2), lrn,
-            conv_spec(3, 48), relu_spec(), fc_spec(256), relu_spec(),
-        ), bridge_dim=210)
-        rng = np.random.default_rng(0)
-        params = init_trunk_params(spec, rng)
-        params.clear_grads()  # as after an SGD step: the backward makes every grad
-        imgs = rng.uniform(size=(32,) + spec.input_shape)
-        h = rng.normal(size=(32, spec.bridge_dim))
-        up = rng.normal(size=(32, spec.feature_dim))
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            _, cache = trunk_forward(spec, params, imgs, h)
-            trunk_backward(spec, params, cache, up)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak < 19 * 2**20
+        assert _paper48_peak(32, backward=True) < 19 * 2**20
+
+    @pytest.mark.parametrize("backward, bound", [(False, 20), (True, 33)],
+                             ids=["forward", "forward-backward"])
+    def test_paper48_four_block_peak_is_bounded(self, backward, bound):
+        """128 faces walk as four blocks.  The forward keeps the ctxs of the
+        last block only (15.2 MiB measured; 31.3 when every block kept its
+        ctxs), and the backward re-runs each earlier block's spatial steps
+        (28.7 MiB forward+backward; 38.5 when every block kept its ctxs)."""
+        assert _paper48_peak(128, backward) < bound * 2**20
 
     def test_packed_relu_mask_keeps_the_upstream_shape_check(self):
         spec = NetworkSpec((1, 4, 4), (relu_spec(),))
