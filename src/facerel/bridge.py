@@ -13,11 +13,16 @@ children.  Slots for children that were pruned at build time (a top node with
 too few members) carry a sentinel distance, the largest exact face-to-template
 distance over the build corpus.
 
-The tree stacks every real template into one matrix with the descriptor slot
-of each row, and ``descriptors`` measures a stack of HOGs against it.  The
-build (for the corpus statistics and the sentinel) and every query take that
-one path, each face's HOG computed once, so a face's descriptor has the same
-bits at build time and at query time.
+Landmarks only form the clusters at build time; no query reads them, so the
+tree keeps none.  It keeps the templates as one matrix in descriptor order
+and, per top node, the number of upper and lower children kept, which fix
+the descriptor slot of each row.  A bank file holds exactly that: the arrays
+``templates``, ``h_mean`` and ``h_std``, with the cluster counts, per-node
+child counts, HOG config, landmark layout and sentinel in its metadata.
+``descriptors`` measures a stack of HOGs against the matrix.  The build (for
+the corpus statistics and the sentinel) and every query take that one path,
+each face's HOG computed once, so a face's descriptor has the same bits at
+build time and at query time.
 
 A built tree keeps those build descriptors, so a query for one of its own
 build faces is a lookup.  ``build_rows`` maps each build face's key, the
@@ -73,39 +78,28 @@ def check_landmarks(points: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class ChildGroup:
-    """Second-level clusters of one top node, for one face region."""
-
-    centroids: np.ndarray   # (m, 2 * region size)
-    templates: np.ndarray   # (m, hog dim)
-
-    @property
-    def count(self) -> int:
-        return self.centroids.shape[0]
-
-
-@dataclass
 class ClusterTree:
-    """The hierarchy; construction checks its shapes and stacks its templates.
+    """The hierarchy as a descriptor reads it; construction checks every field.
 
-    ``templates`` holds every real template as one (S, hog dim) matrix, in
-    descriptor order, and ``slots`` the descriptor slot of each row; the
-    per-node template arrays are views of its rows.  Slots of pruned children
-    hold no row.  ``build_rows`` is filled only by ``build_cluster_tree``.
+    ``templates`` holds every real template as one (S, hog dim) matrix in
+    descriptor order: the T top nodes, then the upper children of each top
+    node in turn, then the lower children.  ``upper_counts`` and
+    ``lower_counts`` give the children kept by each top node, 1 to ``u_max``
+    or ``l_max``; together they fix S and ``slots``, the descriptor slot of
+    each row.  Slots of pruned children hold no row.  ``build_rows`` is
+    filled only by ``build_cluster_tree``.
     """
 
     t_top: int
     u_max: int
     l_max: int
     hog_cfg: HogConfig
-    top_centroids: np.ndarray      # (T, 2 * len(POINT_NAMES))
-    top_templates: np.ndarray      # (T, hog dim)
-    upper: list[ChildGroup]        # one per top node
-    lower: list[ChildGroup]
-    sentinel: float                # fills slots of pruned children
-    h_mean: np.ndarray             # standardization stats over the build corpus
+    templates: np.ndarray            # (S, hog dim)
+    upper_counts: tuple[int, ...]    # upper children kept, one per top node
+    lower_counts: tuple[int, ...]
+    sentinel: float                  # fills slots of pruned children
+    h_mean: np.ndarray               # standardization stats over the build corpus
     h_std: np.ndarray
-    templates: np.ndarray = field(init=False, repr=False)
     slots: np.ndarray = field(init=False, repr=False)
     # face key -> read-only raw descriptor of that build face
     build_rows: dict[bytes, np.ndarray] = field(
@@ -113,49 +107,48 @@ class ClusterTree:
     )
 
     def __post_init__(self):
-        if min(self.t_top, self.u_max, self.l_max) < 1:
-            raise ValueError("cluster counts must all be >= 1")
+        for name in ("t_top", "u_max", "l_max"):
+            _check_count(name, getattr(self, name))
         t = self.t_top
-        _check_rows("top_centroids", self.top_centroids, t, t, 2 * len(POINT_NAMES))
-        _check_rows("top_templates", self.top_templates, t, t, None)
-        dim = self.top_templates.shape[1]
+        for name, most in (("upper_counts", self.u_max), ("lower_counts", self.l_max)):
+            counts = getattr(self, name)
+            if not isinstance(counts, (list, tuple)) or len(counts) != t:
+                raise ValueError(f"{name} must list {t} counts, one per top node, got {counts!r}")
+            for k, c in enumerate(counts):
+                _check_count(f"{name}[{k}]", c, most)
+            setattr(self, name, tuple(counts))
+        # the rows are checked before any slot exists, so no count can ask
+        # for more slots than the matrix has rows
+        rows = t + sum(self.upper_counts + self.lower_counts)
+        if np.ndim(self.templates) != 2 or len(self.templates) != rows:
+            raise ValueError(
+                f"templates has shape {np.shape(self.templates)}, expected {rows} rows"
+            )
+        _check_finite("templates", self.templates)
         per_block = self.hog_cfg.block ** 2 * self.hog_cfg.bins
-        if dim % per_block:
+        if self.hog_dim == 0 or self.hog_dim % per_block:
             raise ValueError(
                 f"'hog' (block {self.hog_cfg.block}, {self.hog_cfg.bins} bins) cannot give "
-                f"{dim}-wide templates: the width is not a multiple of block² · bins "
-                f"= {per_block}"
+                f"{self.hog_dim}-wide templates: the width is not a positive multiple of "
+                f"block² · bins = {per_block}"
             )
-        blocks, slots = [self.top_templates], [np.arange(t)]
-        offset = t
-        for region, groups, most, idx in (
-            ("upper", self.upper, self.u_max, UPPER),
-            ("lower", self.lower, self.l_max, LOWER),
-        ):
-            if len(groups) != t:
-                raise ValueError(f"{len(groups)} {region} child groups for {t} top nodes")
-            for k, g in enumerate(groups):
-                _check_rows(f"{region}_{k}.centroids", g.centroids, 1, most, 2 * len(idx))
-                _check_rows(f"{region}_{k}.templates", g.templates, g.count, g.count, dim)
-                blocks.append(g.templates)
-                slots.append(offset + k * most + np.arange(g.count))
-            offset += t * most
+        if isinstance(self.sentinel, bool) or not isinstance(self.sentinel, (int, float)):
+            raise ValueError(f"sentinel must be a number, got {self.sentinel!r}")
+        self.sentinel = float(self.sentinel)
         for name in ("h_mean", "h_std"):
-            if np.shape(getattr(self, name)) != (offset,):
+            if np.shape(getattr(self, name)) != (self.descriptor_length,):
                 raise ValueError(
                     f"{name} has shape {np.shape(getattr(self, name))}, "
-                    f"expected ({offset},) for the descriptor length"
+                    f"expected ({self.descriptor_length},) for the descriptor length"
                 )
             _check_finite(name, getattr(self, name))
         if np.any(self.h_std < 0):
             raise ValueError("h_std holds negative values")
-        self.templates = np.concatenate(blocks)
+        slots = [np.arange(t)]
+        for first, most, counts in ((t, self.u_max, self.upper_counts),
+                                    (t * (1 + self.u_max), self.l_max, self.lower_counts)):
+            slots += [first + k * most + np.arange(c) for k, c in enumerate(counts)]
         self.slots = np.concatenate(slots)
-        self.top_templates = self.templates[:t]
-        row = t
-        for g in self.upper + self.lower:
-            g.templates = self.templates[row : row + g.count]
-            row += g.count
 
     @property
     def descriptor_length(self) -> int:
@@ -163,28 +156,26 @@ class ClusterTree:
 
     @property
     def hog_dim(self) -> int:
-        return self.top_templates.shape[1]
+        return self.templates.shape[1]
 
     def pruned_nodes(self) -> list[tuple[int, str, int]]:
         """(top index, region, kept children) for every reduced node."""
         out = []
         for t in range(self.t_top):
-            if self.upper[t].count < self.u_max:
-                out.append((t, "upper", self.upper[t].count))
-            if self.lower[t].count < self.l_max:
-                out.append((t, "lower", self.lower[t].count))
+            if self.upper_counts[t] < self.u_max:
+                out.append((t, "upper", self.upper_counts[t]))
+            if self.lower_counts[t] < self.l_max:
+                out.append((t, "lower", self.lower_counts[t]))
         return out
 
 
-def _check_rows(name: str, a: np.ndarray, lo: int, hi: int, width: int | None) -> None:
-    """``a`` must be 2-D with ``lo..hi`` rows and, unless None, ``width``
-    columns, all finite."""
-    shape = np.shape(a)
-    if len(shape) != 2 or not lo <= shape[0] <= hi or width not in (None, shape[1]):
-        rows = str(lo) if lo == hi else f"{lo} to {hi}"
-        cols = "any" if width is None else str(width)
-        raise ValueError(f"{name} has shape {shape}, expected {rows} rows of {cols} columns")
-    _check_finite(name, a)
+def _check_count(name: str, v, most: int | None = None) -> None:
+    """``v`` must be an int (not a bool) of at least 1 and, unless None, at most ``most``."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"cluster count {name!r} must be an int, got {v!r}")
+    if v < 1 or (most is not None and v > most):
+        expected = ">= 1" if most is None else f"from 1 to {most}"
+        raise ValueError(f"cluster count {name!r} is {v}, expected {expected}")
 
 
 def _check_finite(name: str, a: np.ndarray) -> None:
@@ -204,6 +195,35 @@ def _flat(points: np.ndarray) -> np.ndarray:
     return points.reshape(points.shape[0], -1)
 
 
+def _mean_hogs(hogs: np.ndarray, clusters) -> np.ndarray:
+    """The mean HOG of each cluster, given as an index into ``hogs``."""
+    return np.stack([hogs[c].mean(axis=0) for c in clusters])
+
+
+def _cluster_templates(landmarks, hogs, t_top, u_children, l_children, seed):
+    """Cluster the faces by their landmarks; return the templates stacked in
+    descriptor order and each top node's upper and lower child counts."""
+    top = kmeans(_flat(landmarks), t_top, seed)
+    top_rows = _mean_hogs(hogs, [top.assignments == t for t in range(t_top)])
+    upper: list[np.ndarray] = []   # each top node's child templates
+    lower: list[np.ndarray] = []
+    for t in range(t_top):
+        members = np.where(top.assignments == t)[0]
+        for want, blocks, axis, idx in (
+            (u_children, upper, 0, UPPER),
+            (l_children, lower, 1, LOWER),
+        ):
+            pts = _flat(landmarks[members][:, list(idx), :])
+            sub = kmeans(pts, min(want, len(members)), seed=[seed, t, axis])
+            k = len(sub.centroids)
+            blocks.append(_mean_hogs(hogs, [members[sub.assignments == c] for c in range(k)]))
+    return (
+        np.concatenate([top_rows, *upper, *lower]),
+        tuple(len(b) for b in upper),
+        tuple(len(b) for b in lower),
+    )
+
+
 def build_cluster_tree(
     corpus,
     t_top: int = 10,
@@ -217,14 +237,13 @@ def build_cluster_tree(
     Top-level K-means runs on the full box-normalized landmark vectors; each
     top node is then split on the upper-region and lower-region sub-vectors
     separately.  A top node with fewer members than the requested child count
-    keeps one child per member instead.
+    keeps one child per member instead.  The tree keeps each cluster's mean
+    HOG and the number of children of each top node; the landmark centroids
+    only assign members and are dropped.
     """
     hog_cfg = hog_cfg or HogConfig()
     for name, v in (("t_top", t_top), ("u_children", u_children), ("l_children", l_children)):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ValueError(f"cluster count {name!r} must be an int, got {v!r}")
-    if t_top < 1 or u_children < 1 or l_children < 1:
-        raise ValueError("cluster counts must all be >= 1")
+        _check_count(name, v)
     n = len(corpus)
     if n < t_top * max(u_children, l_children):
         raise ValueError(
@@ -235,37 +254,20 @@ def build_cluster_tree(
     landmarks = np.stack([check_landmarks(lm) for lm, _ in corpus])
     hogs = compute_hog_batch([img for _, img in corpus], hog_cfg)
 
-    top = kmeans(_flat(landmarks), t_top, seed)
-    top_templates = np.stack(
-        [hogs[top.assignments == t].mean(axis=0) for t in range(t_top)]
+    # the blocks the matrix is stacked from die with the helper's frame, so
+    # the rest of the build holds one copy of the templates
+    templates, upper_counts, lower_counts = _cluster_templates(
+        landmarks, hogs, t_top, u_children, l_children, seed
     )
-
-    upper_groups: list[ChildGroup] = []
-    lower_groups: list[ChildGroup] = []
-    for t in range(t_top):
-        members = np.where(top.assignments == t)[0]
-        for want, groups, axis, idx in (
-            (u_children, upper_groups, 0, UPPER),
-            (l_children, lower_groups, 1, LOWER),
-        ):
-            pts = _flat(landmarks[members][:, list(idx), :])
-            k = min(want, len(members))
-            sub = kmeans(pts, k, seed=[seed, t, axis])
-            templates = np.stack(
-                [hogs[members[sub.assignments == c]].mean(axis=0) for c in range(k)]
-            )
-            groups.append(ChildGroup(sub.centroids, templates))
-
     length = t_top * (1 + u_children + l_children)
     tree = ClusterTree(
         t_top=t_top,
         u_max=u_children,
         l_max=l_children,
         hog_cfg=hog_cfg,
-        top_centroids=top.centroids,
-        top_templates=top_templates,
-        upper=upper_groups,
-        lower=lower_groups,
+        templates=templates,
+        upper_counts=upper_counts,
+        lower_counts=lower_counts,
         sentinel=0.0,  # below every distance until the corpus descriptors exist
         h_mean=np.zeros(length),
         h_std=np.ones(length),
@@ -363,30 +365,22 @@ def network_descriptor(image: np.ndarray, tree: ClusterTree) -> np.ndarray:
 
 
 def save_bank(path, tree: ClusterTree) -> None:
-    arrays = {
-        "top_centroids": tree.top_centroids,
-        "top_templates": tree.top_templates,
-        "h_mean": tree.h_mean,
-        "h_std": tree.h_std,
-    }
-    for t in range(tree.t_top):
-        arrays[f"upper_{t}.centroids"] = tree.upper[t].centroids
-        arrays[f"upper_{t}.templates"] = tree.upper[t].templates
-        arrays[f"lower_{t}.centroids"] = tree.lower[t].centroids
-        arrays[f"lower_{t}.templates"] = tree.lower[t].templates
     meta = {
         "t_top": tree.t_top,
         "u_max": tree.u_max,
         "l_max": tree.l_max,
+        "upper_counts": list(tree.upper_counts),
+        "lower_counts": list(tree.lower_counts),
         "hog": tree.hog_cfg.to_dict(),
         "schema": _LAYOUT_META,
         "sentinel": tree.sentinel,
     }
+    arrays = {"templates": tree.templates, "h_mean": tree.h_mean, "h_std": tree.h_std}
     save_container(path, "bridge-bank", meta, arrays)
 
 
 def load_bank(path) -> ClusterTree:
-    """Read a bank back; a missing or misshapen field raises ``ValueError`` naming it."""
+    """Read a bank back; a missing or malformed field raises ``ValueError`` naming it."""
     kind, meta, arrays = load_container(path)
     if kind != "bridge-bank":
         raise ValueError(f"{path}: container holds {kind!r}, not a bridge bank")
@@ -396,34 +390,22 @@ def load_bank(path) -> ClusterTree:
             raise ValueError(f"{path}: bridge bank has no array {name!r}")
         return arrays[name]
 
-    def value(name: str, convert):
+    def value(name: str):
         if name not in meta:
             raise ValueError(f"{path}: bridge bank metadata has no field {name!r}")
-        try:
-            return convert(meta[name])
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValueError(f"{path}: bridge bank field {name!r} is malformed: {e!r}") from None
+        return meta[name]
 
-    if value("schema", dict) != _LAYOUT_META:
+    if value("schema") != _LAYOUT_META:
         raise ValueError(f"{path}: bridge bank field 'schema' is not the fixed landmark layout")
-    t_top = value("t_top", int)
-    fields = dict(
-        t_top=t_top,
-        u_max=value("u_max", int),
-        l_max=value("l_max", int),
-        hog_cfg=value("hog", HogConfig.from_dict),
-        top_centroids=array("top_centroids"),
-        top_templates=array("top_templates"),
-        sentinel=value("sentinel", float),
-        h_mean=array("h_mean"),
-        h_std=array("h_std"),
-    )
-    for region in ("upper", "lower"):
-        fields[region] = [
-            ChildGroup(array(f"{region}_{t}.centroids"), array(f"{region}_{t}.templates"))
-            for t in range(t_top)
-        ]
+    hog = value("hog")
     try:
-        return ClusterTree(**fields)
-    except ValueError as e:  # the tree's own shape checks
+        hog_cfg = HogConfig.from_dict(hog)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"{path}: bridge bank field 'hog' is malformed: {e!r}") from None
+    fields = {name: value(name) for name in
+              ("t_top", "u_max", "l_max", "upper_counts", "lower_counts", "sentinel")}
+    fields.update((name, array(name)) for name in ("templates", "h_mean", "h_std"))
+    try:
+        return ClusterTree(**fields, hog_cfg=hog_cfg)
+    except ValueError as e:  # the tree's own field checks
         raise ValueError(f"{path}: {e}") from None

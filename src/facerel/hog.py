@@ -19,7 +19,7 @@ built once by ``_tables``, keyed on image height, image width and the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -50,6 +50,11 @@ class HogConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "HogConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"HogConfig fields must be a dict, got {d!r}")
+        unknown = sorted(set(d) - {f.name for f in fields(HogConfig)})
+        if unknown:
+            raise ValueError(f"unknown HogConfig field(s) {unknown}")
         return HogConfig(d["cell"], d["block"], d["bins"], d["eps"])
 
     def length_for(self, height: int, width: int) -> int:

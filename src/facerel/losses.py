@@ -39,36 +39,31 @@ def masked_attr_loss(
     probs: np.ndarray,
     labels: np.ndarray,
     mask: np.ndarray,
-    logits: np.ndarray | None = None,
+    logits: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """Summed cross-entropy over the labeled heads only.
 
     ``mask`` is boolean, True where the label is present.  Missing heads
-    contribute zero loss and an exactly-zero logit gradient.  When the head
-    logits are available, pass them (shaped as ``probs``) for a
-    saturation-proof loss value; the gradient is ``p - y`` on present heads
-    either way.
+    contribute zero loss and an exactly-zero logit gradient.  The loss is
+    taken at the head ``logits`` (shaped as ``probs``, their sigmoid), so it
+    stays finite when a head saturates; the gradient is ``p - y`` on present
+    heads.
     """
     probs = np.asarray(probs, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
     labels = np.asarray(labels, dtype=np.float64)
+    logits = np.asarray(logits, dtype=np.float64)
     if probs.shape != mask.shape or probs.shape != labels.shape:
         raise ValueError(
             f"probs {probs.shape}, labels {labels.shape} and mask {mask.shape} must align"
         )
-    if logits is not None:
-        logits = np.asarray(logits, dtype=np.float64)
-        if logits.shape != probs.shape:
-            raise ValueError(f"logits {logits.shape} must have the shape of probs {probs.shape}")
+    if logits.shape != probs.shape:
+        raise ValueError(f"logits {logits.shape} must have the shape of probs {probs.shape}")
     if not np.all((labels[mask] == 0.0) | (labels[mask] == 1.0)):
         raise ValueError("present labels must be 0 or 1")
 
     safe_labels = np.where(mask, labels, 0.0)
-    if logits is not None:
-        per_head = np.maximum(logits, 0.0) - logits * safe_labels + np.log1p(np.exp(-np.abs(logits)))
-    else:
-        p = np.clip(probs, 1e-300, 1.0 - 1e-16)
-        per_head = -(safe_labels * np.log(p) + (1.0 - safe_labels) * np.log1p(-p))
+    per_head = np.maximum(logits, 0.0) - logits * safe_labels + np.log1p(np.exp(-np.abs(logits)))
     loss = float(np.sum(np.where(mask, per_head, 0.0)))
     dlogits = np.where(mask, probs - safe_labels, 0.0)
     return loss, dlogits

@@ -154,9 +154,9 @@ class SynthConfig:
     n_pairs_test: int = 200
 
     def __post_init__(self):
-        for n in (self.n_a, self.n_b, self.n_c, self.n_pairs_train, self.n_pairs_test):
-            if n < 1:
-                raise ValueError("corpus sizes must all be >= 1")
+        for name, v in asdict(self).items():
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+                raise ValueError(f"SynthConfig {name} must be an int >= 1, got {v!r}")
 
     @property
     def corpus_groups(self) -> dict[str, tuple[str, ...]]:

@@ -51,6 +51,14 @@ def make_corpus(n, n_modes=4, seed=0, jitter=0.01):
     return corpus, np.array(modes)
 
 
+def child_templates(tree, region, t):
+    """The template rows of top node ``t``'s ``region`` children, found from
+    the per-node counts alone: top rows, then upper rows, then lower rows."""
+    counts = tree.upper_counts if region == "upper" else tree.lower_counts
+    start = tree.t_top + (0 if region == "upper" else sum(tree.upper_counts)) + sum(counts[:t])
+    return tree.templates[start : start + counts[t]]
+
+
 class TestBuild:
     def test_descriptor_length(self):
         corpus, _ = make_corpus(24, n_modes=2)
@@ -69,12 +77,10 @@ class TestBuild:
         corpus, _ = make_corpus(8, n_modes=1, seed=2)
         tree = build_cluster_tree(corpus, t_top=1, u_children=1, l_children=1, seed=0, hog_cfg=CFG)
         # three templates, all equal to the global mean HOG
-        from facerel.hog import compute_hog
-
         mean_hog = np.stack([compute_hog(img, CFG) for _, img in corpus]).mean(axis=0)
-        np.testing.assert_allclose(tree.top_templates[0], mean_hog, atol=1e-12)
-        np.testing.assert_allclose(tree.upper[0].templates[0], mean_hog, atol=1e-12)
-        np.testing.assert_allclose(tree.lower[0].templates[0], mean_hog, atol=1e-12)
+        assert tree.templates.shape == (3, len(mean_hog))
+        assert tree.upper_counts == tree.lower_counts == (1,)
+        np.testing.assert_allclose(tree.templates, np.stack([mean_hog] * 3), atol=1e-12)
 
     def test_identical_groups_yield_group_templates(self):
         # 2 groups x 4 identical faces; every template equals its group's HOG
@@ -83,19 +89,40 @@ class TestBuild:
         pts = [np.clip(BASE_POINTS + off, 0, 1) for off in (-0.15, 0.15)]
         corpus = [(pts[g], imgs[g]) for g in range(2) for _ in range(4)]
         tree = build_cluster_tree(corpus, t_top=2, u_children=1, l_children=1, seed=0, hog_cfg=CFG)
-        from facerel.hog import compute_hog
-
         for t in range(2):
-            h_t = tree.top_templates[t]
+            h_t = tree.templates[t]
             assert any(np.allclose(h_t, compute_hog(im, CFG), atol=1e-12) for im in imgs)
-            np.testing.assert_allclose(tree.upper[t].templates[0], h_t, atol=1e-12)
+            for region in ("upper", "lower"):
+                np.testing.assert_allclose(child_templates(tree, region, t), [h_t], atol=1e-12)
+
+    def test_children_split_on_their_own_region(self):
+        # two groups of 4 identical faces whose upper landmarks differ and
+        # lower landmarks agree: one top node, whose two upper children are
+        # the groups and whose one lower child is everyone
+        rng = np.random.default_rng(31)
+        imgs = [rng.random((32, 32)) for _ in range(2)]
+        pts = [BASE_POINTS.copy() for _ in range(2)]
+        for g, off in enumerate((-0.1, 0.1)):
+            pts[g][list(bridge.UPPER), 0] += off
+        corpus = [(pts[g], imgs[g]) for g in range(2) for _ in range(4)]
+        tree = build_cluster_tree(corpus, t_top=1, u_children=2, l_children=1, seed=0, hog_cfg=CFG)
+        hogs = compute_hog_batch(np.stack(imgs), CFG)
+        assert (tree.upper_counts, tree.lower_counts) == ((2,), (1,))
+        np.testing.assert_allclose(tree.templates[0], hogs.mean(axis=0), atol=1e-12)
+        upper = child_templates(tree, "upper", 0)
+        order = np.linalg.norm(upper[:, None] - hogs[None], axis=2).argmin(axis=1)
+        assert sorted(order) == [0, 1]
+        np.testing.assert_allclose(upper, hogs[order], atol=1e-12)
+        np.testing.assert_allclose(child_templates(tree, "lower", 0), [hogs.mean(axis=0)],
+                                   atol=1e-12)
 
     def test_small_top_node_prunes_children(self):
         # 1 mode with tight landmarks: some top node gets < U members
         corpus, _ = make_corpus(9, n_modes=3, seed=4)
         tree = build_cluster_tree(corpus, t_top=3, u_children=3, l_children=3, seed=0, hog_cfg=CFG)
-        counts = [g.count for g in tree.upper]
+        counts = tree.upper_counts + tree.lower_counts
         assert all(1 <= c <= 3 for c in counts)
+        assert len(tree.templates) == len(tree.slots) == 3 + sum(counts)
         if any(c < 3 for c in counts):
             assert tree.pruned_nodes()
 
@@ -103,10 +130,9 @@ class TestBuild:
         corpus, _ = make_corpus(30, n_modes=3, seed=5)
         t1 = build_cluster_tree(corpus, 3, 2, 2, seed=7, hog_cfg=CFG)
         t2 = build_cluster_tree(corpus, 3, 2, 2, seed=7, hog_cfg=CFG)
-        np.testing.assert_array_equal(t1.top_centroids, t2.top_centroids)
+        np.testing.assert_array_equal(t1.templates, t2.templates)
         np.testing.assert_array_equal(t1.h_mean, t2.h_mean)
-        for a, b in zip(t1.upper, t2.upper):
-            np.testing.assert_array_equal(a.templates, b.templates)
+        assert (t1.upper_counts, t1.lower_counts) == (t2.upper_counts, t2.lower_counts)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_landmarks(self, bad):
@@ -132,20 +158,18 @@ class TestBuild:
             build_cluster_tree(corpus, t_top=3, u_children=3, l_children=3, hog_cfg=CFG)
 
     def test_planted_modes_recovered_with_high_purity(self):
+        # Every face of a landmark mode shows that mode's own image, so a top
+        # template is one mode's HOG exactly when its cluster holds that mode
+        # alone: the top level recovers every planted mode.
         corpus, modes = make_corpus(200, n_modes=10, seed=6, jitter=0.008)
+        images = np.random.default_rng(60).random((10, 32, 32))
+        corpus = [(lm, images[m]) for (lm, _), m in zip(corpus, modes)]
         tree = build_cluster_tree(corpus, t_top=10, u_children=2, l_children=2,
                                   seed=1, hog_cfg=CFG)
-        from facerel.kmeans import kmeans  # reuse assignment: nearest top centroid
-
-        flat = np.stack([lm.reshape(-1) for lm, _ in corpus])
-        d = np.linalg.norm(flat[:, None, :] - tree.top_centroids[None], axis=2)
-        assign = d.argmin(axis=1)
-        purity = sum(
-            np.bincount(modes[assign == c]).max()
-            for c in range(10)
-            if np.any(assign == c)
-        ) / len(corpus)
-        assert purity >= 0.9
+        mode_hogs = compute_hog_batch(images, CFG)
+        gap = np.linalg.norm(tree.templates[:10, None] - mode_hogs[None], axis=2)
+        assert sorted(gap.argmin(axis=1)) == list(range(10))
+        np.testing.assert_allclose(gap.min(axis=1), 0.0, atol=1e-12)
 
 
 class TestExtract:
@@ -196,10 +220,12 @@ class TestBankIO:
         tree = build_cluster_tree(corpus, 2, 3, 3, seed=0, hog_cfg=CFG)
         path = tmp_path / "bank.bin"
         save_bank(path, tree)
+        assert sorted(load_container(path)[2]) == ["h_mean", "h_std", "templates"]
         loaded = load_bank(path)
         assert loaded.descriptor_length == tree.descriptor_length
         assert loaded.sentinel == tree.sentinel
-        np.testing.assert_array_equal(loaded.top_templates, tree.top_templates)
+        np.testing.assert_array_equal(loaded.templates, tree.templates)
+        assert (loaded.upper_counts, loaded.lower_counts) == (tree.upper_counts, tree.lower_counts)
         np.testing.assert_array_equal(loaded.h_mean, tree.h_mean)
         probe = np.random.default_rng(16).random((32, 32))
         np.testing.assert_array_equal(
@@ -250,17 +276,20 @@ class TestDescriptorPath:
         assert tree.sentinel == hs[:, tree.slots].max()  # the largest exact distance
 
     def test_descriptor_is_the_per_template_norm(self):
-        corpus, tree = pruned_bank(1)
-        tree.build_rows.clear()
+        corpus, pruned = pruned_bank(1)
+        uneven = build_cluster_tree(corpus, 3, 5, 2, seed=0, hog_cfg=CFG)  # U != L
         hog = compute_hog(corpus[0][1], CFG)
-        want = np.full(tree.descriptor_length, tree.sentinel)
-        want[: tree.t_top] = np.linalg.norm(tree.top_templates - hog, axis=1)
-        for region, first, width in (("upper", tree.t_top, tree.u_max),
-                                     ("lower", tree.t_top * (1 + tree.u_max), tree.l_max)):
-            for t, g in enumerate(getattr(tree, region)):
-                start = first + t * width
-                want[start : start + g.count] = np.linalg.norm(g.templates - hog, axis=1)
-        np.testing.assert_array_equal(extract_descriptor(corpus[0][1], tree), want)
+        for tree in (pruned, uneven):
+            tree.build_rows.clear()
+            want = np.full(tree.descriptor_length, tree.sentinel)
+            want[: tree.t_top] = np.linalg.norm(tree.templates[: tree.t_top] - hog, axis=1)
+            for region, first, width in (("upper", tree.t_top, tree.u_max),
+                                         ("lower", tree.t_top * (1 + tree.u_max), tree.l_max)):
+                for t in range(tree.t_top):
+                    rows = child_templates(tree, region, t)
+                    start = first + t * width
+                    want[start : start + len(rows)] = np.linalg.norm(rows - hog, axis=1)
+            np.testing.assert_array_equal(extract_descriptor(corpus[0][1], tree), want)
 
     def test_constant_slots_standardize_to_exactly_zero(self):
         pruned = 0
@@ -338,53 +367,84 @@ class TestBuildRows:
             extract_descriptor(corpus[0][1].reshape(-1), tree)
 
 
-def _repeat_rows(arrays, name):
-    arrays[name] = np.concatenate([arrays[name]] * 4)  # more than u_max=3 rows
+def _set(entries, key, value):
+    entries[key] = value
 
 
-@pytest.mark.parametrize(
-    "edit, field",
-    [
-        (lambda meta, arrays: arrays.pop("upper_1.templates"), "upper_1.templates"),
-        (lambda meta, arrays: meta.pop("sentinel"), "sentinel"),
-        (lambda meta, arrays: [_repeat_rows(arrays, f"upper_0.{part}")
-                               for part in ("centroids", "templates")], "upper_0.centroids"),
-        (lambda meta, arrays: arrays.update(h_mean=arrays["h_mean"][:-1]), "h_mean"),
-        (lambda meta, arrays: arrays.update({"lower_1.templates": arrays["lower_1.templates"][:, 1:]}),
-         "lower_1.templates"),
-        (lambda meta, arrays: meta["schema"].update(upper=[0, 1, 2, 3], lower=[4, 5, 6, 7, 8, 9]),
-         "'schema'"),
-        (lambda meta, arrays: meta["schema"]["point_names"].reverse(), "'schema'"),
-        (lambda meta, arrays: meta.pop("schema"), "'schema'"),
-        (lambda meta, arrays: meta["hog"].update(bins=8), "'hog'"),
-        (lambda meta, arrays: meta["hog"].update(cell=8.5), "'hog'"),
-        (lambda meta, arrays: meta["hog"].update(cell=8.0), "'hog'"),
-        (lambda meta, arrays: meta["hog"].update(block=True), "'hog'"),
-        (lambda meta, arrays: meta["hog"].update(bins="9"), "'hog'"),
-        (lambda meta, arrays: meta["hog"].update(eps=0), "'hog'"),
-        (lambda meta, arrays: meta["hog"].update(eps="1e-5"), "'hog'"),
-        (lambda meta, arrays: spoil_entry(arrays, "h_std", np.nan), "h_std holds non-finite"),
-        (lambda meta, arrays: spoil_entry(arrays, "h_std", -0.5), "h_std holds negative"),
-        (lambda meta, arrays: spoil_entry(arrays, "h_mean", -np.inf), "h_mean holds non-finite"),
-        (lambda meta, arrays: spoil_entry(arrays, "top_templates", np.inf),
-         "top_templates holds non-finite"),
-        (lambda meta, arrays: spoil_entry(arrays, "top_centroids", np.nan),
-         "top_centroids holds non-finite"),
-        (lambda meta, arrays: spoil_entry(arrays, "lower_1.templates", np.nan),
-         "lower_1.templates holds non-finite"),
-        (lambda meta, arrays: spoil_entry(arrays, "upper_0.centroids", np.inf),
-         "upper_0.centroids holds non-finite"),
-    ],
-    ids=["missing-templates", "missing-sentinel", "too-many-children", "short-h-mean",
-         "template-width", "other-split", "other-points", "missing-schema", "hog-bins",
-         "hog-cell-fraction", "hog-cell-float", "hog-block-bool", "hog-bins-string",
-         "hog-eps-zero", "hog-eps-string", "nan-h-std", "negative-h-std", "inf-h-mean",
-         "inf-top-template", "nan-top-centroid", "nan-lower-template", "inf-upper-centroid"],
-)
+#: One edit of a saved T=2, U=L=3 bank (every count 3) per case, and the
+#: field its refusal must name.
+MALFORMED = {
+    "missing-templates": (lambda meta, arrays: arrays.pop("templates"), "'templates'"),
+    "missing-sentinel": (lambda meta, arrays: meta.pop("sentinel"), "'sentinel'"),
+    "missing-upper-counts": (lambda meta, arrays: meta.pop("upper_counts"), "'upper_counts'"),
+    "short-h-mean": (lambda meta, arrays: _set(arrays, "h_mean", arrays["h_mean"][:-1]), "h_mean"),
+    "template-width": (lambda meta, arrays: _set(arrays, "templates", arrays["templates"][:, 1:]),
+                       "templates"),
+    "templates-without-columns": (
+        lambda meta, arrays: _set(arrays, "templates", arrays["templates"][:, :0]),
+        "0-wide templates"),
+    "missing-template-row": (
+        lambda meta, arrays: _set(arrays, "templates", arrays["templates"][:-1]), "templates"),
+    "extra-template-row": (
+        lambda meta, arrays: _set(arrays, "templates", np.concatenate([arrays["templates"]] * 2)),
+        "templates"),
+    "t-top-fraction": (lambda meta, arrays: _set(meta, "t_top", 2.5), "'t_top'"),
+    "t-top-zero": (lambda meta, arrays: _set(meta, "t_top", 0), "'t_top'"),
+    "u-max-string": (lambda meta, arrays: _set(meta, "u_max", "3"), "'u_max'"),
+    "l-max-bool": (lambda meta, arrays: _set(meta, "l_max", True), "'l_max'"),
+    "l-max-float": (lambda meta, arrays: _set(meta, "l_max", 3.0), "'l_max'"),
+    "counts-not-a-list": (lambda meta, arrays: _set(meta, "upper_counts", 3), "upper_counts"),
+    "counts-too-long": (lambda meta, arrays: meta["upper_counts"].append(3), "upper_counts"),
+    "counts-too-short": (lambda meta, arrays: meta["lower_counts"].pop(), "lower_counts"),
+    "count-zero": (lambda meta, arrays: _set(meta["lower_counts"], 1, 0), "'lower_counts[1]'"),
+    "count-above-u-max": (lambda meta, arrays: _set(meta["upper_counts"], 0, 4),
+                          "'upper_counts[0]'"),
+    "count-above-l-max": (lambda meta, arrays: _set(meta["lower_counts"], 1, 4),
+                          "'lower_counts[1]'"),
+    "count-beyond-the-rows": (lambda meta, arrays: meta.update(u_max=2**40,
+                                                               upper_counts=[2**40, 3]),
+                              "templates has shape"),
+    "count-float": (lambda meta, arrays: _set(meta["upper_counts"], 1, 3.0), "'upper_counts[1]'"),
+    "count-bool": (lambda meta, arrays: _set(meta["lower_counts"], 0, True), "'lower_counts[0]'"),
+    "count-string": (lambda meta, arrays: _set(meta["upper_counts"], 0, "3"), "'upper_counts[0]'"),
+    "sentinel-string": (lambda meta, arrays: _set(meta, "sentinel", "0.5"), "sentinel"),
+    "sentinel-bool": (lambda meta, arrays: _set(meta, "sentinel", True), "sentinel"),
+    "sentinel-null": (lambda meta, arrays: _set(meta, "sentinel", None), "sentinel"),
+    "other-split": (lambda meta, arrays: meta["schema"].update(upper=[0, 1, 2, 3],
+                                                               lower=[4, 5, 6, 7, 8, 9]),
+                    "'schema'"),
+    "other-points": (lambda meta, arrays: meta["schema"]["point_names"].reverse(), "'schema'"),
+    "missing-schema": (lambda meta, arrays: meta.pop("schema"), "'schema'"),
+    "hog-bins": (lambda meta, arrays: meta["hog"].update(bins=8), "'hog'"),
+    "hog-cell-fraction": (lambda meta, arrays: meta["hog"].update(cell=8.5), "'hog'"),
+    "hog-cell-float": (lambda meta, arrays: meta["hog"].update(cell=8.0), "'hog'"),
+    "hog-block-bool": (lambda meta, arrays: meta["hog"].update(block=True), "'hog'"),
+    "hog-bins-string": (lambda meta, arrays: meta["hog"].update(bins="9"), "'hog'"),
+    "hog-eps-zero": (lambda meta, arrays: meta["hog"].update(eps=0), "'hog'"),
+    "hog-eps-string": (lambda meta, arrays: meta["hog"].update(eps="1e-5"), "'hog'"),
+    "hog-unknown-key": (lambda meta, arrays: meta["hog"].update(cells=8), "'hog'"),
+    "hog-missing-key": (lambda meta, arrays: meta["hog"].pop("eps"), "'hog'"),
+    "hog-not-a-dict": (lambda meta, arrays: _set(meta, "hog", [8, 2, 9, 1e-5]), "'hog'"),
+    "nan-h-std": (lambda meta, arrays: spoil_entry(arrays, "h_std", np.nan),
+                  "h_std holds non-finite"),
+    "negative-h-std": (lambda meta, arrays: spoil_entry(arrays, "h_std", -0.5),
+                       "h_std holds negative"),
+    "inf-h-mean": (lambda meta, arrays: spoil_entry(arrays, "h_mean", -np.inf),
+                   "h_mean holds non-finite"),
+    "inf-template": (lambda meta, arrays: spoil_entry(arrays, "templates", np.inf),
+                     "templates holds non-finite"),
+    "nan-template": (lambda meta, arrays: spoil_entry(arrays, "templates", np.nan),
+                     "templates holds non-finite"),
+}
+
+
+@pytest.mark.parametrize("edit, field", MALFORMED.values(), ids=MALFORMED.keys())
 def test_load_bank_rejects_malformed_field(tmp_path, edit, field):
     corpus, _ = make_corpus(24, seed=15)
     path = tmp_path / "bank.bin"
-    save_bank(path, build_cluster_tree(corpus, 2, 3, 3, seed=0, hog_cfg=CFG))
+    tree = build_cluster_tree(corpus, 2, 3, 3, seed=0, hog_cfg=CFG)
+    assert tree.upper_counts == tree.lower_counts == (3, 3)
+    save_bank(path, tree)
     kind, meta, arrays = load_container(path)
     edit(meta, arrays)
     save_container(path, kind, meta, arrays)

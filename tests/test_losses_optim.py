@@ -48,47 +48,58 @@ class TestBce:
         assert np.isfinite(loss)
 
 
+def masked_loss_at(z, labels, mask):
+    """``masked_attr_loss`` at head logits ``z``, as a model calls it."""
+    z = np.asarray(z, dtype=np.float64)
+    return masked_attr_loss(sigmoid(z), labels, mask, logits=z)
+
+
 class TestMaskedLoss:
     def test_all_missing_is_zero(self):
-        probs = np.full(20, 0.3)
-        loss, dz = masked_attr_loss(probs, np.zeros(20), np.zeros(20, dtype=bool))
+        loss, dz = masked_loss_at(np.full(20, -0.8), np.zeros(20), np.zeros(20, dtype=bool))
         assert loss == 0.0
         np.testing.assert_array_equal(dz, np.zeros(20))
 
     def test_single_present_head(self):
-        probs = np.full(20, 0.5)
         labels = np.zeros(20)
         labels[4] = 1
         mask = np.zeros(20, dtype=bool)
         mask[4] = True
-        loss, dz = masked_attr_loss(probs, labels, mask)
+        loss, dz = masked_loss_at(np.zeros(20), labels, mask)
         assert np.isclose(loss, np.log(2.0))
         assert np.isclose(dz[4], -0.5)
         assert not np.delete(dz, 4).any()
 
     def test_missing_gradients_exactly_zero_with_batch(self):
         rng = np.random.default_rng(1)
-        probs = rng.uniform(0.01, 0.99, size=(6, 20))
+        z = rng.normal(scale=2.0, size=(6, 20))
         labels = rng.integers(0, 2, size=(6, 20)).astype(float)
         mask = rng.random(size=(6, 20)) < 0.4
-        loss, dz = masked_attr_loss(probs, labels, mask)
+        loss, dz = masked_loss_at(z, labels, mask)
         assert np.all(dz[~mask] == 0.0)
-        np.testing.assert_allclose(dz[mask], (probs - labels)[mask])
+        np.testing.assert_allclose(dz[mask], (sigmoid(z) - labels)[mask])
+        per_head = [bce_from_logit(v, y)[0] for v, y in zip(z[mask], labels[mask])]
+        assert np.isclose(loss, sum(per_head))
+
+    def test_saturated_heads_keep_a_finite_loss(self):
+        loss, dz = masked_loss_at(np.array([800.0, -800.0]), np.array([0.0, 1.0]),
+                                  np.array([True, True]))
+        assert loss == 1600.0
+        np.testing.assert_array_equal(dz, [1.0, -1.0])
 
     def test_ignores_garbage_under_missing_mask(self):
-        probs = np.full(3, 0.5)
         labels = np.array([1.0, 7.0, 1.0])  # junk at a missing slot stays unread
         mask = np.array([True, False, True])
-        loss, dz = masked_attr_loss(probs, labels, mask)
+        loss, dz = masked_loss_at(np.zeros(3), labels, mask)
         assert np.isclose(loss, 2 * np.log(2.0))
 
     def test_rejects_bad_present_label(self):
         with pytest.raises(ValueError, match="0 or 1"):
-            masked_attr_loss(np.full(2, 0.5), np.array([2.0, 0.0]), np.array([True, False]))
+            masked_loss_at(np.zeros(2), np.array([2.0, 0.0]), np.array([True, False]))
 
     @pytest.mark.parametrize("shapes, message", [
-        (((4, 3), (4, 2), (4, 3), None), r"labels \(4, 2\) and mask \(4, 3\) must align"),
-        (((4, 3), (4, 3), (3, 4), None), r"labels \(4, 3\) and mask \(3, 4\) must align"),
+        (((4, 3), (4, 2), (4, 3), (4, 3)), r"labels \(4, 2\) and mask \(4, 3\) must align"),
+        (((4, 3), (4, 3), (3, 4), (4, 3)), r"labels \(4, 3\) and mask \(3, 4\) must align"),
         (((4, 3), (4, 3), (4, 3), (3,)), r"logits \(3,\) must have the shape of probs \(4, 3\)"),
         (((4, 3), (4, 3), (4, 3), (1, 3)), r"logits \(1, 3\) must have the shape of probs \(4, 3\)"),
         (((4, 3), (4, 3), (4, 3), (4, 3, 1)), r"logits \(4, 3, 1\) must have the shape"),
@@ -97,7 +108,7 @@ class TestMaskedLoss:
         probs, labels, mask, logits = shapes
         with pytest.raises(ValueError, match=message):
             masked_attr_loss(np.full(probs, 0.5), np.zeros(labels), np.ones(mask, dtype=bool),
-                             logits=None if logits is None else np.zeros(logits))
+                             logits=np.zeros(logits))
 
 
 class TestWeightDecay:

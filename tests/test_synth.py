@@ -38,6 +38,16 @@ def small_cfg(**kw):
     return SynthConfig(**base)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("image_size", 0), ("image_size", -3), ("image_size", 4.0), ("image_size", True),
+    ("n_a", 2.5), ("n_b", "400"), ("n_c", None), ("n_pairs_train", 0),
+    ("n_pairs_test", np.int64(5)),
+])
+def test_config_refuses_fields_that_are_not_positive_ints(field, value):
+    with pytest.raises(ValueError, match=f"SynthConfig {field} must be an int >= 1"):
+        SynthConfig(**{field: value})
+
+
 class TestFaces:
     def test_render_deterministic(self):
         lat = sample_face_latents(np.random.default_rng(0))
