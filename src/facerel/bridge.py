@@ -2,8 +2,10 @@
 mean-HOG templates, and the distance vector it induces for any face.
 
 Every face carries the same ten landmarks, ``POINT_NAMES``: the alignment
-step fixes that layout, so it is a constant, not a setting, and a bank file
-records it only so that ``load_bank`` can refuse a bank built on another.
+step fixes that layout, so it is a constant, not a setting.  Every face's HOG
+follows the one recipe of the ``hog`` module constants, the same at build
+time and at query time.  A bank file records the layout and the recipe only
+so that ``load_bank`` can refuse a bank made with another.
 Level one clusters whole-face landmark vectors; within each of those nodes,
 level two clusters the ``UPPER`` and ``LOWER`` face landmark sub-vectors
 separately.  Every node keeps the mean HOG vector of its member faces as a
@@ -18,7 +20,7 @@ tree keeps none.  It keeps the templates as one matrix in descriptor order
 and, per top node, the number of upper and lower children kept, which fix
 the descriptor slot of each row.  A bank file holds exactly that: the arrays
 ``templates``, ``h_mean`` and ``h_std``, with the cluster counts, per-node
-child counts, HOG config, landmark layout and sentinel in its metadata.
+child counts, HOG recipe, landmark layout and sentinel in its metadata.
 ``descriptors`` measures a stack of HOGs against the matrix.  The build (for
 the corpus statistics and the sentinel) and every query take that one path,
 each face's HOG computed once, so a face's descriptor has the same bits at
@@ -40,11 +42,12 @@ does not store them.
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hog import HogConfig, compute_hog, compute_hog_batch
+from .hog import BINS, BLOCK, CELL, EPS, compute_hog, compute_hog_batch
 from .kmeans import kmeans
 from .serialize import load_container, save_container
 
@@ -60,8 +63,9 @@ UPPER = (0, 1, 2, 3, 4)
 LOWER = (5, 6, 7, 8, 9)
 assert sorted(UPPER + LOWER) == list(range(len(POINT_NAMES)))
 
-#: The layout as every bank file records it.
+#: The layout and the HOG recipe as every bank file records them.
 _LAYOUT_META = {"point_names": list(POINT_NAMES), "upper": list(UPPER), "lower": list(LOWER)}
+_HOG_META = {"cell": CELL, "block": BLOCK, "bins": BINS, "eps": EPS}
 
 
 def check_landmarks(points: np.ndarray) -> np.ndarray:
@@ -93,7 +97,6 @@ class ClusterTree:
     t_top: int
     u_max: int
     l_max: int
-    hog_cfg: HogConfig
     templates: np.ndarray            # (S, hog dim)
     upper_counts: tuple[int, ...]    # upper children kept, one per top node
     lower_counts: tuple[int, ...]
@@ -125,12 +128,11 @@ class ClusterTree:
                 f"templates has shape {np.shape(self.templates)}, expected {rows} rows"
             )
         _check_finite("templates", self.templates)
-        per_block = self.hog_cfg.block ** 2 * self.hog_cfg.bins
+        per_block = BLOCK ** 2 * BINS
         if self.hog_dim == 0 or self.hog_dim % per_block:
             raise ValueError(
-                f"'hog' (block {self.hog_cfg.block}, {self.hog_cfg.bins} bins) cannot give "
-                f"{self.hog_dim}-wide templates: the width is not a positive multiple of "
-                f"block² · bins = {per_block}"
+                f"the HOG recipe cannot give {self.hog_dim}-wide templates: the width is not "
+                f"a positive multiple of block² · bins = {per_block}"
             )
         if isinstance(self.sentinel, bool) or not isinstance(self.sentinel, (int, float)):
             raise ValueError(f"sentinel must be a number, got {self.sentinel!r}")
@@ -230,7 +232,6 @@ def build_cluster_tree(
     u_children: int = 10,
     l_children: int = 10,
     seed: int = 0,
-    hog_cfg: HogConfig | None = None,
 ) -> ClusterTree:
     """Build the hierarchy from ``corpus``: a sequence of (landmarks, image).
 
@@ -241,7 +242,6 @@ def build_cluster_tree(
     HOG and the number of children of each top node; the landmark centroids
     only assign members and are dropped.
     """
-    hog_cfg = hog_cfg or HogConfig()
     for name, v in (("t_top", t_top), ("u_children", u_children), ("l_children", l_children)):
         _check_count(name, v)
     n = len(corpus)
@@ -252,7 +252,7 @@ def build_cluster_tree(
         )
 
     landmarks = np.stack([check_landmarks(lm) for lm, _ in corpus])
-    hogs = compute_hog_batch([img for _, img in corpus], hog_cfg)
+    hogs = compute_hog_batch([img for _, img in corpus])
 
     # the blocks the matrix is stacked from die with the helper's frame, so
     # the rest of the build holds one copy of the templates
@@ -264,7 +264,6 @@ def build_cluster_tree(
         t_top=t_top,
         u_max=u_children,
         l_max=l_children,
-        hog_cfg=hog_cfg,
         templates=templates,
         upper_counts=upper_counts,
         lower_counts=lower_counts,
@@ -314,7 +313,7 @@ def descriptors(hogs: np.ndarray, tree: ClusterTree) -> np.ndarray:
     if hogs.ndim != 2 or hogs.shape[1] != tree.hog_dim:
         raise ValueError(
             f"HOG dimensionality {hogs.shape[-1]} does not match the bank's "
-            f"templates ({tree.hog_dim}); check image geometry and HOG config"
+            f"templates ({tree.hog_dim}); check the image geometry"
         )
     n_rows = len(tree.templates)
     dist = np.empty((len(hogs), n_rows))
@@ -341,7 +340,7 @@ def extract_descriptor(image: np.ndarray, tree: ClusterTree) -> np.ndarray:
         row = tree.build_rows.get(_face_key(image))
         if row is not None:
             return row.copy()
-    return descriptors(compute_hog(image, tree.hog_cfg)[None], tree)[0]
+    return descriptors(compute_hog(image)[None], tree)[0]
 
 
 def standardize_descriptor(h: np.ndarray, tree: ClusterTree) -> np.ndarray:
@@ -371,7 +370,7 @@ def save_bank(path, tree: ClusterTree) -> None:
         "l_max": tree.l_max,
         "upper_counts": list(tree.upper_counts),
         "lower_counts": list(tree.lower_counts),
-        "hog": tree.hog_cfg.to_dict(),
+        "hog": _HOG_META,
         "schema": _LAYOUT_META,
         "sentinel": tree.sentinel,
     }
@@ -395,17 +394,16 @@ def load_bank(path) -> ClusterTree:
             raise ValueError(f"{path}: bridge bank metadata has no field {name!r}")
         return meta[name]
 
-    if value("schema") != _LAYOUT_META:
-        raise ValueError(f"{path}: bridge bank field 'schema' is not the fixed landmark layout")
-    hog = value("hog")
-    try:
-        hog_cfg = HogConfig.from_dict(hog)
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValueError(f"{path}: bridge bank field 'hog' is malformed: {e!r}") from None
+    for name, fixed, what in (("schema", _LAYOUT_META, "landmark layout"),
+                              ("hog", _HOG_META, "HOG recipe")):
+        # as JSON text, so a value of another type (8.0 for 8, true for 1)
+        # differs too
+        if json.dumps(value(name), sort_keys=True) != json.dumps(fixed, sort_keys=True):
+            raise ValueError(f"{path}: bridge bank field {name!r} is not the fixed {what}")
     fields = {name: value(name) for name in
               ("t_top", "u_max", "l_max", "upper_counts", "lower_counts", "sentinel")}
     fields.update((name, array(name)) for name in ("templates", "h_mean", "h_std"))
     try:
-        return ClusterTree(**fields, hog_cfg=hog_cfg)
+        return ClusterTree(**fields)
     except ValueError as e:  # the tree's own field checks
         raise ValueError(f"{path}: {e}") from None

@@ -51,7 +51,7 @@ def load_checkpoint(path) -> tuple[NetworkSpec, ParameterSet, dict]:
         data = arrays[name]
         if not np.isfinite(data).all():
             raise ValueError(f"{path}: parameter {name!r} holds non-finite values")
-        params.add(name, Tensor(data, np.zeros_like(data)))
+        params.add(name, Tensor(data))
     try:
         check_trunk_params(spec, params)
     except ValueError as e:

@@ -65,7 +65,7 @@ class Box:
         return int(round(self.w * image_w)), int(round(self.h * image_h))
 
     def encode(self) -> str:
-        return f"{self.x},{self.y},{self.w!r},{self.h!r}"
+        return f"{self.x},{self.y},{float(self.w)!r},{float(self.h)!r}"
 
     @staticmethod
     def decode(text: str) -> "Box":
@@ -125,22 +125,34 @@ def _header_line(kind: str, split: str) -> str:
     return f"#facerel-manifest v{MANIFEST_VERSION} {kind} {split}"
 
 
+def _token(text: str, what: str) -> str:
+    """``text``, if ``read_manifest`` reads it back as one field."""
+    if text.split() != [text]:
+        raise ValueError(f"{what} {text!r} is empty or holds whitespace")
+    return text
+
+
 def write_manifest(path, kind: str, split: str, records) -> None:
+    """Write ``records`` under a header; a field that would not read back
+    as itself raises ``ValueError`` naming the record index and the field."""
     if kind not in ("attributes", "pairs"):
         raise ValueError(f"unknown manifest kind {kind!r}")
-    lines = [_header_line(kind, split)]
-    for rec in records:
+    lines = [_header_line(kind, _token(split, "split"))]
+    for i, rec in enumerate(records):
+        image = _token(rec.image_path, f"record {i} image_path")
+        if image.startswith("#"):
+            raise ValueError(f"record {i} image_path {image!r} would read back as a comment")
         if kind == "attributes":
             labels = " ".join(
                 ("1" if l == 1 else "0") if m else "?"
                 for l, m in zip(rec.labels, rec.mask)
             )
-            lines.append(f"{rec.image_path} {rec.landmark_path} {rec.dataset_id} {labels}")
+            landmarks = _token(rec.landmark_path, f"record {i} landmark_path")
+            dataset = _token(rec.dataset_id, f"record {i} dataset_id")
+            lines.append(f"{image} {landmarks} {dataset} {labels}")
         else:
             labels = " ".join(str(int(r)) for r in rec.relations)
-            lines.append(
-                f"{rec.image_path} {rec.left_box.encode()} {rec.right_box.encode()} {labels}"
-            )
+            lines.append(f"{image} {rec.left_box.encode()} {rec.right_box.encode()} {labels}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

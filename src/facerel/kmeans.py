@@ -3,6 +3,7 @@
 Fully deterministic for a fixed seed: initialization draws come from a
 PCG64 generator, assignment ties go to the lowest centroid index, and empty
 clusters are re-seeded to the point currently farthest from its centroid.
+Lloyd passes stop when the assignments repeat, or after ``MAX_ITER`` passes.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+MAX_ITER = 100
 
 
 @dataclass
@@ -43,7 +46,7 @@ def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return points[chosen].copy()
 
 
-def kmeans(points: np.ndarray, k: int, seed, max_iter: int = 100) -> KMeansResult:
+def kmeans(points: np.ndarray, k: int, seed) -> KMeansResult:
     """Cluster ``points`` (N, D) into ``k`` groups.
 
     ``seed`` may be an int or a sequence of ints (handy for deriving
@@ -60,8 +63,6 @@ def kmeans(points: np.ndarray, k: int, seed, max_iter: int = 100) -> KMeansResul
         raise ValueError(f"k must be positive, got {k}")
     if n < k:
         raise ValueError(f"need at least k={k} points, have {n}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
 
     rng = np.random.default_rng(seed)
     centroids = _plus_plus_init(points, k, rng)
@@ -69,7 +70,7 @@ def kmeans(points: np.ndarray, k: int, seed, max_iter: int = 100) -> KMeansResul
     assignments = None
     objective: list[float] = []
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         iterations += 1
         d2 = _sq_dists(points, centroids)
         new_assign = np.argmin(d2, axis=1)  # ties resolve to the lowest index

@@ -289,17 +289,20 @@ class NetworkSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "NetworkSpec":
+        unknown = sorted(set(d) - {"input_shape", "layers", "bridge_dim"})
+        if unknown:
+            raise ValueError(f"unknown network field(s) {unknown}")
         return NetworkSpec(
             input_shape=tuple(d["input_shape"]),
             layers=tuple(LayerSpec.from_dict(ld) for ld in d["layers"]),
-            bridge_dim=d.get("bridge_dim", 0),
+            bridge_dim=d["bridge_dim"],
         )
 
 
 def init_trunk_params(
     spec: NetworkSpec, rng: np.random.Generator, prefix: str = "trunk."
 ) -> ParameterSet:
-    """He-scaled Gaussian weights, zero biases, all with grad slots."""
+    """He-scaled Gaussian weights and zero biases, none with a gradient yet."""
     params = ParameterSet()
     for name, shape in spec.param_shapes().items():
         if name.endswith(".b"):
@@ -307,7 +310,7 @@ def init_trunk_params(
         else:
             fan_in = int(np.prod(shape[:-1])) if len(shape) == 2 else int(np.prod(shape[1:]))
             data = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-        params.add(prefix + name, Tensor(data, np.zeros(shape)))
+        params.add(prefix + name, Tensor(data))
     return params
 
 

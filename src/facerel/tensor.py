@@ -17,19 +17,13 @@ import numpy as np
 
 
 class Tensor:
-    """A dense n-dimensional array plus an optional same-shaped gradient."""
+    """A dense n-dimensional array plus its gradient, None until a backward pass adds one."""
 
     __slots__ = ("data", "grad")
 
-    def __init__(self, data: np.ndarray, grad: np.ndarray | None = None):
+    def __init__(self, data: np.ndarray):
         self.data = np.asarray(data, dtype=np.float64)
-        if grad is not None:
-            grad = np.asarray(grad, dtype=np.float64)
-            if grad.shape != self.data.shape:
-                raise ValueError(
-                    f"grad shape {grad.shape} does not match data shape {self.data.shape}"
-                )
-        self.grad = grad
+        self.grad: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -15,12 +15,10 @@ from facerel.bridge import (
     save_bank,
     standardize_descriptor,
 )
-from facerel.hog import HogConfig, compute_hog, compute_hog_batch
+from facerel.hog import compute_hog, compute_hog_batch
 from facerel.serialize import load_container, save_container
 
 from oracles import spoil_entry
-
-CFG = HogConfig(cell=8, block=2, bins=9, eps=1e-5)
 
 BASE_POINTS = np.array(
     [
@@ -62,7 +60,7 @@ def child_templates(tree, region, t):
 class TestBuild:
     def test_descriptor_length(self):
         corpus, _ = make_corpus(24, n_modes=2)
-        tree = build_cluster_tree(corpus, t_top=2, u_children=3, l_children=3, seed=0, hog_cfg=CFG)
+        tree = build_cluster_tree(corpus, t_top=2, u_children=3, l_children=3, seed=0)
         assert tree.descriptor_length == 2 + 2 * 3 + 2 * 3
         h = extract_descriptor(corpus[0][1], tree)
         assert h.shape == (tree.descriptor_length,)
@@ -70,14 +68,14 @@ class TestBuild:
     def test_default_sizes_give_210(self):
         corpus, _ = make_corpus(120, n_modes=6, seed=1)
         tree = build_cluster_tree(corpus, t_top=10, u_children=10, l_children=10,
-                                  seed=0, hog_cfg=CFG)
+                                  seed=0)
         assert tree.descriptor_length == 210
 
     def test_single_cluster_collapse(self):
         corpus, _ = make_corpus(8, n_modes=1, seed=2)
-        tree = build_cluster_tree(corpus, t_top=1, u_children=1, l_children=1, seed=0, hog_cfg=CFG)
+        tree = build_cluster_tree(corpus, t_top=1, u_children=1, l_children=1, seed=0)
         # three templates, all equal to the global mean HOG
-        mean_hog = np.stack([compute_hog(img, CFG) for _, img in corpus]).mean(axis=0)
+        mean_hog = np.stack([compute_hog(img) for _, img in corpus]).mean(axis=0)
         assert tree.templates.shape == (3, len(mean_hog))
         assert tree.upper_counts == tree.lower_counts == (1,)
         np.testing.assert_allclose(tree.templates, np.stack([mean_hog] * 3), atol=1e-12)
@@ -88,10 +86,10 @@ class TestBuild:
         imgs = [rng.random((32, 32)) for _ in range(2)]
         pts = [np.clip(BASE_POINTS + off, 0, 1) for off in (-0.15, 0.15)]
         corpus = [(pts[g], imgs[g]) for g in range(2) for _ in range(4)]
-        tree = build_cluster_tree(corpus, t_top=2, u_children=1, l_children=1, seed=0, hog_cfg=CFG)
+        tree = build_cluster_tree(corpus, t_top=2, u_children=1, l_children=1, seed=0)
         for t in range(2):
             h_t = tree.templates[t]
-            assert any(np.allclose(h_t, compute_hog(im, CFG), atol=1e-12) for im in imgs)
+            assert any(np.allclose(h_t, compute_hog(im), atol=1e-12) for im in imgs)
             for region in ("upper", "lower"):
                 np.testing.assert_allclose(child_templates(tree, region, t), [h_t], atol=1e-12)
 
@@ -105,8 +103,8 @@ class TestBuild:
         for g, off in enumerate((-0.1, 0.1)):
             pts[g][list(bridge.UPPER), 0] += off
         corpus = [(pts[g], imgs[g]) for g in range(2) for _ in range(4)]
-        tree = build_cluster_tree(corpus, t_top=1, u_children=2, l_children=1, seed=0, hog_cfg=CFG)
-        hogs = compute_hog_batch(np.stack(imgs), CFG)
+        tree = build_cluster_tree(corpus, t_top=1, u_children=2, l_children=1, seed=0)
+        hogs = compute_hog_batch(np.stack(imgs))
         assert (tree.upper_counts, tree.lower_counts) == ((2,), (1,))
         np.testing.assert_allclose(tree.templates[0], hogs.mean(axis=0), atol=1e-12)
         upper = child_templates(tree, "upper", 0)
@@ -119,7 +117,7 @@ class TestBuild:
     def test_small_top_node_prunes_children(self):
         # 1 mode with tight landmarks: some top node gets < U members
         corpus, _ = make_corpus(9, n_modes=3, seed=4)
-        tree = build_cluster_tree(corpus, t_top=3, u_children=3, l_children=3, seed=0, hog_cfg=CFG)
+        tree = build_cluster_tree(corpus, t_top=3, u_children=3, l_children=3, seed=0)
         counts = tree.upper_counts + tree.lower_counts
         assert all(1 <= c <= 3 for c in counts)
         assert len(tree.templates) == len(tree.slots) == 3 + sum(counts)
@@ -128,8 +126,8 @@ class TestBuild:
 
     def test_build_reproducible(self):
         corpus, _ = make_corpus(30, n_modes=3, seed=5)
-        t1 = build_cluster_tree(corpus, 3, 2, 2, seed=7, hog_cfg=CFG)
-        t2 = build_cluster_tree(corpus, 3, 2, 2, seed=7, hog_cfg=CFG)
+        t1 = build_cluster_tree(corpus, 3, 2, 2, seed=7)
+        t2 = build_cluster_tree(corpus, 3, 2, 2, seed=7)
         np.testing.assert_array_equal(t1.templates, t2.templates)
         np.testing.assert_array_equal(t1.h_mean, t2.h_mean)
         assert (t1.upper_counts, t1.lower_counts) == (t2.upper_counts, t2.lower_counts)
@@ -139,7 +137,7 @@ class TestBuild:
         corpus, _ = make_corpus(24, n_modes=2)
         corpus[5][0][3, 1] = bad
         with pytest.raises(ValueError, match="landmark coordinates must be finite"):
-            build_cluster_tree(corpus, t_top=2, u_children=3, l_children=3, seed=0, hog_cfg=CFG)
+            build_cluster_tree(corpus, t_top=2, u_children=3, l_children=3, seed=0)
 
     @pytest.mark.parametrize("field, value", [
         ("t_top", 2.0), ("t_top", True), ("u_children", "3"), ("l_children", None),
@@ -150,12 +148,12 @@ class TestBuild:
         counts = dict(t_top=2, u_children=3, l_children=3)
         counts[field] = value
         with pytest.raises(ValueError, match=f"'{field}' must be an int"):
-            build_cluster_tree(corpus, **counts, seed=0, hog_cfg=CFG)
+            build_cluster_tree(corpus, **counts, seed=0)
 
     def test_rejects_tiny_corpus(self):
         corpus, _ = make_corpus(5)
         with pytest.raises(ValueError, match="too small"):
-            build_cluster_tree(corpus, t_top=3, u_children=3, l_children=3, hog_cfg=CFG)
+            build_cluster_tree(corpus, t_top=3, u_children=3, l_children=3)
 
     def test_planted_modes_recovered_with_high_purity(self):
         # Every face of a landmark mode shows that mode's own image, so a top
@@ -165,8 +163,8 @@ class TestBuild:
         images = np.random.default_rng(60).random((10, 32, 32))
         corpus = [(lm, images[m]) for (lm, _), m in zip(corpus, modes)]
         tree = build_cluster_tree(corpus, t_top=10, u_children=2, l_children=2,
-                                  seed=1, hog_cfg=CFG)
-        mode_hogs = compute_hog_batch(images, CFG)
+                                  seed=1)
+        mode_hogs = compute_hog_batch(images)
         gap = np.linalg.norm(tree.templates[:10, None] - mode_hogs[None], axis=2)
         assert sorted(gap.argmin(axis=1)) == list(range(10))
         np.testing.assert_allclose(gap.min(axis=1), 0.0, atol=1e-12)
@@ -177,13 +175,13 @@ class TestExtract:
         rng = np.random.default_rng(8)
         img = rng.random((32, 32))
         corpus = [(BASE_POINTS, img)] * 4
-        tree = build_cluster_tree(corpus, 1, 1, 1, seed=0, hog_cfg=CFG)
+        tree = build_cluster_tree(corpus, 1, 1, 1, seed=0)
         h = extract_descriptor(img, tree)
         np.testing.assert_allclose(h, 0.0, atol=1e-12)
 
     def test_nonnegative_and_stable(self):
         corpus, _ = make_corpus(20, seed=9)
-        tree = build_cluster_tree(corpus, 2, 2, 2, seed=0, hog_cfg=CFG)
+        tree = build_cluster_tree(corpus, 2, 2, 2, seed=0)
         probe = np.random.default_rng(10).random((32, 32))
         h1 = extract_descriptor(probe, tree)
         h2 = extract_descriptor(probe, tree)
@@ -192,7 +190,7 @@ class TestExtract:
 
     def test_intensity_scaling_barely_moves_descriptor(self):
         corpus, _ = make_corpus(20, seed=11)
-        tree = build_cluster_tree(corpus, 2, 2, 2, seed=0, hog_cfg=CFG)
+        tree = build_cluster_tree(corpus, 2, 2, 2, seed=0)
         img = np.random.default_rng(12).random((32, 32))
         h1 = extract_descriptor(img, tree)
         h2 = extract_descriptor(2.0 * img, tree)
@@ -200,13 +198,13 @@ class TestExtract:
 
     def test_rejects_wrong_geometry(self):
         corpus, _ = make_corpus(20, seed=13)
-        tree = build_cluster_tree(corpus, 2, 2, 2, seed=0, hog_cfg=CFG)
+        tree = build_cluster_tree(corpus, 2, 2, 2, seed=0)
         with pytest.raises(ValueError, match="dimensionality"):
             extract_descriptor(np.zeros((48, 48)), tree)
 
     def test_standardization_roundtrip(self):
         corpus, _ = make_corpus(30, seed=14)
-        tree = build_cluster_tree(corpus, 2, 2, 2, seed=0, hog_cfg=CFG)
+        tree = build_cluster_tree(corpus, 2, 2, 2, seed=0)
         hs = np.stack([standardize_descriptor(extract_descriptor(img, tree), tree)
                        for _, img in corpus])
         np.testing.assert_allclose(hs.mean(axis=0), 0.0, atol=1e-10)
@@ -217,7 +215,7 @@ class TestExtract:
 class TestBankIO:
     def test_roundtrip(self, tmp_path):
         corpus, _ = make_corpus(24, seed=15)
-        tree = build_cluster_tree(corpus, 2, 3, 3, seed=0, hog_cfg=CFG)
+        tree = build_cluster_tree(corpus, 2, 3, 3, seed=0)
         path = tmp_path / "bank.bin"
         save_bank(path, tree)
         assert sorted(load_container(path)[2]) == ["h_mean", "h_std", "templates"]
@@ -234,7 +232,7 @@ class TestBankIO:
 
     def test_save_twice_identical(self, tmp_path):
         corpus, _ = make_corpus(24, seed=17)
-        tree = build_cluster_tree(corpus, 2, 2, 2, seed=0, hog_cfg=CFG)
+        tree = build_cluster_tree(corpus, 2, 2, 2, seed=0)
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         save_bank(p1, tree)
         save_bank(p2, tree)
@@ -244,11 +242,11 @@ class TestBankIO:
 def pruned_bank(seed):
     """A T=4, U=L=6 bank on 40 faces in 3 modes, and its corpus."""
     corpus, _ = make_corpus(40, 3, seed)
-    return corpus, build_cluster_tree(corpus, 4, 6, 6, seed=0, hog_cfg=CFG)
+    return corpus, build_cluster_tree(corpus, 4, 6, 6, seed=0)
 
 
 def corpus_hogs(corpus):
-    return compute_hog_batch(np.stack([img for _, img in corpus]), CFG)
+    return compute_hog_batch(np.stack([img for _, img in corpus]))
 
 
 class TestDescriptorPath:
@@ -256,11 +254,11 @@ class TestDescriptorPath:
         images = []
         single, batch = bridge.compute_hog, bridge.compute_hog_batch
         monkeypatch.setattr(bridge, "compute_hog",
-                            lambda img, cfg=None: images.append(1) or single(img, cfg))
+                            lambda img: images.append(1) or single(img))
         monkeypatch.setattr(bridge, "compute_hog_batch",
-                            lambda imgs, cfg=None: images.append(len(imgs)) or batch(imgs, cfg))
+                            lambda imgs: images.append(len(imgs)) or batch(imgs))
         corpus, _ = make_corpus(30, n_modes=3, seed=20)
-        build_cluster_tree(corpus, 3, 2, 2, seed=0, hog_cfg=CFG)
+        build_cluster_tree(corpus, 3, 2, 2, seed=0)
         assert sum(images) == len(corpus)
 
     def test_build_statistics_come_from_query_time_descriptors(self):
@@ -277,8 +275,8 @@ class TestDescriptorPath:
 
     def test_descriptor_is_the_per_template_norm(self):
         corpus, pruned = pruned_bank(1)
-        uneven = build_cluster_tree(corpus, 3, 5, 2, seed=0, hog_cfg=CFG)  # U != L
-        hog = compute_hog(corpus[0][1], CFG)
+        uneven = build_cluster_tree(corpus, 3, 5, 2, seed=0)  # U != L
+        hog = compute_hog(corpus[0][1])
         for tree in (pruned, uneven):
             tree.build_rows.clear()
             want = np.full(tree.descriptor_length, tree.sentinel)
@@ -335,7 +333,7 @@ class TestBuildRows:
         calls = []
         single = bridge.compute_hog
         monkeypatch.setattr(bridge, "compute_hog",
-                            lambda img, cfg=None: calls.append(1) or single(img, cfg))
+                            lambda img: calls.append(1) or single(img))
         return calls
 
     def test_hits_equal_the_computed_descriptors(self, banks):
@@ -415,6 +413,8 @@ MALFORMED = {
                     "'schema'"),
     "other-points": (lambda meta, arrays: meta["schema"]["point_names"].reverse(), "'schema'"),
     "missing-schema": (lambda meta, arrays: meta.pop("schema"), "'schema'"),
+    "schema-float-index": (lambda meta, arrays: _set(meta["schema"]["upper"], 0, 0.0), "'schema'"),
+    "missing-hog": (lambda meta, arrays: meta.pop("hog"), "'hog'"),
     "hog-bins": (lambda meta, arrays: meta["hog"].update(bins=8), "'hog'"),
     "hog-cell-fraction": (lambda meta, arrays: meta["hog"].update(cell=8.5), "'hog'"),
     "hog-cell-float": (lambda meta, arrays: meta["hog"].update(cell=8.0), "'hog'"),
@@ -442,7 +442,7 @@ MALFORMED = {
 def test_load_bank_rejects_malformed_field(tmp_path, edit, field):
     corpus, _ = make_corpus(24, seed=15)
     path = tmp_path / "bank.bin"
-    tree = build_cluster_tree(corpus, 2, 3, 3, seed=0, hog_cfg=CFG)
+    tree = build_cluster_tree(corpus, 2, 3, 3, seed=0)
     assert tree.upper_counts == tree.lower_counts == (3, 3)
     save_bank(path, tree)
     kind, meta, arrays = load_container(path)

@@ -252,6 +252,9 @@ def _infeasible_spec(meta, arrays):
          "'network'.*field 'bridge_dim' must be an int >= 0, got 3.9"),
         (lambda meta, arrays: meta["network"].update(input_shape=[1, 6.5, 6]),
          r"'network'.*field 'input_shape' must be \(C,H,W\) of positive ints"),
+        (lambda meta, arrays: meta["network"].update(bridge_dimm=meta["network"].pop("bridge_dim")),
+         r"'network'.*unknown network field\(s\) \['bridge_dimm'\]"),
+        (lambda meta, arrays: meta["network"].pop("bridge_dim"), "'network'.*'bridge_dim'"),
         (lambda meta, arrays: spoil_entry(arrays, "trunk.conv1.w", np.nan),
          "parameter 'trunk.conv1.w' holds non-finite values"),
         (lambda meta, arrays: spoil_entry(arrays, "trunk.fc1.b", -np.inf),
@@ -260,7 +263,8 @@ def _infeasible_spec(meta, arrays):
     ids=["fc1-shape", "missing-conv1-bias", "no-network", "unknown-layer-field",
          "fractional-kernel", "infeasible",
          "list-name", "dict-name", "duplicate-name", "extra-not-dict", "no-layers",
-         "fractional-bridge-dim", "fractional-input-shape", "nan-weight", "inf-bias"],
+         "fractional-bridge-dim", "fractional-input-shape", "misspelt-bridge-dim",
+         "no-bridge-dim", "nan-weight", "inf-bias"],
 )
 def test_load_checkpoint_rejects_malformed(tmp_path, corrupt, match):
     path = tmp_path / "ckpt.bin"

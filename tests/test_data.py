@@ -87,6 +87,35 @@ class TestManifests:
         _, _, loaded = read_manifest(p)
         assert loaded == [(2, recs[0])]
 
+    def test_pair_round_trip_with_numpy_scalar_boxes(self, tmp_path):
+        p = tmp_path / "pairs.txt"
+        rec = PairRecord("scene.npy", Box(np.int64(3), 4, np.float64(0.3), np.float64(2 / 3)),
+                         Box(90, 8, 0.3125, 0.625), (0, 1, 1, 0, 1, 0, 0, 1))
+        write_manifest(p, "pairs", "train", [rec])
+        _, _, [(_, loaded)] = read_manifest(p)
+        assert loaded == rec
+
+    @pytest.mark.parametrize("kind, split, record, field", [
+        ("pairs", "my split", None, "split"),
+        ("pairs", "", None, "split"),
+        ("pairs", "train", PairRecord("a b.npy", Box(0, 0, 0.1, 0.1), Box(9, 0, 0.1, 0.1),
+                                      (0,) * 8), "record 1 image_path"),
+        ("pairs", "train", PairRecord("#a.npy", Box(0, 0, 0.1, 0.1), Box(9, 0, 0.1, 0.1),
+                                      (0,) * 8), "record 1 image_path"),
+        ("attributes", "train", AttrRecord("img.npy", "lm\t0.npy", "src-a", (0.0,) * 20,
+                                           (True,) * 20), "record 1 landmark_path"),
+        ("attributes", "train", AttrRecord("img.npy", "lm.npy", "", (0.0,) * 20,
+                                           (True,) * 20), "record 1 dataset_id"),
+    ], ids=["split-space", "split-empty", "path-space", "path-comment", "landmark-tab",
+            "dataset-empty"])
+    def test_write_refuses_what_it_cannot_read_back(self, tmp_path, kind, split, record, field):
+        good = self._attr_records()[0] if kind == "attributes" else PairRecord(
+            "scene.npy", Box(0, 0, 0.1, 0.1), Box(9, 0, 0.1, 0.1), (0,) * 8)
+        p = tmp_path / "m.txt"
+        with pytest.raises(ValueError, match=f"^{field} "):
+            write_manifest(p, kind, split, [good] + ([record] if record else []))
+        assert not p.exists()
+
     def test_malformed_line_reports_number(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("#facerel-manifest v1 attributes train\nonly three fields here\n")

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from facerel import kmeans as kmeans_module
 from facerel.kmeans import kmeans
 
 
@@ -65,11 +66,12 @@ def test_objective_never_increases_across_many_instances():
         assert np.all(diffs <= 1e-9), f"objective increased on trial {trial}"
 
 
-def test_terminates_within_max_iter():
+def test_terminates_within_max_iter(monkeypatch):
     rng = np.random.default_rng(6)
     pts = rng.normal(size=(50, 2))
-    res = kmeans(pts, 5, seed=0, max_iter=3)
-    assert res.iterations <= 3
+    assert kmeans(pts, 5, seed=0).iterations > 3
+    monkeypatch.setattr(kmeans_module, "MAX_ITER", 3)
+    assert kmeans(pts, 5, seed=0).iterations == 3
 
 
 def test_rejects_bad_k():

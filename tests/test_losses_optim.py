@@ -3,12 +3,20 @@
 import numpy as np
 import pytest
 
+from facerel.checkpoint import load_checkpoint, save_checkpoint
 from facerel.losses import bce_from_logit, masked_attr_loss, weight_decay_term
+from facerel.net import NetworkSpec, conv_spec, fc_spec, init_trunk_params
 from facerel.optim import DivergenceError, lr_at, sgd_step
 from facerel.ops import sigmoid
 from facerel.tensor import ParameterSet, Tensor
 
 from oracles import max_rel_err
+
+
+def with_grad(data, grad) -> Tensor:
+    t = Tensor(data)
+    t.accumulate_grad(grad)
+    return t
 
 
 class TestBce:
@@ -139,7 +147,7 @@ class TestWeightDecay:
 class TestSgd:
     def _single(self, value, grad):
         ps = ParameterSet()
-        ps.add("fc1.w", Tensor(np.array([value]), np.array([grad])))
+        ps.add("fc1.w", with_grad(np.array([value]), np.array([grad])))
         return ps
 
     def test_zero_grads_no_decay_leaves_parameters(self):
@@ -155,7 +163,7 @@ class TestSgd:
     def test_lr_zero_is_bit_identical(self):
         rng = np.random.default_rng(3)
         ps = ParameterSet()
-        ps.add("conv1.w", Tensor(rng.normal(size=(2, 2)), rng.normal(size=(2, 2))))
+        ps.add("conv1.w", with_grad(rng.normal(size=(2, 2)), rng.normal(size=(2, 2))))
         before = ps["conv1.w"].data.copy()
         sgd_step(ps, lr=0.0, lam=0.3)
         np.testing.assert_array_equal(ps["conv1.w"].data, before)
@@ -172,6 +180,19 @@ class TestSgd:
         ps = self._single(1.0, 0.5)
         sgd_step(ps, lr=0.1)
         assert ps["fc1.w"].grad is None
+
+    @pytest.mark.parametrize("source", ["fresh", "loaded"])
+    def test_step_before_any_backward_is_refused(self, tmp_path, source):
+        spec = NetworkSpec((1, 6, 6), (conv_spec(3, 2), fc_spec(3)))
+        params = init_trunk_params(spec, np.random.default_rng(0))
+        if source == "loaded":
+            save_checkpoint(tmp_path / "ckpt.bin", spec, params)
+            _, params = load_checkpoint(tmp_path / "ckpt.bin")[:2]
+        before = {name: t.data.copy() for name, t in params.items()}
+        with pytest.raises(ValueError, match="'trunk.conv1.w' has no gradient"):
+            sgd_step(params, 0.1, lam=0.5)
+        for name, t in params.items():
+            assert t.grad is None and t.data.tobytes() == before[name].tobytes()
 
     def test_nan_gradient_refused_with_name(self):
         ps = self._single(1.0, np.nan)
@@ -203,7 +224,7 @@ class TestSgd:
         rng = np.random.default_rng(5)
         ps = ParameterSet()
         for name, shape in (("conv1.w", (4, 3, 5, 5)), ("conv1.b", (4,)), ("fc1.w", (30, 7))):
-            ps.add(name, Tensor(rng.normal(size=shape), rng.normal(size=shape)))
+            ps.add(name, with_grad(rng.normal(size=shape), rng.normal(size=shape)))
         want = {}
         for name, t in ps.items():
             if lam != 0.0 and not ps.is_bias(name):
@@ -216,7 +237,7 @@ class TestSgd:
 
     def test_bias_sees_no_decay(self):
         ps = ParameterSet()
-        ps.add("fc1.b", Tensor(np.array([1.0]), np.array([0.0])))
+        ps.add("fc1.b", with_grad(np.array([1.0]), np.array([0.0])))
         sgd_step(ps, lr=0.1, lam=0.5)
         assert ps["fc1.b"].data[0] == 1.0
 

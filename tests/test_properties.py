@@ -14,7 +14,7 @@ from facerel import ops
 from facerel.bridge import build_cluster_tree, load_bank, save_bank
 from facerel.checkpoint import load_checkpoint, save_checkpoint
 from facerel.data import AttrRecord, Box, PairRecord, read_manifest, write_manifest
-from facerel.hog import HogConfig, compute_hog, compute_hog_batch
+from facerel.hog import BINS, BLOCK, CELL, EPS, compute_hog, compute_hog_batch
 from facerel.kmeans import kmeans
 from facerel.net import (
     NetworkSpec,
@@ -111,18 +111,13 @@ def test_maxpool_backward_is_the_bincount_over_the_stacked_argmax(case, seed):
 
 @st.composite
 def hog_cases(draw):
-    cfg = HogConfig(
-        cell=draw(st.integers(1, 6)),
-        block=draw(st.integers(1, 3)),
-        bins=draw(st.integers(1, 12)),
-        eps=draw(st.sampled_from([1e-8, 1e-5, 0.3])),
-    )
-    side = max(2, cfg.cell * cfg.block)
-    h = draw(st.integers(side, side + 12))
-    w = draw(st.integers(side, side + 12))
+    # from the smallest image that holds one block to a few cells more,
+    # ragged edges included
+    side = CELL * BLOCK
+    h = draw(st.integers(side, side + 3 * CELL))
+    w = draw(st.integers(side, side + 3 * CELL))
     per_image = 10 * h * w * 8  # the scratch compute_hog_batch budgets per image
     return {
-        "cfg": cfg,
         "shape": (draw(st.integers(1, 7)), h, w),
         # one to three images per chunk, or the real budget
         "scratch": draw(st.sampled_from([per_image, 2 * per_image + 1, 3 * per_image,
@@ -136,13 +131,12 @@ def hog_cases(draw):
 def test_hog_batch_is_stack_of_singles_and_naive(case):
     rng = np.random.default_rng(case["seed"])
     imgs = rng.random(case["shape"]) * 10.0 ** rng.integers(-3, 4)
-    cfg = case["cfg"]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ops, "SCRATCH_BYTES", case["scratch"])
-        batched = compute_hog_batch(imgs, cfg)
-        from_list = compute_hog_batch(list(imgs), cfg)
-    singles = np.stack([compute_hog(img, cfg) for img in imgs])
-    naive = np.stack([naive_hog(img, cfg.cell, cfg.block, cfg.bins, cfg.eps) for img in imgs])
+        batched = compute_hog_batch(imgs)
+        from_list = compute_hog_batch(list(imgs))
+    singles = np.stack([compute_hog(img) for img in imgs])
+    naive = np.stack([naive_hog(img, CELL, BLOCK, BINS, EPS) for img in imgs])
     np.testing.assert_array_equal(batched, singles)
     np.testing.assert_array_equal(batched, naive)
     np.testing.assert_array_equal(from_list, batched)
@@ -310,7 +304,7 @@ def valid_files() -> dict:
     params = init_trunk_params(spec, rng)
     params.merge(init_trunk_params(NetworkSpec((4, 1, 1), (fc_spec(2),)), rng, prefix="attr."))
     corpus = [(rng.uniform(0.1, 0.9, size=(10, 2)), rng.random((16, 16))) for _ in range(8)]
-    tree = build_cluster_tree(corpus, 2, 2, 2, seed=0, hog_cfg=HogConfig(cell=8))
+    tree = build_cluster_tree(corpus, 2, 2, 2, seed=0)
     with tempfile.TemporaryDirectory() as d:
         save_checkpoint(Path(d) / "ckpt.bin", spec, params, extra={"step": 3})
         save_bank(Path(d) / "bank.bin", tree)
