@@ -20,7 +20,8 @@ tree keeps none.  It keeps the templates as one matrix in descriptor order
 and, per top node, the number of upper and lower children kept, which fix
 the descriptor slot of each row.  A bank file holds exactly that: the arrays
 ``templates``, ``h_mean`` and ``h_std``, with the cluster counts, per-node
-child counts, HOG recipe, landmark layout and sentinel in its metadata.
+child counts, HOG recipe, landmark layout and sentinel in its metadata,
+and ``load_bank`` refuses a file that holds any other array or field.
 ``descriptors`` measures a stack of HOGs against the matrix.  The build (for
 the corpus statistics and the sentinel) and every query take that one path,
 each face's HOG computed once, so a face's descriptor has the same bits at
@@ -379,31 +380,27 @@ def save_bank(path, tree: ClusterTree) -> None:
 
 
 def load_bank(path) -> ClusterTree:
-    """Read a bank back; a missing or malformed field raises ``ValueError`` naming it."""
+    """Read a bank back; a missing, unknown or malformed field raises
+    ``ValueError`` naming it."""
     kind, meta, arrays = load_container(path)
     if kind != "bridge-bank":
         raise ValueError(f"{path}: container holds {kind!r}, not a bridge bank")
-
-    def array(name: str) -> np.ndarray:
-        if name not in arrays:
-            raise ValueError(f"{path}: bridge bank has no array {name!r}")
-        return arrays[name]
-
-    def value(name: str):
-        if name not in meta:
-            raise ValueError(f"{path}: bridge bank metadata has no field {name!r}")
-        return meta[name]
-
+    counts = ("t_top", "u_max", "l_max", "upper_counts", "lower_counts", "sentinel")
+    for what, found, known in (("metadata field", meta, counts + ("schema", "hog")),
+                               ("array", arrays, ("templates", "h_mean", "h_std"))):
+        for name in known:
+            if name not in found:
+                raise ValueError(f"{path}: bridge bank has no {what} {name!r}")
+        unknown = sorted(set(found) - set(known))
+        if unknown:
+            raise ValueError(f"{path}: unknown bridge bank {what} {unknown[0]!r}")
     for name, fixed, what in (("schema", _LAYOUT_META, "landmark layout"),
                               ("hog", _HOG_META, "HOG recipe")):
         # as JSON text, so a value of another type (8.0 for 8, true for 1)
         # differs too
-        if json.dumps(value(name), sort_keys=True) != json.dumps(fixed, sort_keys=True):
+        if json.dumps(meta[name], sort_keys=True) != json.dumps(fixed, sort_keys=True):
             raise ValueError(f"{path}: bridge bank field {name!r} is not the fixed {what}")
-    fields = {name: value(name) for name in
-              ("t_top", "u_max", "l_max", "upper_counts", "lower_counts", "sentinel")}
-    fields.update((name, array(name)) for name in ("templates", "h_mean", "h_std"))
     try:
-        return ClusterTree(**fields)
+        return ClusterTree(**{name: meta[name] for name in counts}, **arrays)
     except ValueError as e:  # the tree's own field checks
         raise ValueError(f"{path}: {e}") from None

@@ -28,7 +28,8 @@ def load_checkpoint(path) -> tuple[NetworkSpec, ParameterSet, dict]:
     """Read a checkpoint; any malformed part raises ``ValueError`` naming it.
 
     Every ``trunk.`` parameter the stored network needs must be present with
-    its shape; parameters outside the network (heads) load as stored.
+    its shape; parameters outside the network (heads) load as stored.  Every
+    array must be listed in ``param_order``.
     """
     kind, meta, arrays = load_container(path)
     if kind != "checkpoint":
@@ -52,6 +53,9 @@ def load_checkpoint(path) -> tuple[NetworkSpec, ParameterSet, dict]:
         if not np.isfinite(data).all():
             raise ValueError(f"{path}: parameter {name!r} holds non-finite values")
         params.add(name, Tensor(data))
+    unlisted = sorted(set(arrays) - set(params.names()))
+    if unlisted:
+        raise ValueError(f"{path}: array {unlisted[0]!r} is not listed in meta field 'param_order'")
     try:
         check_trunk_params(spec, params)
     except ValueError as e:

@@ -13,6 +13,12 @@ header line ``#facerel-manifest v1 <attributes|pairs> <split>``:
 Paths are relative to the manifest's directory; images and landmarks are
 ``.npy`` arrays, (H, W) grayscale in [0, 1] and (10, 2) box-normalized points
 in the one fixed layout of ``bridge.POINT_NAMES``.
+
+Writing keeps a line only if the reader's own parser reads it back as
+itself (formatting the parsed record gives the same text) and it does not
+start with ``#``; the header passes the same test.  So a path holding
+whitespace, a label other than 0 or 1, a box corner that is not an int or a
+wrong label count is refused before any file is written.
 """
 
 from __future__ import annotations
@@ -125,34 +131,70 @@ def _header_line(kind: str, split: str) -> str:
     return f"#facerel-manifest v{MANIFEST_VERSION} {kind} {split}"
 
 
-def _token(text: str, what: str) -> str:
-    """``text``, if ``read_manifest`` reads it back as one field."""
-    if text.split() != [text]:
-        raise ValueError(f"{what} {text!r} is empty or holds whitespace")
-    return text
+def _parse_header(line: str) -> tuple[str, str]:
+    """The (kind, split) of a header line; raises ``ValueError`` naming the fault."""
+    head = line.split()
+    if head[:1] != ["#facerel-manifest"]:
+        raise ValueError("missing manifest header")
+    if len(head) != 4 or head[1] != f"v{MANIFEST_VERSION}":
+        raise ValueError(f"unsupported manifest header {line!r}")
+    if head[2] not in ("attributes", "pairs"):
+        raise ValueError(f"unknown manifest kind {head[2]!r}")
+    return head[2], head[3]
+
+
+def _format_row(kind: str, rec: AttrRecord | PairRecord) -> str:
+    """One manifest row, each label written as its own text (0.5 stays 0.5)."""
+    if kind == "pairs":
+        fields = [rec.image_path, rec.left_box.encode(), rec.right_box.encode(),
+                  *(f"{r:.17g}" for r in rec.relations)]
+    else:
+        fields = [rec.image_path, rec.landmark_path, rec.dataset_id,
+                  *(f"{l:.17g}" if m else "?" for l, m in zip(rec.labels, rec.mask, strict=True))]
+    return " ".join(fields)
+
+
+def _parse_row(kind: str, line: str) -> AttrRecord | PairRecord:
+    """The record of one manifest row; raises ``ValueError`` naming the bad token."""
+    parts = line.split()
+    n_labels = N_ATTRIBUTES if kind == "attributes" else N_RELATIONS
+    if len(parts) != 3 + n_labels:
+        raise ValueError(f"expected {3 + n_labels} fields, got {len(parts)}")
+    tokens = parts[3:]
+    allowed = ("0", "1", "?") if kind == "attributes" else ("0", "1")
+    bad = [tok for tok in tokens if tok not in allowed]
+    if bad:
+        raise ValueError(f"label must be {', '.join(allowed[:-1])} or {allowed[-1]}, "
+                         f"got {bad[0]!r}")
+    if kind == "pairs":
+        return PairRecord(parts[0], Box.decode(parts[1]), Box.decode(parts[2]),
+                          tuple(int(tok) for tok in tokens))
+    return AttrRecord(parts[0], parts[1], parts[2],
+                      tuple(0.0 if tok == "?" else float(tok) for tok in tokens),
+                      tuple(tok != "?" for tok in tokens))
 
 
 def write_manifest(path, kind: str, split: str, records) -> None:
-    """Write ``records`` under a header; a field that would not read back
-    as itself raises ``ValueError`` naming the record index and the field."""
+    """Write ``records`` under a header, keeping only lines that read back
+    as themselves; any other raises ``ValueError`` naming the split or the
+    record index, and no file is written."""
     if kind not in ("attributes", "pairs"):
         raise ValueError(f"unknown manifest kind {kind!r}")
-    lines = [_header_line(kind, _token(split, "split"))]
+    lines = [_header_line(kind, split)]
+    try:
+        if _header_line(*_parse_header(lines[0])) != lines[0]:
+            raise ValueError(f"the header {lines[0]!r} does not read back as itself")
+    except ValueError as e:
+        raise ValueError(f"split {split!r} cannot be written: {e}") from None
     for i, rec in enumerate(records):
-        image = _token(rec.image_path, f"record {i} image_path")
-        if image.startswith("#"):
-            raise ValueError(f"record {i} image_path {image!r} would read back as a comment")
-        if kind == "attributes":
-            labels = " ".join(
-                ("1" if l == 1 else "0") if m else "?"
-                for l, m in zip(rec.labels, rec.mask)
-            )
-            landmarks = _token(rec.landmark_path, f"record {i} landmark_path")
-            dataset = _token(rec.dataset_id, f"record {i} dataset_id")
-            lines.append(f"{image} {landmarks} {dataset} {labels}")
-        else:
-            labels = " ".join(str(int(r)) for r in rec.relations)
-            lines.append(f"{image} {rec.left_box.encode()} {rec.right_box.encode()} {labels}")
+        try:
+            line = _format_row(kind, rec)
+            # a row starting with "#" reads back as a comment
+            if line.startswith("#") or _format_row(kind, _parse_row(kind, line)) != line:
+                raise ValueError(f"the row {line!r} does not read back as itself")
+        except (TypeError, ValueError) as e:  # TypeError: a field of another type
+            raise ValueError(f"record {i} cannot be written: {e}") from None
+        lines.append(line)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -161,53 +203,16 @@ def read_manifest(path) -> tuple[str, str, list[tuple[int, AttrRecord | PairReco
     errors carry line numbers."""
     path = Path(path)
     lines = path.read_text().splitlines()
-    if not lines or not lines[0].startswith("#facerel-manifest"):
-        raise ValueError(f"{path}:1: missing manifest header")
-    head = lines[0].split()
-    if len(head) != 4 or head[1] != f"v{MANIFEST_VERSION}":
-        raise ValueError(f"{path}:1: unsupported manifest header {lines[0]!r}")
-    kind, split = head[2], head[3]
-    if kind not in ("attributes", "pairs"):
-        raise ValueError(f"{path}:1: unknown manifest kind {kind!r}")
-
+    try:
+        kind, split = _parse_header(lines[0] if lines else "")
+    except ValueError as e:
+        raise ValueError(f"{path}:1: {e}") from None
     records = []
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip() or line.startswith("#"):
             continue
-        parts = line.split()
         try:
-            if kind == "attributes":
-                if len(parts) != 3 + N_ATTRIBUTES:
-                    raise ValueError(
-                        f"expected {3 + N_ATTRIBUTES} fields, got {len(parts)}"
-                    )
-                labels, mask = [], []
-                for tok in parts[3:]:
-                    if tok == "?":
-                        labels.append(0.0)
-                        mask.append(False)
-                    elif tok in ("0", "1"):
-                        labels.append(float(tok))
-                        mask.append(True)
-                    else:
-                        raise ValueError(f"label must be 0, 1 or ?, got {tok!r}")
-                records.append(
-                    (ln, AttrRecord(parts[0], parts[1], parts[2], tuple(labels), tuple(mask)))
-                )
-            else:
-                if len(parts) != 3 + N_RELATIONS:
-                    raise ValueError(
-                        f"expected {3 + N_RELATIONS} fields, got {len(parts)}"
-                    )
-                rel = []
-                for tok in parts[3:]:
-                    if tok not in ("0", "1"):
-                        raise ValueError(f"relation label must be 0 or 1, got {tok!r}")
-                    rel.append(int(tok))
-                records.append(
-                    (ln, PairRecord(parts[0], Box.decode(parts[1]), Box.decode(parts[2]),
-                                    tuple(rel)))
-                )
+            records.append((ln, _parse_row(kind, line)))
         except ValueError as e:
             raise ValueError(f"{path}:{ln}: {e}") from None
     return kind, split, records

@@ -19,7 +19,6 @@ MAX_ITER = 100
 class KMeansResult:
     assignments: np.ndarray      # (N,) int64
     centroids: np.ndarray        # (k, D)
-    objective: list[float]       # sum of squared distances, one entry per Lloyd pass
     iterations: int
 
 
@@ -68,13 +67,11 @@ def kmeans(points: np.ndarray, k: int, seed) -> KMeansResult:
     centroids = _plus_plus_init(points, k, rng)
 
     assignments = None
-    objective: list[float] = []
     iterations = 0
     for _ in range(MAX_ITER):
         iterations += 1
         d2 = _sq_dists(points, centroids)
         new_assign = np.argmin(d2, axis=1)  # ties resolve to the lowest index
-        objective.append(float(d2[np.arange(n), new_assign].sum()))
         if assignments is not None and np.array_equal(new_assign, assignments):
             break
         assignments = new_assign
@@ -92,4 +89,4 @@ def kmeans(points: np.ndarray, k: int, seed) -> KMeansResult:
                 taken[far] = True
                 centroids[c] = points[far]
 
-    return KMeansResult(assignments.astype(np.int64), centroids, objective, iterations)
+    return KMeansResult(assignments.astype(np.int64), centroids, iterations)

@@ -93,7 +93,9 @@ from .ops import (
 )
 from .tensor import ParameterSet, Tensor
 
-LAYER_KINDS = ("conv", "maxpool", "lrn", "fc", "relu")
+#: The fields each layer kind reads; every other field of its ``LayerSpec`` stays unset.
+LAYER_FIELDS = {"conv": ("kernel", "filters", "stride"), "maxpool": ("kernel", "stride"),
+                "lrn": ("lrn_n", "lrn_k", "lrn_alpha", "lrn_beta"), "fc": ("out_dim",), "relu": ()}
 
 #: Faces per sample block of the trunk's spatial steps (every step before the
 #: flatten).  A larger batch runs them one block at a time, so their scratch
@@ -105,7 +107,12 @@ TRUNK_BLOCK = 32
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One trunk layer; which fields apply depends on ``kind``."""
+    """One trunk layer.  ``LAYER_FIELDS`` lists the fields each kind reads:
+    conv ``kernel``, ``filters``, ``stride``; maxpool ``kernel``, ``stride``;
+    lrn ``lrn_n``, ``lrn_k``, ``lrn_alpha``, ``lrn_beta``; fc ``out_dim``;
+    relu none.  A size a kind reads is an int >= 1 and an lrn constant a
+    finite real number; every other field stays at its default, ``None``
+    (``stride``: 1)."""
 
     kind: str
     kernel: int | None = None
@@ -118,43 +125,25 @@ class LayerSpec:
     lrn_beta: float | None = None
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
+        if type(self.kind) is not str or self.kind not in LAYER_FIELDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        for key in ("kernel", "filters", "out_dim", "stride", "lrn_n"):
-            v = getattr(self, key)
-            if type(v) is not int and (v is not None or key == "stride"):
-                raise ValueError(f"layer field {key!r} must be an int, got {v!r}")
-        for key in ("lrn_k", "lrn_alpha", "lrn_beta"):
-            v = getattr(self, key)
-            real = isinstance(v, numbers.Real) and not isinstance(v, bool)
-            if v is not None and not (real and math.isfinite(v)):
-                raise ValueError(f"layer field {key!r} must be a finite real number, got {v!r}")
-        if self.kind == "conv":
-            if not (self.kernel and self.kernel >= 1 and self.filters and self.filters >= 1):
-                raise ValueError("conv layer needs kernel >= 1 and filters >= 1")
-        elif self.kind == "maxpool":
-            if not (self.kernel and self.kernel >= 1):
-                raise ValueError("maxpool layer needs kernel >= 1")
-        elif self.kind == "fc":
-            if not (self.out_dim and self.out_dim >= 1):
-                raise ValueError("fc layer needs out_dim >= 1")
-        elif self.kind == "lrn":
-            if self.lrn_n is None or self.lrn_n < 1:
-                raise ValueError("lrn layer needs window depth n >= 1")
-            if self.lrn_k is None or self.lrn_alpha is None or self.lrn_beta is None:
-                raise ValueError("lrn layer needs k, alpha, beta")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
+        for f in fields(self)[1:]:
+            v = getattr(self, f.name)
+            if f.name not in LAYER_FIELDS[self.kind]:
+                if type(v) is not type(f.default) or v != f.default:
+                    raise ValueError(f"{self.kind} layer does not read field {f.name!r}, got {v!r}")
+            elif f.name in ("lrn_k", "lrn_alpha", "lrn_beta"):
+                if not (isinstance(v, numbers.Real) and type(v) is not bool and math.isfinite(v)):
+                    raise ValueError(
+                        f"layer field {f.name!r} must be a finite real number, got {v!r}")
+            elif type(v) is not int or v < 1:
+                raise ValueError(f"layer field {f.name!r} must be an int >= 1, got {v!r}")
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        for key in ("kernel", "filters", "out_dim", "lrn_n", "lrn_k", "lrn_alpha", "lrn_beta"):
-            v = getattr(self, key)
-            if v is not None:
-                d[key] = v
-        if self.stride != 1:
-            d["stride"] = self.stride
-        return d
+        """The kind and the fields it reads, but for a stride at its default 1."""
+        set_fields = {f.name: getattr(self, f.name) for f in fields(self)[1:]
+                      if getattr(self, f.name) != f.default}
+        return {"kind": self.kind, **set_fields}
 
     @staticmethod
     def from_dict(d: dict) -> "LayerSpec":
@@ -292,9 +281,12 @@ class NetworkSpec:
         unknown = sorted(set(d) - {"input_shape", "layers", "bridge_dim"})
         if unknown:
             raise ValueError(f"unknown network field(s) {unknown}")
+        layers = d["layers"]
+        if not (isinstance(layers, list) and all(isinstance(ld, dict) for ld in layers)):
+            raise ValueError(f"network field 'layers' must be a list of objects, got {layers!r}")
         return NetworkSpec(
             input_shape=tuple(d["input_shape"]),
-            layers=tuple(LayerSpec.from_dict(ld) for ld in d["layers"]),
+            layers=tuple(LayerSpec.from_dict(ld) for ld in layers),
             bridge_dim=d["bridge_dim"],
         )
 

@@ -375,6 +375,10 @@ MALFORMED = {
     "missing-templates": (lambda meta, arrays: arrays.pop("templates"), "'templates'"),
     "missing-sentinel": (lambda meta, arrays: meta.pop("sentinel"), "'sentinel'"),
     "missing-upper-counts": (lambda meta, arrays: meta.pop("upper_counts"), "'upper_counts'"),
+    "stray-array": (lambda meta, arrays: _set(arrays, "stray", np.zeros(3)),
+                    "unknown bridge bank array 'stray'"),
+    "unknown-field": (lambda meta, arrays: _set(meta, "bogus", 1),
+                      "unknown bridge bank metadata field 'bogus'"),
     "short-h-mean": (lambda meta, arrays: _set(arrays, "h_mean", arrays["h_mean"][:-1]), "h_mean"),
     "template-width": (lambda meta, arrays: _set(arrays, "templates", arrays["templates"][:, 1:]),
                        "templates"),

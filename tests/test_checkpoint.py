@@ -226,6 +226,11 @@ def _fractional_kernel(meta, arrays):
     meta["network"]["layers"][0]["kernel"] = 2.5
 
 
+def _stray_layer_field(meta, arrays):
+    assert meta["network"]["layers"][1] == {"kind": "relu"}
+    meta["network"]["layers"][1]["kernel"] = 3
+
+
 def _infeasible_spec(meta, arrays):
     meta["network"]["input_shape"] = [1, 2, 2]
 
@@ -237,7 +242,14 @@ def _infeasible_spec(meta, arrays):
         (_missing_conv1_bias, "'trunk.conv1.b' of the network is missing"),
         (lambda meta, arrays: meta.pop("network"), "meta field 'network' is missing"),
         (_unknown_layer_field, r"'network'.*unknown layer field\(s\) \['dilation'\]"),
-        (_fractional_kernel, "'network'.*layer field 'kernel' must be an int, got 2.5"),
+        (_fractional_kernel, "'network'.*layer field 'kernel' must be an int >= 1, got 2.5"),
+        (_stray_layer_field, "'network'.*relu layer does not read field 'kernel', got 3"),
+        (lambda meta, arrays: meta["network"].update(layers="xx"),
+         "'network'.*network field 'layers' must be a list of objects"),
+        (lambda meta, arrays: meta["network"].update(layers=[["conv", 3]]),
+         "'network'.*network field 'layers' must be a list of objects"),
+        (lambda meta, arrays: arrays.update(stray=np.zeros(2)),
+         "array 'stray' is not listed in meta field 'param_order'"),
         (_infeasible_spec, "'network'.*kernel 3 does not fit 2x2"),
         (lambda meta, arrays: meta["param_order"].append(["trunk.fc1.w"]),
          r"'param_order' holds \['trunk.fc1.w'\], not a name"),
@@ -261,7 +273,8 @@ def _infeasible_spec(meta, arrays):
          "parameter 'trunk.fc1.b' holds non-finite values"),
     ],
     ids=["fc1-shape", "missing-conv1-bias", "no-network", "unknown-layer-field",
-         "fractional-kernel", "infeasible",
+         "fractional-kernel", "stray-layer-field", "layers-not-a-list", "layer-not-an-object",
+         "unlisted-array", "infeasible",
          "list-name", "dict-name", "duplicate-name", "extra-not-dict", "no-layers",
          "fractional-bridge-dim", "fractional-input-shape", "misspelt-bridge-dim",
          "no-bridge-dim", "nan-weight", "inf-bias"],

@@ -1,5 +1,8 @@
 """Manifests, batching, spatial cues, and the crop/resize path."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -95,24 +98,41 @@ class TestManifests:
         _, _, [(_, loaded)] = read_manifest(p)
         assert loaded == rec
 
-    @pytest.mark.parametrize("kind, split, record, field", [
-        ("pairs", "my split", None, "split"),
-        ("pairs", "", None, "split"),
+    @pytest.mark.parametrize("kind, split, record, where, reason", [
+        ("pairs", "my split", None, "split 'my split'", "unsupported manifest header"),
+        ("pairs", "", None, "split ''", "unsupported manifest header"),
         ("pairs", "train", PairRecord("a b.npy", Box(0, 0, 0.1, 0.1), Box(9, 0, 0.1, 0.1),
-                                      (0,) * 8), "record 1 image_path"),
+                                      (0,) * 8), "record 1", "expected 11 fields, got 12"),
         ("pairs", "train", PairRecord("#a.npy", Box(0, 0, 0.1, 0.1), Box(9, 0, 0.1, 0.1),
-                                      (0,) * 8), "record 1 image_path"),
+                                      (0,) * 8), "record 1", "does not read back as itself"),
         ("attributes", "train", AttrRecord("img.npy", "lm\t0.npy", "src-a", (0.0,) * 20,
-                                           (True,) * 20), "record 1 landmark_path"),
+                                           (True,) * 20), "record 1", "expected 23 fields, got 24"),
         ("attributes", "train", AttrRecord("img.npy", "lm.npy", "", (0.0,) * 20,
-                                           (True,) * 20), "record 1 dataset_id"),
+                                           (True,) * 20), "record 1", "expected 23 fields, got 22"),
+        ("pairs", "train", PairRecord("scene.npy", Box(0, 0, 0.1, 0.1), Box(9, 0, 0.1, 0.1),
+                                      (2,) + (0,) * 7), "record 1",
+         "label must be 0 or 1, got '2'"),
+        ("pairs", "train", PairRecord("scene.npy", Box(3.0, 4, 0.1, 0.1), Box(9, 0, 0.1, 0.1),
+                                      (0,) * 8), "record 1", "'3.0'"),
+        ("attributes", "train", AttrRecord("img.npy", "lm.npy", "src-a", (0.5,) + (0.0,) * 19,
+                                           (True,) * 20), "record 1",
+         "label must be 0, 1 or ?, got '0.5'"),
+        ("attributes", "train", AttrRecord("img.npy", "lm.npy", "src-a", (0.0,) * 19,
+                                           (True,) * 20), "record 1", "longer"),
+        ("pairs", "train", PairRecord(Path("scene.npy"), Box(0, 0, 0.1, 0.1), Box(9, 0, 0.1, 0.1),
+                                      (0,) * 8), "record 1", "expected str instance"),
+        ("pairs", "train", PairRecord("scene.npy", Box(0, 0, 0.1, 0.1), Box(9, 0, 0.1, 0.1),
+                                      (None,) * 8), "record 1", "NoneType"),
     ], ids=["split-space", "split-empty", "path-space", "path-comment", "landmark-tab",
-            "dataset-empty"])
-    def test_write_refuses_what_it_cannot_read_back(self, tmp_path, kind, split, record, field):
+            "dataset-empty", "relation-two", "corner-float", "label-half", "mask-longer",
+            "path-object", "relation-none"])
+    def test_write_refuses_what_it_cannot_read_back(self, tmp_path, kind, split, record, where,
+                                                    reason):
         good = self._attr_records()[0] if kind == "attributes" else PairRecord(
             "scene.npy", Box(0, 0, 0.1, 0.1), Box(9, 0, 0.1, 0.1), (0,) * 8)
         p = tmp_path / "m.txt"
-        with pytest.raises(ValueError, match=f"^{field} "):
+        with pytest.raises(ValueError, match=f"^{re.escape(where)} cannot be written: .*"
+                                             f"{re.escape(reason)}"):
             write_manifest(p, kind, split, [good] + ([record] if record else []))
         assert not p.exists()
 

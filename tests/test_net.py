@@ -87,6 +87,8 @@ class TestSpecs:
             LayerSpec("fc")
         with pytest.raises(ValueError, match="kind"):
             LayerSpec("dropout")
+        with pytest.raises(ValueError, match="unknown layer kind"):
+            LayerSpec(["conv"])
 
     @pytest.mark.parametrize("build, message", [
         (lambda: LayerSpec("conv", kernel=2.5, filters=2), "layer field 'kernel' must be an int"),
@@ -96,13 +98,25 @@ class TestSpecs:
          "layer field 'stride' must be an int"),
         (lambda: LayerSpec("conv", kernel=3, filters=2, stride=None),
          "layer field 'stride' must be an int"),
-        (lambda: LayerSpec("maxpool", kernel=2, filters=2.5), "layer field 'filters' must be an int"),
+        (lambda: LayerSpec("maxpool", kernel=2, filters=2.5),
+         "maxpool layer does not read field 'filters', got 2.5"),
         (lambda: LayerSpec("fc", out_dim=4.0), "layer field 'out_dim' must be an int"),
         (lambda: lrn_spec(n=np.int64(5)), "layer field 'lrn_n' must be an int"),
         (lambda: lrn_spec(k=np.nan), "layer field 'lrn_k' must be a finite real number"),
         (lambda: lrn_spec(k="2.0"), "layer field 'lrn_k' must be a finite real number"),
         (lambda: lrn_spec(alpha=np.inf), "layer field 'lrn_alpha' must be a finite real number"),
         (lambda: lrn_spec(beta=True), "layer field 'lrn_beta' must be a finite real number"),
+        (lambda: LayerSpec("relu", kernel=3), "relu layer does not read field 'kernel', got 3"),
+        (lambda: LayerSpec("fc", out_dim=4, stride=2),
+         "fc layer does not read field 'stride', got 2"),
+        (lambda: LayerSpec("fc", out_dim=4, stride=1.0),
+         "fc layer does not read field 'stride', got 1.0"),
+        (lambda: LayerSpec("fc", out_dim=4, stride=None),
+         "fc layer does not read field 'stride', got None"),
+        (lambda: LayerSpec("maxpool", kernel=2, stride=2, out_dim=9),
+         "maxpool layer does not read field 'out_dim', got 9"),
+        (lambda: LayerSpec("conv", kernel=3, filters=2, lrn_k=2.0),
+         "conv layer does not read field 'lrn_k', got 2.0"),
         (lambda: NetworkSpec((1, 8.7, 8), (fc_spec(2),)),
          "network field 'input_shape' must be (C,H,W) of positive ints"),
         (lambda: NetworkSpec((1, "8", 8), (fc_spec(2),)),
@@ -115,11 +129,23 @@ class TestSpecs:
          "network field 'bridge_dim' must be an int >= 0"),
     ], ids=["kernel-fraction", "kernel-float", "filters-bool", "stride-float", "stride-none",
             "pool-filters-fraction", "out-dim-float", "lrn-n-int64", "lrn-k-nan",
-            "lrn-k-string", "lrn-alpha-inf", "lrn-beta-bool", "input-shape-fraction",
-            "input-shape-string", "input-shape-bool", "bridge-dim-fraction", "bridge-dim-bool"])
+            "lrn-k-string", "lrn-alpha-inf", "lrn-beta-bool", "relu-kernel", "fc-stride",
+            "fc-stride-float", "fc-stride-none", "pool-out-dim", "conv-lrn-k",
+            "input-shape-fraction", "input-shape-string", "input-shape-bool",
+            "bridge-dim-fraction", "bridge-dim-bool"])
     def test_rejects_non_int_layer_sizes(self, build, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             build()
+
+    def test_to_dict_writes_only_the_fields_a_kind_reads(self):
+        assert [layer.to_dict() for layer in tiny_spec().layers[:4]] == [
+            {"kind": "conv", "kernel": 3, "filters": 2},
+            {"kind": "relu"},
+            {"kind": "maxpool", "kernel": 2, "stride": 2},
+            {"kind": "lrn", "lrn_n": 3, "lrn_k": 2.0, "lrn_alpha": 1e-2, "lrn_beta": 0.75},
+        ]
+        assert fc_spec(6).to_dict() == {"kind": "fc", "out_dim": 6}
+        assert conv_spec(3, 2, stride=2).to_dict()["stride"] == 2
 
 
 class TestTrunkForward:

@@ -394,3 +394,80 @@ def test_manifest_write_read_round_trip(tmp_path_factory, case):
     # one record a line, after the header line
     numbered = list(enumerate(records, start=2))
     assert read_manifest(path) == (kind, split, numbered)
+
+
+def spoil_one(draw, values: list, bad) -> tuple:
+    """``values`` with, a quarter of the time, one entry replaced by a draw from ``bad``."""
+    if values and draw(st.integers(0, 3)) == 0:
+        values[draw(st.integers(0, len(values) - 1))] = draw(bad)
+    return tuple(values)
+
+
+def fields(draw, count: int) -> tuple:
+    """``count`` path-like fields; a quarter of the time one may be empty,
+    hold whitespace or start with "#"."""
+    return spoil_one(draw, [draw(TOKENS) for _ in range(count)], st.text("ab.#/ \t", max_size=6))
+
+
+def labels(draw, count: int) -> tuple:
+    """About ``count`` labels (one more or one fewer a third of the time),
+    each 0 or 1 but for, a quarter of the time, one 0.5 or 2."""
+    n = count + draw(st.sampled_from([-1, 0, 0, 0, 0, 1]))
+    return spoil_one(draw, draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)),
+                     st.sampled_from([0.5, 2]))
+
+
+@st.composite
+def any_attr_record(draw):
+    mask = tuple(draw(st.lists(st.booleans(), min_size=20, max_size=20)))
+    return AttrRecord(*fields(draw, 3), labels(draw, 20), mask)
+
+
+@st.composite
+def any_pair_record(draw):
+    corners = draw(st.lists(st.integers(-10**6, 10**6), min_size=4, max_size=4))
+    x0, y0, x1, y1 = spoil_one(draw, corners, st.one_of(st.floats(), st.integers(-9, 9).map(float)))
+    extent = st.floats(allow_nan=False, allow_infinity=False)
+    return PairRecord(*fields(draw, 1), Box(x0, y0, draw(extent), draw(extent)),
+                      Box(x1, y1, draw(extent), draw(extent)), labels(draw, 8))
+
+
+def reads_back(rec) -> bool:
+    """Whether ``rec`` fits the manifest format: every field one token and
+    the image path not a comment, int box corners, and the right count of
+    labels, each present one 0 or 1."""
+    texts = [rec.image_path]
+    if isinstance(rec, AttrRecord):
+        texts += [rec.landmark_path, rec.dataset_id]
+        present = [l for l, m in zip(rec.labels, rec.mask) if m]
+        shape_ok = len(rec.labels) == len(rec.mask) == 20
+    else:
+        present = rec.relations
+        corners = [rec.left_box.x, rec.left_box.y, rec.right_box.x, rec.right_box.y]
+        shape_ok = len(present) == 8 and all(type(v) is int for v in corners)
+    return (shape_ok and all(t.split() == [t] for t in texts)
+            and not rec.image_path.startswith("#") and all(l in (0, 1) for l in present))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(st.just("attributes"), any_attr_record()),
+                 st.tuples(st.just("pairs"), any_pair_record())))
+def test_manifest_write_refuses_or_reads_back_equal(tmp_path_factory, case):
+    kind, rec = case
+    path = tmp_path_factory.getbasetemp() / f"any-{kind}.txt"
+    path.unlink(missing_ok=True)
+    if not reads_back(rec):
+        with pytest.raises(ValueError, match="^record 0 cannot be written: "):
+            write_manifest(path, kind, "train", [rec])
+        assert not path.exists()
+        return
+    write_manifest(path, kind, "train", [rec])
+    _, _, [(line, back)] = read_manifest(path)
+    assert line == 2
+    if kind == "pairs":
+        assert back == rec
+    else:
+        assert (back.image_path, back.landmark_path, back.dataset_id, back.mask) == (
+            rec.image_path, rec.landmark_path, rec.dataset_id, rec.mask)
+        assert [l for l, m in zip(back.labels, back.mask) if m] == [
+            l for l, m in zip(rec.labels, rec.mask) if m]
