@@ -67,6 +67,10 @@ assert sorted(UPPER + LOWER) == list(range(len(POINT_NAMES)))
 #: The layout and the HOG recipe as every bank file records them.
 _LAYOUT_META = {"point_names": list(POINT_NAMES), "upper": list(UPPER), "lower": list(LOWER)}
 _HOG_META = {"cell": CELL, "block": BLOCK, "bins": BINS, "eps": EPS}
+#: The ``ClusterTree`` fields a bank file stores: scalars and counts in its
+#: metadata, next to the fixed layout and recipe, and arrays as arrays.
+_BANK_FIELDS = ("t_top", "u_max", "l_max", "upper_counts", "lower_counts", "sentinel")
+_BANK_ARRAYS = ("templates", "h_mean", "h_std")
 
 
 def check_landmarks(points: np.ndarray) -> np.ndarray:
@@ -365,17 +369,9 @@ def network_descriptor(image: np.ndarray, tree: ClusterTree) -> np.ndarray:
 
 
 def save_bank(path, tree: ClusterTree) -> None:
-    meta = {
-        "t_top": tree.t_top,
-        "u_max": tree.u_max,
-        "l_max": tree.l_max,
-        "upper_counts": list(tree.upper_counts),
-        "lower_counts": list(tree.lower_counts),
-        "hog": _HOG_META,
-        "schema": _LAYOUT_META,
-        "sentinel": tree.sentinel,
-    }
-    arrays = {"templates": tree.templates, "h_mean": tree.h_mean, "h_std": tree.h_std}
+    meta = {name: getattr(tree, name) for name in _BANK_FIELDS}
+    meta.update(hog=_HOG_META, schema=_LAYOUT_META)
+    arrays = {name: getattr(tree, name) for name in _BANK_ARRAYS}
     save_container(path, "bridge-bank", meta, arrays)
 
 
@@ -385,9 +381,8 @@ def load_bank(path) -> ClusterTree:
     kind, meta, arrays = load_container(path)
     if kind != "bridge-bank":
         raise ValueError(f"{path}: container holds {kind!r}, not a bridge bank")
-    counts = ("t_top", "u_max", "l_max", "upper_counts", "lower_counts", "sentinel")
-    for what, found, known in (("metadata field", meta, counts + ("schema", "hog")),
-                               ("array", arrays, ("templates", "h_mean", "h_std"))):
+    for what, found, known in (("metadata field", meta, _BANK_FIELDS + ("schema", "hog")),
+                               ("array", arrays, _BANK_ARRAYS)):
         for name in known:
             if name not in found:
                 raise ValueError(f"{path}: bridge bank has no {what} {name!r}")
@@ -401,6 +396,6 @@ def load_bank(path) -> ClusterTree:
         if json.dumps(meta[name], sort_keys=True) != json.dumps(fixed, sort_keys=True):
             raise ValueError(f"{path}: bridge bank field {name!r} is not the fixed {what}")
     try:
-        return ClusterTree(**{name: meta[name] for name in counts}, **arrays)
+        return ClusterTree(**{name: meta[name] for name in _BANK_FIELDS}, **arrays)
     except ValueError as e:  # the tree's own field checks
         raise ValueError(f"{path}: {e}") from None

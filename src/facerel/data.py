@@ -10,9 +10,10 @@ header line ``#facerel-manifest v1 <attributes|pairs> <split>``:
   written ``x,y,w,h``: x and y in image pixels (upper-left corner), w and h
   normalized by image width and height respectively.
 
-Paths are relative to the manifest's directory; images and landmarks are
-``.npy`` arrays, (H, W) grayscale in [0, 1] and (10, 2) box-normalized points
-in the one fixed layout of ``bridge.POINT_NAMES``.
+A manifest is UTF-8 text.  Paths are relative to the manifest's directory;
+images and landmarks are ``.npy`` arrays of bools, ints or floats, (H, W)
+grayscale in [0, 1] and (10, 2) box-normalized points in the one fixed layout
+of ``bridge.POINT_NAMES``.
 
 Writing keeps a line only if the reader's own parser reads it back as
 itself (formatting the parsed record gives the same text) and it does not
@@ -75,10 +76,19 @@ class Box:
 
     @staticmethod
     def decode(text: str) -> "Box":
+        """The box written ``text``; a bad field raises ``ValueError`` naming
+        the field and the box."""
         parts = text.split(",")
         if len(parts) != 4:
             raise ValueError(f"box must be x,y,w,h, got {text!r}")
-        box = Box(int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3]))
+        values = []
+        for name, cast, tok in zip("xywh", (int, int, float, float), parts):
+            try:
+                values.append(cast(tok))
+            except ValueError:
+                raise ValueError(f"box field {name} must be {'an int' if cast is int else 'a number'}"
+                                 f", got {tok!r} in {text!r}") from None
+        box = Box(*values)
         if not np.isfinite([box.w, box.h]).all():
             raise ValueError(f"box extent must be finite, got {text!r}")
         return box
@@ -195,14 +205,19 @@ def write_manifest(path, kind: str, split: str, records) -> None:
         except (TypeError, ValueError) as e:  # TypeError: a field of another type
             raise ValueError(f"record {i} cannot be written: {e}") from None
         lines.append(line)
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_manifest(path) -> tuple[str, str, list[tuple[int, AttrRecord | PairRecord]]]:
     """Parse a manifest into (kind, split, [(line number, record), ...]);
     errors carry line numbers."""
     path = Path(path)
-    lines = path.read_text().splitlines()
+    raw = path.read_bytes()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        ln = raw.count(b"\n", 0, e.start) + 1
+        raise ValueError(f"{path}:{ln}: not UTF-8 ({e.reason} at byte {e.start})") from None
     try:
         kind, split = _parse_header(lines[0] if lines else "")
     except ValueError as e:
@@ -227,13 +242,21 @@ def resize_nearest(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def _load_array(base: Path, rel: str, where: str) -> np.ndarray:
+    """A referenced ``.npy`` array of bools, ints or floats."""
     p = base / rel
     if not p.exists():
         raise ValueError(f"{where}: referenced file {rel!r} does not exist")
     try:
-        return np.load(p)
+        arr = np.load(p)
     except (OSError, EOFError, ValueError) as e:
         raise ValueError(f"{where}: referenced file {rel!r} cannot be read: {e}") from e
+    if not isinstance(arr, np.ndarray):  # np.load opens an .npz archive as a mapping
+        arr.close()
+        raise ValueError(f"{where}: referenced file {rel!r} is an .npz archive, not one array")
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{where}: referenced file {rel!r} holds dtype {arr.dtype}, "
+                         "not bool, int, uint or float")
+    return arr
 
 
 def _load_image(base: Path, rel: str, where: str) -> np.ndarray:

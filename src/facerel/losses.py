@@ -29,10 +29,7 @@ def bce_from_logit(z, y):
     z = np.asarray(z, dtype=np.float64)
     y = _check_binary_labels(y)
     loss = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    dz = sigmoid(z) - y
-    if loss.ndim == 0:
-        return float(loss), float(dz)
-    return loss, dz
+    return loss, sigmoid(z) - y
 
 
 def masked_attr_loss(
@@ -63,7 +60,7 @@ def masked_attr_loss(
         raise ValueError("present labels must be 0 or 1")
 
     safe_labels = np.where(mask, labels, 0.0)
-    per_head = np.maximum(logits, 0.0) - logits * safe_labels + np.log1p(np.exp(-np.abs(logits)))
+    per_head, _ = bce_from_logit(logits, safe_labels)
     loss = float(np.sum(np.where(mask, per_head, 0.0)))
     dlogits = np.where(mask, probs - safe_labels, 0.0)
     return loss, dlogits

@@ -10,11 +10,10 @@ without changing any parameter shape.
 A ``NetworkSpec`` places its layers once, at construction, into one plan of
 ``LayerStep``s: each layer's name, in and out shapes and parameter shapes,
 and a ``flatten`` flag on the first fc layer, where the descriptor joins.
-``trace``, ``param_shapes``, ``init_trunk_params`` and the forward and
-backward walks all read that plan; none re-derives a shape.  The trunk runs
-the per-sample GEMM forward of ``ops`` (``exact=False``) and, like every op,
-takes batches only: an (N,C,H,W) image batch and an (N, bridge_dim)
-descriptor batch.
+``param_shapes``, ``init_trunk_params`` and the forward and backward walks
+all read that plan; none re-derives a shape.  The trunk runs the per-sample
+GEMM forward of ``ops`` (``exact=False``) and, like every op, takes batches
+only: an (N,C,H,W) image batch and an (N, bridge_dim) descriptor batch.
 
 The walk runs the spatial steps (every step before the flatten) one sample
 block of at most ``TRUNK_BLOCK`` faces at a time: a block goes through all
@@ -254,10 +253,6 @@ class NetworkSpec:
         if self.bridge_dim > 0 and counts["fc"] == 0:
             raise ValueError("a trunk with a bridge descriptor needs at least one fc layer")
         return tuple(steps)
-
-    def trace(self) -> list[tuple[int, ...]]:
-        """Shape after every layer."""
-        return [step.out_shape for step in self.plan]
 
     @property
     def feature_dim(self) -> int:

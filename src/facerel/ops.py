@@ -508,11 +508,9 @@ def relu_backward(
 def sigmoid(z):
     """Numerically stable logistic function; never overflows for finite z."""
     z = np.asarray(z, dtype=np.float64)
-    scalar = z.ndim == 0
-    zf = np.atleast_1d(z)
-    out = np.empty_like(zf)
-    pos = zf >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-zf[pos]))
-    ez = np.exp(zf[~pos])
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
-    return float(out[0]) if scalar else out
+    return out[()]  # a 0-d input gives an np.float64 scalar

@@ -8,7 +8,8 @@ SHA-256 of all the array bytes, which loading checks, so a damaged byte in
 array data raises instead of loading.  Every array is float64, stored
 ``<f8``, and every number in the header is finite.  Writing the same content
 twice produces byte-identical files: the header is dumped with sorted keys
-and arrays are stored in sorted-name order, little-endian, C-contiguous.
+and arrays are stored in the order given, little-endian, C-contiguous.
+Loading returns them in that order.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ def save_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -
     entries = []
     blobs = []
     digest = hashlib.sha256()
-    for name in sorted(arrays):
-        arr = np.asarray(arrays[name], order="C")  # np.ascontiguousarray makes 0-d 1-d
+    for name, arr in arrays.items():
+        arr = np.asarray(arr, order="C")  # np.ascontiguousarray makes 0-d 1-d
         if arr.dtype != np.float64:
             raise ValueError(f"array {name!r} has unsupported dtype {arr.dtype}")
         # a byte view of the C-ordered little-endian array, not a copy of it

@@ -357,6 +357,12 @@ def _plant_exact_counts(n: int, rate: float, rng: np.random.Generator) -> np.nda
     return vec[rng.permutation(n)]
 
 
+#: The (left, right) flag pairs a rule on two faces' binary flags draws from:
+#: not both set, and at least one set.
+_NOT_BOTH = ((0, 0), (0, 1), (1, 0))
+_EITHER = ((0, 1), (1, 0), (1, 1))
+
+
 def _latents_for_pair(labels: dict[str, int], rng: np.random.Generator) -> PairLatents:
     """Invert the rule table: draw latents consistent with the planted labels."""
     expr_l = EXPR_ANGRY if labels["competitive"] else int(
@@ -374,18 +380,9 @@ def _latents_for_pair(labels: dict[str, int], rng: np.random.Generator) -> PairL
         far = [m for m in range(POSE_MODES) if abs(m - mode_l) > 1]
         mode_r = int(rng.choice(far))
 
-    if labels["warm"]:
-        s_l, s_r = 1, 1
-    else:
-        s_l, s_r = [(0, 0), (0, 1), (1, 0)][int(rng.integers(3))]
-    if labels["assured"]:
-        y_l, y_r = 1, 1
-    else:
-        y_l, y_r = [(0, 0), (0, 1), (1, 0)][int(rng.integers(3))]
-    if labels["demonstrative"]:
-        mo_l, mo_r = [(0, 1), (1, 0), (1, 1)][int(rng.integers(3))]
-    else:
-        mo_l, mo_r = 0, 0
+    s_l, s_r = (1, 1) if labels["warm"] else _NOT_BOTH[int(rng.integers(3))]
+    y_l, y_r = (1, 1) if labels["assured"] else _NOT_BOTH[int(rng.integers(3))]
+    mo_l, mo_r = _EITHER[int(rng.integers(3))] if labels["demonstrative"] else (0, 0)
 
     if labels["dominant"]:
         size_l = int(rng.choice([54, 56]))

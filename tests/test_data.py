@@ -113,7 +113,8 @@ class TestManifests:
                                       (2,) + (0,) * 7), "record 1",
          "label must be 0 or 1, got '2'"),
         ("pairs", "train", PairRecord("scene.npy", Box(3.0, 4, 0.1, 0.1), Box(9, 0, 0.1, 0.1),
-                                      (0,) * 8), "record 1", "'3.0'"),
+                                      (0,) * 8), "record 1",
+         "box field x must be an int, got '3.0' in '3.0,4,0.1,0.1'"),
         ("attributes", "train", AttrRecord("img.npy", "lm.npy", "src-a", (0.5,) + (0.0,) * 19,
                                            (True,) * 20), "record 1",
          "label must be 0, 1 or ?, got '0.5'"),
@@ -224,8 +225,12 @@ def _pair_manifest(tmp_path, scene):
         (_attr_manifest, np.full((6, 6), 0.5), "is 6x6, not the face size 8x8"),
         (_pair_manifest, np.full((20, 40), np.nan), "non-finite pixels"),
         (_pair_manifest, np.full((3, 20, 40), 0.5), r"has shape \(3, 20, 40\)"),
+        (_pair_manifest, np.full((20, 40), "a"),
+         "referenced file 'scene.npy' holds dtype <U1, not bool, int, uint or float"),
+        (_pair_manifest, np.full((20, 40), 0.5 + 0j), "'scene.npy' holds dtype complex128"),
     ],
-    ids=["attr-3d", "attr-nan", "attr-0-255", "attr-geometry", "pair-nan", "pair-3d"],
+    ids=["attr-3d", "attr-nan", "attr-0-255", "attr-geometry", "pair-nan", "pair-3d",
+         "pair-str", "pair-complex"],
 )
 def test_load_manifest_rejects_malformed_image(tmp_path, make, image, match):
     p, line = make(tmp_path, image)
@@ -259,22 +264,31 @@ def test_load_manifest_rejects_non_finite_landmarks(tmp_path, bad):
 
 
 def _spoil(path, how):
-    """Replace the array file at ``path`` with one ``np.load`` cannot read."""
+    """Replace the array file at ``path`` with one ``load_manifest`` refuses,
+    and return how the error describes it."""
     if how == "directory":
         path.unlink()
         path.mkdir()
     elif how == "truncated":
         path.write_bytes(path.read_bytes()[:-8])
+    elif how == "complex":
+        np.save(path, np.load(path) + 0j)
+        return "holds dtype complex128"
+    elif how == "npz":
+        with open(path, "wb") as f:
+            np.savez(f, a=np.zeros(2))
+        return "is an .npz archive, not one array"
     else:
         path.write_bytes({"empty": b"", "not-npy": b"not an array\n"}[how])
+    return "cannot be read"
 
 
-@pytest.mark.parametrize("how", ["empty", "directory", "truncated", "not-npy"])
+@pytest.mark.parametrize("how", ["empty", "directory", "truncated", "not-npy", "complex", "npz"])
 @pytest.mark.parametrize("column", ["img1.npy", "lm1.npy"])
 def test_load_manifest_names_an_unreadable_array(tmp_path, column, how):
     p, line = _attr_manifest(tmp_path, np.full((8, 8), 0.5))
-    _spoil(tmp_path / column, how)
-    with pytest.raises(ValueError, match=f"{p}:{line}: referenced file '{column}' cannot be read"):
+    reason = _spoil(tmp_path / column, how)
+    with pytest.raises(ValueError, match=f"{p}:{line}: referenced file '{column}' {reason}"):
         load_manifest(p, face_size=(8, 8))
 
 
@@ -284,6 +298,21 @@ def test_read_manifest_rejects_nonfinite_box(tmp_path, extent):
     p.write_text("#facerel-manifest v1 pairs train\n"
                  f"scene.npy 2,2,{extent},0.5 25,4,0.25,0.5 " + "0 " * 8 + "\n")
     with pytest.raises(ValueError, match=f"{p}:2: box extent must be finite"):
+        read_manifest(p)
+
+
+@pytest.mark.parametrize("text, line, match", [
+    ("#facerel-manifest v1 pairs train\nscene.npy 3.0,4,0.1,0.1 25,4,0.25,0.5 " + "0 " * 8,
+     2, "box field x must be an int, got '3.0' in '3.0,4,0.1,0.1'"),
+    ("#facerel-manifest v1 pairs train\nscene.npy 2,2,0.25,0.5 25,4,wide,0.5 " + "0 " * 8,
+     2, "box field w must be a number, got 'wide' in '25,4,wide,0.5'"),
+    ("\xff\xfe#facerel-manifest v1 pairs train\n", 1, "not UTF-8"),
+    ("#facerel-manifest v1 pairs train\n# a comment\nscene\xe9.npy", 3, "not UTF-8"),
+], ids=["corner-float", "extent-word", "utf16-bom", "latin1-path"])
+def test_read_manifest_names_the_file_and_line(tmp_path, text, line, match):
+    p = tmp_path / "pairs.txt"
+    p.write_bytes(text.encode("latin-1"))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:{line}: .*{re.escape(match)}"):
         read_manifest(p)
 
 

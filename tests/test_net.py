@@ -58,7 +58,7 @@ def tiny_spec(bridge_dim=4):
 class TestSpecs:
     def test_trace_shapes(self):
         spec = tiny_spec()
-        got = spec.trace()
+        got = [step.out_shape for step in spec.plan]
         assert got[0] == (2, 8, 8)
         assert got[2] == (2, 4, 4)
         assert got[4] == (3, 3, 3)
@@ -315,7 +315,7 @@ class TestSampleBlocks:
         params = init_trunk_params(spec, np.random.default_rng(0))
         rng = np.random.default_rng(10)
         imgs = rng.normal(size=(3,) + spec.input_shape)
-        up = rng.normal(size=(3,) + spec.trace()[-1])
+        up = rng.normal(size=(3,) + spec.plan[-1].out_shape)
         up_bytes = up.tobytes()
         _, kept = copying_trunk_forward(spec, params, imgs, None)
         want, _, _ = copying_trunk_backward(spec, kept, up)

@@ -189,7 +189,7 @@ def test_trunk_walks_the_plan(case):
     # n pairs, interleaved: left faces at rows 0::2, right faces at 1::2
     faces = rng.normal(size=(2 * n,) + spec.input_shape)
     h = rng.normal(size=(2 * n, spec.bridge_dim)) if spec.bridge_dim else None
-    up = rng.normal(size=(2 * n,) + spec.trace()[-1])
+    up = rng.normal(size=(2 * n,) + spec.plan[-1].out_shape)
 
     def walk(rows):
         """One trunk walk over ``faces[rows]``: (out, d_image, d_h, grads)."""
