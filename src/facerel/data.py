@@ -15,11 +15,12 @@ images and landmarks are ``.npy`` arrays of bools, ints or floats, (H, W)
 grayscale in [0, 1] and (10, 2) box-normalized points in the one fixed layout
 of ``bridge.POINT_NAMES``.
 
-Writing keeps a line only if the reader's own parser reads it back as
-itself (formatting the parsed record gives the same text) and it does not
-start with ``#``; the header passes the same test.  So a path holding
-whitespace, a label other than 0 or 1, a box corner that is not an int or a
-wrong label count is refused before any file is written.
+The parser accepts a line only if formatting what it read gives the same
+text back, so the reader refuses a number the writer would not write
+(``+4``, ``3_0``, ``0.250``, a non-ASCII digit) or spacing but one space.
+The writer parses each line it makes and refuses a row starting with ``#``,
+so a path holding whitespace, a label other than 0 or 1, a box corner that
+is not an int or a wrong label count is refused before any file is written.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ class Box:
 
     @staticmethod
     def decode(text: str) -> "Box":
-        """The box written ``text``; a bad field raises ``ValueError`` naming
-        the field and the box."""
+        """The box ``encode`` writes as ``text``; any other text (``+4``, ``0.250``)
+        raises ``ValueError`` naming the field and the box."""
         parts = text.split(",")
         if len(parts) != 4:
             raise ValueError(f"box must be x,y,w,h, got {text!r}")
@@ -91,6 +92,10 @@ class Box:
         box = Box(*values)
         if not np.isfinite([box.w, box.h]).all():
             raise ValueError(f"box extent must be finite, got {text!r}")
+        for name, tok, want in zip("xywh", parts, box.encode().split(",")):
+            if tok != want:
+                raise ValueError(f"box field {name} must be written {want!r}, got {tok!r} "
+                                 f"in {text!r}")
         return box
 
 
@@ -142,11 +147,11 @@ def _header_line(kind: str, split: str) -> str:
 
 
 def _parse_header(line: str) -> tuple[str, str]:
-    """The (kind, split) of a header line; raises ``ValueError`` naming the fault."""
+    """The (kind, split) ``_header_line`` writes as ``line``; raises ``ValueError``."""
     head = line.split()
     if head[:1] != ["#facerel-manifest"]:
         raise ValueError("missing manifest header")
-    if len(head) != 4 or head[1] != f"v{MANIFEST_VERSION}":
+    if len(head) != 4 or _header_line(head[2], head[3]) != line:
         raise ValueError(f"unsupported manifest header {line!r}")
     if head[2] not in ("attributes", "pairs"):
         raise ValueError(f"unknown manifest kind {head[2]!r}")
@@ -165,7 +170,7 @@ def _format_row(kind: str, rec: AttrRecord | PairRecord) -> str:
 
 
 def _parse_row(kind: str, line: str) -> AttrRecord | PairRecord:
-    """The record of one manifest row; raises ``ValueError`` naming the bad token."""
+    """The record ``_format_row`` writes as ``line``; raises ``ValueError`` naming the fault."""
     parts = line.split()
     n_labels = N_ATTRIBUTES if kind == "attributes" else N_RELATIONS
     if len(parts) != 3 + n_labels:
@@ -177,11 +182,15 @@ def _parse_row(kind: str, line: str) -> AttrRecord | PairRecord:
         raise ValueError(f"label must be {', '.join(allowed[:-1])} or {allowed[-1]}, "
                          f"got {bad[0]!r}")
     if kind == "pairs":
-        return PairRecord(parts[0], Box.decode(parts[1]), Box.decode(parts[2]),
-                          tuple(int(tok) for tok in tokens))
-    return AttrRecord(parts[0], parts[1], parts[2],
-                      tuple(0.0 if tok == "?" else float(tok) for tok in tokens),
-                      tuple(tok != "?" for tok in tokens))
+        rec = PairRecord(parts[0], Box.decode(parts[1]), Box.decode(parts[2]),
+                         tuple(int(tok) for tok in tokens))
+    else:
+        rec = AttrRecord(parts[0], parts[1], parts[2],
+                         tuple(0.0 if tok == "?" else float(tok) for tok in tokens),
+                         tuple(tok != "?" for tok in tokens))
+    if _format_row(kind, rec) != line:  # every token reads back as itself: the spacing differs
+        raise ValueError(f"fields must be separated by one space, got {line!r}")
+    return rec
 
 
 def write_manifest(path, kind: str, split: str, records) -> None:
@@ -192,16 +201,15 @@ def write_manifest(path, kind: str, split: str, records) -> None:
         raise ValueError(f"unknown manifest kind {kind!r}")
     lines = [_header_line(kind, split)]
     try:
-        if _header_line(*_parse_header(lines[0])) != lines[0]:
-            raise ValueError(f"the header {lines[0]!r} does not read back as itself")
+        _parse_header(lines[0])
     except ValueError as e:
         raise ValueError(f"split {split!r} cannot be written: {e}") from None
     for i, rec in enumerate(records):
         try:
             line = _format_row(kind, rec)
-            # a row starting with "#" reads back as a comment
-            if line.startswith("#") or _format_row(kind, _parse_row(kind, line)) != line:
-                raise ValueError(f"the row {line!r} does not read back as itself")
+            if line.startswith("#"):
+                raise ValueError(f"the row {line!r} does not read back as itself, but as a comment")
+            _parse_row(kind, line)
         except (TypeError, ValueError) as e:  # TypeError: a field of another type
             raise ValueError(f"record {i} cannot be written: {e}") from None
         lines.append(line)

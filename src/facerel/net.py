@@ -12,8 +12,8 @@ A ``NetworkSpec`` places its layers once, at construction, into one plan of
 and a ``flatten`` flag on the first fc layer, where the descriptor joins.
 ``param_shapes``, ``init_trunk_params`` and the forward and backward walks
 all read that plan; none re-derives a shape.  The trunk runs the per-sample
-GEMM forward of ``ops`` (``exact=False``) and, like every op, takes batches
-only: an (N,C,H,W) image batch and an (N, bridge_dim) descriptor batch.
+GEMM forward of ``ops`` and, like every op, takes batches only: an
+(N,C,H,W) image batch and an (N, bridge_dim) descriptor batch.
 
 The walk runs the spatial steps (every step before the flatten) one sample
 block of at most ``TRUNK_BLOCK`` faces at a time: a block goes through all
@@ -58,8 +58,8 @@ the backward (the conv ctxs already hold both by reference).
 A relu writes its output over its input whenever the walk made that input
 (every step but the first, so the caller's image is never written): no ctx
 holds its own step's output, so nothing else reads the overwritten array.
-Its backward likewise gates the gradient in place whenever the walk made
-that gradient, so the caller's ``upstream`` is never written either.
+Its backward always gates in place: ``trunk_backward`` walks its own
+float64 copy of ``upstream``, so the caller's is never written.
 
 ``trunk_backward`` consumes the cache: it sets each entry to ``None`` as
 soon as that step's backward has run (an earlier block's entry once its
@@ -342,7 +342,7 @@ def _step_forward(step: LayerStep, params: ParameterSet, x: np.ndarray, made: bo
     layer = step.layer
     if layer.kind == "conv":
         return conv_forward(x, params[f"trunk.{step.name}.w"].data,
-                            params[f"trunk.{step.name}.b"].data, layer.stride, exact=False)
+                            params[f"trunk.{step.name}.b"].data, layer.stride)
     if layer.kind == "fc":
         return fc_forward(x, params[f"trunk.{step.name}.w"].data,
                           params[f"trunk.{step.name}.b"].data, exact=False)
@@ -354,10 +354,10 @@ def _step_forward(step: LayerStep, params: ParameterSet, x: np.ndarray, made: bo
     return x, np.packbits(x > 0)
 
 
-def _step_backward(cache: list, i: int, params: ParameterSet, grad: np.ndarray, made: bool):
+def _step_backward(cache: list, i: int, params: ParameterSet, grad: np.ndarray):
     """The gradient at the input of cache entry ``i``'s step; adds its
     parameter grads, then clears the entry, so its ctx is freed on return.
-    ``made`` says the walk made ``grad``, so that a relu may write over it."""
+    A relu gates ``grad`` in place: the walk owns every gradient it holds."""
     step, ctx = cache[i]
     kind = step.layer.kind
     if kind in ("conv", "fc"):
@@ -372,7 +372,7 @@ def _step_backward(cache: list, i: int, params: ParameterSet, grad: np.ndarray, 
     else:
         shape = (len(grad),) + step.out_shape
         active = np.unpackbits(ctx, count=math.prod(shape)).view(bool).reshape(shape)
-        grad = relu_backward(active, grad, out=grad if made else None)
+        grad = relu_backward(active, grad, out=grad)
     cache[i] = None
     return grad
 
@@ -448,11 +448,12 @@ def trunk_backward(
     """Accumulate parameter grads; returns (d_image, d_descriptor).
 
     ``upstream`` is the gradient at the features of the batch ``cache``
-    came from; it is never written.  ``cache`` is consumed: every entry is
-    ``None`` on return.  The parameters and the image of the forward must
-    not have changed since: an earlier block's spatial steps are re-run here.
+    came from; the walk starts from a float64 copy, so it is never written.
+    ``cache`` is consumed: every entry is ``None`` on return.  The
+    parameters and the image of the forward must not have changed since:
+    an earlier block's spatial steps are re-run here.
     """
-    grad = np.asarray(upstream)
+    grad = np.array(upstream, dtype=np.float64)
     out_shape = spec.plan[-1].out_shape
     if grad.ndim != 1 + len(out_shape):
         raise ValueError(
@@ -470,11 +471,9 @@ def trunk_backward(
         raise ValueError("the cache was consumed by an earlier trunk_backward; "
                          "run trunk_forward again")
     d_h = None
-    made = False
     for i in reversed(range(kept, len(cache))):
         step = cache[i][0]
-        grad = _step_backward(cache, i, params, grad, made)
-        made = True
+        grad = _step_backward(cache, i, params, grad)
         if step.flatten:
             if spec.bridge_dim > 0:
                 d_h = grad[:, -spec.bridge_dim:]
@@ -491,10 +490,9 @@ def trunk_backward(
             cache[b] = None
         else:  # the last block kept its ctxs
             entries, first = cache, last
-        g, block_made = grad[lo:hi], made
+        g = grad[lo:hi]
         for i in reversed(range(first, first + len(spatial))):
-            g = _step_backward(entries, i, params, g, block_made)
-            block_made = True
+            g = _step_backward(entries, i, params, g)
         if d_image is None:  # one block: its gradient is the batch's
             d_image = g
         else:

@@ -30,21 +30,21 @@ expressions' operation order, ``x / base**beta`` forward and
 added in ascending channel order onto 0.0, so the bits do not depend on
 the scratch.
 
-Determinism contract.  ``conv_forward`` and ``fc_forward`` have two paths.
+Determinism contract.  ``conv_forward`` has one path; ``fc_forward`` has two.
 
-* ``exact=True`` (the default) accumulates element by element in ascending
-  (channel, kernel-row, kernel-col) / ascending input-index order, with the
-  bias added last, and every product and sum is rounded on its own.  Its
-  output is bitwise equal to the naive loops and batch invariant: a sample's
-  bits do not depend on the batch around it, nor on the sample blocks the
-  conv kernel cuts the batch into.
-* ``exact=False`` makes one BLAS call per sample (conv: one GEMM of the
-  filter matrix with the sample's tap columns; fc: one GEMV per row),
-  bias added last.  The BLAS picks the summation order, but it is the same
-  call whatever the batch, so at a fixed BLAS thread count the output is
-  bitwise batch invariant; its bits may change with the thread count.  It
-  agrees with the exact path to within 1e-12 of the output's largest
-  magnitude (elementwise relative error can be larger where terms cancel).
+* The GEMM path (conv always, fc with ``exact=False``) makes one BLAS call
+  per sample (conv: one GEMM of the filter matrix with the sample's tap
+  columns; fc: one GEMV per row), bias added last.  The BLAS picks the
+  summation order, but it is the same call whatever the batch and whatever
+  sample blocks the conv cuts the batch into, so at a fixed BLAS thread
+  count the output is bitwise batch invariant; its bits may change with the
+  thread count.  It agrees with the naive loops to within 1e-12 of the
+  output's largest magnitude (elementwise relative error can be larger
+  where terms cancel).
+* fc's ``exact=True`` (the default) accumulates element by element in
+  ascending input-index order, with the bias added last, and every product
+  and sum is rounded on its own.  Its output is bitwise equal to the naive
+  loop and batch invariant.
 
 The backward passes are BLAS GEMMs whatever path the forward took; the tests
 hold them to the naive loops at a relative tolerance, not bitwise, and their
@@ -108,15 +108,14 @@ def sample_blocks(n: int, per_sample_bytes: int):
         yield lo, min(n, lo + step)
 
 
-def _conv_columns(x4, k, stride, ho, wo, extra_bytes):
+def _conv_columns(x4, k, stride, ho, wo):
     """Yield ``(lo, hi, cols)``: a sample block's taps copied into one reused
-    ``(hi - lo, C·k·k, Ho·Wo)`` buffer in (c, i, j) row order, blocks sized so
-    the buffer plus ``extra_bytes`` a sample fit ``SCRATCH_BYTES``."""
+    ``(hi - lo, C·k·k, Ho·Wo)`` buffer, rows in (c, i, j) order, of at most ``SCRATCH_BYTES``."""
     n, c_in = x4.shape[:2]
     windows = np.lib.stride_tricks.sliding_window_view(x4, (k, k), axis=(2, 3))
     taps = windows[:, :, : ho * stride : stride, : wo * stride : stride].transpose(0, 1, 4, 5, 2, 3)
     buf = None
-    for lo, hi in sample_blocks(n, c_in * k * k * ho * wo * x4.itemsize + extra_bytes):
+    for lo, hi in sample_blocks(n, c_in * k * k * ho * wo * x4.itemsize):
         if buf is None:
             buf = np.empty((hi - lo, c_in * k * k, ho * wo), dtype=x4.dtype)
         cols = buf[: hi - lo]
@@ -125,13 +124,13 @@ def _conv_columns(x4, k, stride, ho, wo, extra_bytes):
 
 
 def conv_forward(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, *, exact: bool = True
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1
 ) -> tuple[np.ndarray, ConvCtx]:
     """Valid (no padding) cross-correlation with square kernels.
 
     ``w`` has shape (filters, in_channels, k, k); ``b`` has shape (filters,).
-    Output extent per spatial axis is ``(in - k) // stride + 1``.  ``exact``
-    picks the path of the module's determinism contract.
+    Output extent per spatial axis is ``(in - k) // stride + 1``.  Each
+    sample is one GEMM (the module's determinism contract).
     """
     x4 = _as_batched_images(x, "conv_forward")
     w = np.asarray(w)
@@ -156,17 +155,10 @@ def conv_forward(
 
     ho = (h - k) // stride + 1
     wo = (wd - k) // stride + 1
-    out = (np.zeros if exact else np.empty)((n, f, ho * wo), dtype=np.result_type(x4, w, b))
+    out = np.empty((n, f, ho * wo), dtype=np.result_type(x4, w, b))
     filters = w.reshape(f, -1)
-    extra = f * ho * wo * out.itemsize if exact else 0
-    for lo, hi, cols in _conv_columns(x4, k, stride, ho, wo, extra):
-        if not exact:
-            np.matmul(filters, cols, out=out[lo:hi])
-        else:  # every element sums its taps' products in ascending (c, i, j) order
-            prod = np.empty((hi - lo, f, ho * wo), dtype=np.result_type(x4, w))
-            for t in range(cols.shape[1]):
-                np.multiply(filters[:, t, None], cols[:, t, None, :], out=prod)
-                out[lo:hi] += prod
+    for lo, hi, cols in _conv_columns(x4, k, stride, ho, wo):
+        np.matmul(filters, cols, out=out[lo:hi])
     out += b[:, None]
     return out.reshape(n, f, ho, wo), ConvCtx(x4, w, stride, (n, f, ho, wo))
 
@@ -192,7 +184,7 @@ def conv_backward(
     dw = np.zeros(filters.shape, dtype=w.dtype)
     dx = np.zeros_like(x4)
     up3 = up4.reshape(len(up4), f, ho * wo)
-    for lo, hi, cols in _conv_columns(x4, k, s, ho, wo, 0):
+    for lo, hi, cols in _conv_columns(x4, k, s, ho, wo):
         for i in range(lo, hi):
             dw += up3[i] @ cols[i - lo].T
         # the taps' gradients overwrite the taps, then k·k strided adds scatter them

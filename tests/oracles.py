@@ -180,7 +180,7 @@ def copying_trunk_forward(spec, params, images, h):
         if layer.kind in ("conv", "fc"):
             w, b = params[f"trunk.{step.name}.w"].data, params[f"trunk.{step.name}.b"].data
             if layer.kind == "conv":
-                out, ctx = ops.conv_forward(x, w, b, layer.stride, exact=False)
+                out, ctx = ops.conv_forward(x, w, b, layer.stride)
             else:
                 out, ctx = ops.fc_forward(x, w, b, exact=False)
         elif layer.kind == "maxpool":

@@ -301,17 +301,34 @@ def test_read_manifest_rejects_nonfinite_box(tmp_path, extent):
         read_manifest(p)
 
 
+def _pair_row(left, right="25,4,0.25,0.5"):
+    """A pairs manifest whose one row has the boxes ``left`` and ``right``."""
+    return f"#facerel-manifest v1 pairs train\nscene.npy {left} {right}" + " 0" * 8
+
+
 @pytest.mark.parametrize("text, line, match", [
-    ("#facerel-manifest v1 pairs train\nscene.npy 3.0,4,0.1,0.1 25,4,0.25,0.5 " + "0 " * 8,
+    (_pair_row("3.0,4,0.1,0.1"),
      2, "box field x must be an int, got '3.0' in '3.0,4,0.1,0.1'"),
-    ("#facerel-manifest v1 pairs train\nscene.npy 2,2,0.25,0.5 25,4,wide,0.5 " + "0 " * 8,
+    (_pair_row("2,2,0.25,0.5", "25,4,wide,0.5"),
      2, "box field w must be a number, got 'wide' in '25,4,wide,0.5'"),
-    ("\xff\xfe#facerel-manifest v1 pairs train\n", 1, "not UTF-8"),
-    ("#facerel-manifest v1 pairs train\n# a comment\nscene\xe9.npy", 3, "not UTF-8"),
-], ids=["corner-float", "extent-word", "utf16-bom", "latin1-path"])
+    (b"\xff\xfe#facerel-manifest v1 pairs train\n", 1, "not UTF-8"),
+    (b"#facerel-manifest v1 pairs train\n# a comment\nscene\xe9.npy", 3, "not UTF-8"),
+    # int() and float() read these, but the writer never writes them
+    (_pair_row("3_0,+4,0.2_5,1e-1"), 2, "box field x must be written '30', got '3_0'"),
+    (_pair_row("3,+4,0.25,1e-1"), 2, "box field y must be written '4', got '+4'"),
+    (_pair_row("3,4,0.25,1e-1"), 2, "box field h must be written '0.1', got '1e-1'"),
+    (_pair_row("\u0663,4,0.250,0.1"), 2, "box field x must be written '3', got '\u0663'"),
+    (_pair_row("3,4,0.250,0.1"), 2, "box field w must be written '0.25', got '0.250'"),
+    (_pair_row("3,4,0.25,0.1") + " ", 2, "fields must be separated by one space"),
+    (_pair_row("3,4,0.25,0.1").replace(" 25,4", "\t25,4"), 2,
+     "fields must be separated by one space"),
+    ("#facerel-manifest  v1 pairs train\n", 1, "unsupported manifest header"),
+], ids=["corner-float", "extent-word", "utf16-bom", "latin1-path", "corner-underscore",
+        "corner-plus", "extent-exponent", "corner-arabic-indic", "extent-trailing-zero",
+        "trailing-space", "tab-separator", "header-double-space"])
 def test_read_manifest_names_the_file_and_line(tmp_path, text, line, match):
     p = tmp_path / "pairs.txt"
-    p.write_bytes(text.encode("latin-1"))
+    p.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:{line}: .*{re.escape(match)}"):
         read_manifest(p)
 

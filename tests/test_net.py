@@ -203,12 +203,10 @@ class TestTrunkForward:
                 return fn(*args, exact=exact if force is None else force)
             return call
 
-        for name in ("conv_forward", "fc_forward"):
-            monkeypatch.setattr(net, name, spy(getattr(ops, name)))
+        monkeypatch.setattr(net, "fc_forward", spy(ops.fc_forward))
         gemm = walk()
-        assert paths and not any(paths)  # the trunk runs the GEMM forward
-        for name in ("conv_forward", "fc_forward"):
-            monkeypatch.setattr(net, name, spy(getattr(ops, name), force=True))
+        assert paths and not any(paths)  # the trunk runs the fc's GEMM forward
+        monkeypatch.setattr(net, "fc_forward", spy(ops.fc_forward, force=True))
         for got, want in zip(gemm, walk(), strict=True):
             assert_forward_matches(got, want, exact=False)
 

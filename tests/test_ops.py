@@ -70,13 +70,13 @@ class TestConvForward:
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == x[0, 0, 0]
 
-    def test_matches_naive_oracle_bitwise(self):
+    def test_matches_naive_oracle(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(2, 5, 5))
         w = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
         out, _ = _one(conv_forward, x, w, b, stride=1)
-        np.testing.assert_array_equal(out, naive_conv(x, w, b, stride=1))
+        assert_forward_matches(out, naive_conv(x, w, b, stride=1), exact=False)
 
     def test_matches_oracle_across_random_shapes(self):
         rng = np.random.default_rng(7)
@@ -91,48 +91,49 @@ class TestConvForward:
             w = rng.normal(size=(f, c, k, k))
             b = rng.normal(size=f)
             out, _ = _one(conv_forward, x, w, b, stride=s)
-            np.testing.assert_array_equal(out, naive_conv(x, w, b, stride=s))
+            assert_forward_matches(out, naive_conv(x, w, b, stride=s), exact=False)
 
-    @pytest.mark.parametrize("exact", [True, False])
-    def test_batched_equals_per_sample(self, exact):
+    def test_batched_equals_per_sample(self):
         rng = np.random.default_rng(1)
         xs = rng.normal(size=(4, 2, 6, 6))
         w = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
-        batched, _ = conv_forward(xs, w, b, stride=2, exact=exact)
+        batched, _ = conv_forward(xs, w, b, stride=2)
         for i in range(4):
-            single, _ = _one(conv_forward, xs[i], w, b, stride=2, exact=exact)
+            single, _ = _one(conv_forward, xs[i], w, b, stride=2)
             np.testing.assert_array_equal(batched[i], single)
-            assert_forward_matches(single, naive_conv(xs[i], w, b, stride=2), exact)
+            assert_forward_matches(single, naive_conv(xs[i], w, b, stride=2), exact=False)
 
-    @pytest.mark.parametrize("exact", [True, False])
-    def test_batched_equals_per_sample_across_blocks(self, exact):
+    def test_batched_equals_per_sample_across_blocks(self, monkeypatch):
         rng = np.random.default_rng(15)
-        for stride, shape, f in ((1, (20, 1, 48, 48), 16), (2, (16, 3, 40, 40), 64)):
+        for stride, shape, f, k in ((1, (7, 1, 10, 10), 3, 3), (2, (5, 3, 11, 11), 4, 5)):
             xs = rng.normal(size=shape)
-            w = rng.normal(size=(f, shape[1], 5, 5))
+            w = rng.normal(size=(f, shape[1], k, k))
             b = rng.normal(size=f)
-            batched, _ = conv_forward(xs, w, b, stride=stride, exact=exact)
-            assert batched.nbytes > ops.SCRATCH_BYTES  # several sample blocks
+            whole, _ = conv_forward(xs, w, b, stride=stride)  # one sample block
+            ho, wo = whole.shape[2:]
+            with monkeypatch.context() as m:
+                # shrink the scratch to two samples' tap columns: blocks of 2, 2, ..., 1
+                m.setattr(ops, "SCRATCH_BYTES", 2 * shape[1] * k * k * ho * wo * xs.itemsize)
+                batched, _ = conv_forward(xs, w, b, stride=stride)
+            np.testing.assert_array_equal(batched, whole)
             for i in range(len(xs)):
-                single, _ = _one(conv_forward, xs[i], w, b, stride=stride, exact=exact)
+                single, _ = _one(conv_forward, xs[i], w, b, stride=stride)
                 np.testing.assert_array_equal(batched[i], single)
-            # the exact kernel is the reference where the naive loops are too slow
-            assert_forward_matches(batched, conv_forward(xs, w, b, stride=stride)[0], exact)
+                assert_forward_matches(single, naive_conv(xs[i], w, b, stride=stride),
+                                       exact=False)
 
-    @pytest.mark.parametrize("exact", [True, False])
-    def test_unaligned_views_give_the_same_bits(self, exact):
+    def test_unaligned_views_give_the_same_bits(self):
         rng = np.random.default_rng(20)
         xs = rng.normal(size=(3, 2, 9, 9))
         w = rng.normal(size=(4, 2, 3, 3))
         b = rng.normal(size=4)
         x_off, w_off = _offset_by_one(xs), _offset_by_one(w)
-        want, _ = conv_forward(xs, w, b, exact=exact)
-        got, _ = conv_forward(x_off, w_off, b, exact=exact)
+        want, _ = conv_forward(xs, w, b)
+        got, _ = conv_forward(x_off, w_off, b)
         np.testing.assert_array_equal(got, want)
         for i in range(3):
-            np.testing.assert_array_equal(_one(conv_forward, x_off[i], w_off, b, exact=exact)[0],
-                                          want[i])
+            np.testing.assert_array_equal(_one(conv_forward, x_off[i], w_off, b)[0], want[i])
 
     def test_rejects_channel_mismatch(self):
         with pytest.raises(ValueError, match="channel"):
@@ -515,15 +516,15 @@ _GEMM_BATCH_CHECK = textwrap.dedent("""
     import numpy as np
     from facerel.ops import conv_forward, fc_forward
     rng = np.random.default_rng(0)
-    for fwd, xs, w, b in (
+    for fwd, xs, w, b, kw in (
         (conv_forward, rng.normal(size=(32, 16, 22, 22)), rng.normal(size=(32, 16, 5, 5)),
-         rng.normal(size=32)),
+         rng.normal(size=32), {}),
         (fc_forward, rng.normal(size=(32, 2562)), rng.normal(size=(2562, 256)),
-         rng.normal(size=256)),
+         rng.normal(size=256), {"exact": False}),
     ):
-        batched, _ = fwd(xs, w, b, exact=False)
+        batched, _ = fwd(xs, w, b, **kw)
         for i in range(len(xs)):
-            np.testing.assert_array_equal(batched[i], fwd(xs[i : i + 1], w, b, exact=False)[0][0])
+            np.testing.assert_array_equal(batched[i], fwd(xs[i : i + 1], w, b, **kw)[0][0])
 """)
 
 
