@@ -315,7 +315,9 @@ def descriptors(hogs: np.ndarray, tree: ClusterTree) -> np.ndarray:
     loses the exact zero distance of a template's own face.
     """
     hogs = np.asarray(hogs, dtype=np.float64)
-    if hogs.ndim != 2 or hogs.shape[1] != tree.hog_dim:
+    if hogs.ndim != 2:
+        raise ValueError(f"expected an (N, {tree.hog_dim}) stack of HOGs, got shape {hogs.shape}")
+    if hogs.shape[1] != tree.hog_dim:
         raise ValueError(
             f"HOG dimensionality {hogs.shape[-1]} does not match the bank's "
             f"templates ({tree.hog_dim}); check the image geometry"

@@ -359,8 +359,8 @@ def batch_iter(dataset, batch_size: int, seed: int, epoch: int):
     The final short batch is emitted.  Identical (seed, epoch) pairs yield
     identical order.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    if isinstance(batch_size, bool) or not isinstance(batch_size, int) or batch_size < 1:
+        raise ValueError(f"batch_size must be an int >= 1, got {batch_size!r}")
     order = np.random.default_rng([seed, epoch]).permutation(len(dataset))
     for start in range(0, len(dataset), batch_size):
         yield [dataset[int(i)] for i in order[start : start + batch_size]]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ops import sigmoid
+from .optim import check_nonnegative_real
 from .tensor import ParameterSet
 
 
@@ -68,8 +69,7 @@ def masked_attr_loss(
 
 def weight_decay_term(params: ParameterSet, lam: float) -> float:
     """``lam`` times the sum of squared entries of every weight (biases skipped)."""
-    if lam < 0:
-        raise ValueError("decay coefficient must be >= 0")
+    check_nonnegative_real("decay coefficient", lam)
     total = 0.0
     for _, t in params.weights():
         total += float(np.sum(t.data * t.data))

@@ -345,7 +345,7 @@ def _step_forward(step: LayerStep, params: ParameterSet, x: np.ndarray, made: bo
                             params[f"trunk.{step.name}.b"].data, layer.stride)
     if layer.kind == "fc":
         return fc_forward(x, params[f"trunk.{step.name}.w"].data,
-                          params[f"trunk.{step.name}.b"].data, exact=False)
+                          params[f"trunk.{step.name}.b"].data)
     if layer.kind == "maxpool":
         return maxpool_forward(x, layer.kernel, layer.stride)
     if layer.kind == "lrn":

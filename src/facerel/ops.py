@@ -30,27 +30,21 @@ expressions' operation order, ``x / base**beta`` forward and
 added in ascending channel order onto 0.0, so the bits do not depend on
 the scratch.
 
-Determinism contract.  ``conv_forward`` has one path; ``fc_forward`` has two.
+Determinism contract.  Every layer forward has one path.  It agrees with the
+naive loops to within 1e-12 of the output's largest magnitude (elementwise
+relative error can be larger where terms cancel; max-pooling and lrn keep
+the stronger contracts above and below), and at a fixed BLAS thread count it
+is bitwise batch invariant.  Conv and fc make one BLAS call per sample
+(conv: one GEMM of the filter matrix with the sample's tap columns; fc: one
+GEMV per row), bias added last.  The BLAS picks the summation order, but it
+is the same call whatever the batch and whatever sample blocks the conv cuts
+the batch into; its bits may change with the thread count.
 
-* The GEMM path (conv always, fc with ``exact=False``) makes one BLAS call
-  per sample (conv: one GEMM of the filter matrix with the sample's tap
-  columns; fc: one GEMV per row), bias added last.  The BLAS picks the
-  summation order, but it is the same call whatever the batch and whatever
-  sample blocks the conv cuts the batch into, so at a fixed BLAS thread
-  count the output is bitwise batch invariant; its bits may change with the
-  thread count.  It agrees with the naive loops to within 1e-12 of the
-  output's largest magnitude (elementwise relative error can be larger
-  where terms cancel).
-* fc's ``exact=True`` (the default) accumulates element by element in
-  ascending input-index order, with the bias added last, and every product
-  and sum is rounded on its own.  Its output is bitwise equal to the naive
-  loop and batch invariant.
-
-The backward passes are BLAS GEMMs whatever path the forward took; the tests
-hold them to the naive loops at a relative tolerance, not bitwise, and their
-bits may change with the BLAS thread count.  The conv backward makes one GEMM
-per sample on the forward's tap columns, so ``dx`` is batch invariant and
-``dw`` sums the samples in ascending order whatever the sample blocks.
+The backward passes are BLAS GEMMs; the tests hold them to the naive loops
+at a relative tolerance, not bitwise, and their bits may change with the
+BLAS thread count.  The conv backward makes one GEMM per sample on the
+forward's tap columns, so ``dx`` is batch invariant and ``dw`` sums the
+samples in ascending order whatever the sample blocks.
 
 Pooling contract.  ``maxpool_forward`` is bitwise equal, output bytes and
 taps alike, to stacking every window's k*k elements in (dy, dx) order and
@@ -95,9 +89,9 @@ def _as_batched_images(x: np.ndarray, who: str) -> np.ndarray:
 
 
 #: Bytes of per-block scratch held by the conv forward and backward, the
-#: max-pool gather's source indices, the exact fc forward and the batched HOG.
-#: They walk their inputs in blocks of as many samples (fc: input indices) as
-#: fit, so scratch stays bounded at any batch.
+#: max-pool gather's source indices and the batched HOG.  They walk their
+#: inputs in blocks of as many samples as fit, so scratch stays bounded at
+#: any batch.
 SCRATCH_BYTES = 1 << 21
 
 
@@ -406,13 +400,8 @@ class FcCtx:
     w: np.ndarray
 
 
-def fc_forward(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, *, exact: bool = True
-) -> tuple[np.ndarray, FcCtx]:
-    """Affine map ``out = w^T x + b`` with ``w`` of shape (in, out).
-
-    ``exact`` picks the path of the module's determinism contract.
-    """
+def fc_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, FcCtx]:
+    """Affine map ``out = w^T x + b`` with ``w`` of shape (in, out), one GEMV per row."""
     x = np.asarray(x)
     w = np.asarray(w)
     b = np.asarray(b)
@@ -429,26 +418,7 @@ def fc_forward(
     if b.shape != (d_out,):
         raise ValueError(f"fc_forward: bias must have shape ({d_out},), got {b.shape}")
 
-    if not exact:
-        return np.matmul(x[:, None, :], w)[:, 0] + b, FcCtx(x, w)
-
-    # The sum runs in the naive loop's order.  Row 0 of the scratch carries the
-    # running sum and rows 1.. the products of one chunk of inputs; a reduce
-    # over axis 0 adds them one row at a time.  numpy does so only while the
-    # row has more than one element (a single one it sums pairwise), so the
-    # row is padded to at least two.
-    n = x.shape[0]
-    width = d_out if n * d_out > 1 else 2
-    running = np.zeros((n, width), dtype=np.result_type(x, w, b))
-    scratch = None
-    for lo, hi in sample_blocks(d_in, running.nbytes):
-        if scratch is None:
-            scratch = np.zeros((hi - lo + 1,) + running.shape, running.dtype)
-        rows = scratch[: hi - lo + 1]
-        rows[0] = running
-        np.multiply(x[:, lo:hi].T[:, :, None], w[lo:hi, None, :], out=rows[1:, :, :d_out])
-        np.add.reduce(rows, axis=0, out=running)
-    return running[:, :d_out] + b, FcCtx(x, w)
+    return np.matmul(x[:, None, :], w)[:, 0] + b, FcCtx(x, w)
 
 
 def fc_backward(ctx: FcCtx, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -20,6 +20,13 @@ class DivergenceError(ArithmeticError):
     """Raised when training or an update hits NaN/inf."""
 
 
+def check_nonnegative_real(name: str, v) -> None:
+    """Refuse ``v`` unless it is a finite real >= 0 (a bool is not a real here)."""
+    real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+    if not (real and math.isfinite(v) and v >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+
+
 def sgd_step(params: ParameterSet, lr: float, lam: float = 0.0) -> None:
     """One descent step over every parameter.
 
@@ -27,10 +34,8 @@ def sgd_step(params: ParameterSet, lr: float, lam: float = 0.0) -> None:
     update, so no ``lr * grad`` temporary is made, and then cleared.  The
     arithmetic runs in the order of ``w - lr * (grad + 2 * lam * w)``.
     """
-    for name, v in (("learning rate", lr), ("decay coefficient", lam)):
-        real = isinstance(v, numbers.Real) and not isinstance(v, bool)
-        if not (real and math.isfinite(v) and v >= 0):
-            raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+    check_nonnegative_real("learning rate", lr)
+    check_nonnegative_real("decay coefficient", lam)
     for name, t in params.items():
         if t.grad is None:
             raise ValueError(f"parameter {name!r} has no gradient; run a backward pass first")

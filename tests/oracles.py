@@ -182,7 +182,7 @@ def copying_trunk_forward(spec, params, images, h):
             if layer.kind == "conv":
                 out, ctx = ops.conv_forward(x, w, b, layer.stride)
             else:
-                out, ctx = ops.fc_forward(x, w, b, exact=False)
+                out, ctx = ops.fc_forward(x, w, b)
         elif layer.kind == "maxpool":
             out, ctx = ops.maxpool_forward(x, layer.kernel, layer.stride)
         elif layer.kind == "lrn":
@@ -280,15 +280,11 @@ def max_rel_err(a, b, floor=1e-8):
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
-def assert_forward_matches(got, want, exact):
-    """Bitwise on the exact forward path; on the GEMM path, within 1e-12 of
-    ``want``'s largest magnitude (elementwise relative error can be larger
-    where terms cancel)."""
-    if exact:
-        np.testing.assert_array_equal(got, want)
-    else:
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+def assert_forward_matches(got, want):
+    """``got`` within 1e-12 of ``want``'s largest magnitude (elementwise
+    relative error can be larger where terms cancel)."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def spoil_entry(arrays, name, value):

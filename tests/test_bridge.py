@@ -202,6 +202,15 @@ class TestExtract:
         with pytest.raises(ValueError, match="dimensionality"):
             extract_descriptor(np.zeros((48, 48)), tree)
 
+    @pytest.mark.parametrize("lead", [(), (1, 1)], ids=["1d", "3d"])
+    def test_descriptors_name_the_shape_of_a_stack_that_is_not_2d(self, lead):
+        corpus, _ = make_corpus(20, seed=13)
+        tree = build_cluster_tree(corpus, 2, 2, 2, seed=0)
+        shape = lead + (tree.hog_dim,)
+        want = rf"expected an \(N, {tree.hog_dim}\) stack of HOGs, got shape "
+        with pytest.raises(ValueError, match=f"^{want}{re.escape(str(shape))}$"):
+            descriptors(np.zeros(shape), tree)
+
     def test_standardization_roundtrip(self):
         corpus, _ = make_corpus(30, seed=14)
         tree = build_cluster_tree(corpus, 2, 2, 2, seed=0)

@@ -360,6 +360,11 @@ class TestBatchIter:
         batches = list(batch_iter(list(range(10)), 4, seed=0, epoch=0))
         assert [len(b) for b in batches] == [4, 4, 2]
 
+    @pytest.mark.parametrize("size", [2.5, True], ids=["float", "bool"])
+    def test_rejects_a_batch_size_that_is_not_an_int(self, size):
+        with pytest.raises(ValueError, match=f"batch_size must be an int >= 1, got {size!r}"):
+            next(batch_iter(list(range(10)), size, seed=0, epoch=0))
+
 
 class TestSpatialCues:
     def test_identical_boxes(self):

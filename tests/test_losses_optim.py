@@ -242,6 +242,17 @@ class TestSgd:
         assert ps["fc1.b"].data[0] == 1.0
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, True, -1.0],
+                         ids=["nan", "inf", "bool", "negative"])
+def test_decay_term_and_step_refuse_the_same_coefficients(lam):
+    ps = ParameterSet()
+    ps.add("fc1.w", with_grad(np.array([1.0]), np.array([0.5])))
+    for call in (lambda: weight_decay_term(ps, lam), lambda: sgd_step(ps, lr=0.1, lam=lam)):
+        with pytest.raises(ValueError, match="decay coefficient must be finite and >= 0"):
+            call()
+    assert ps["fc1.w"].data[0] == 1.0 and ps["fc1.w"].grad is not None
+
+
 def test_lr_schedule_steps_down():
     assert lr_at(0, 30, 0.01) == 0.01
     assert lr_at(19, 30, 0.01) == 0.01

@@ -182,34 +182,6 @@ class TestTrunkForward:
         with pytest.raises(ValueError, match=r"\(N,C,H,W\) batch of images"):
             trunk_forward(image_only, init_trunk_params(image_only, np.random.default_rng(0)), img)
 
-    def test_gemm_forward_matches_the_exact_walk(self, monkeypatch):
-        spec = tiny_spec()
-        rng = np.random.default_rng(3)
-        imgs = rng.normal(size=(3,) + spec.input_shape)
-        hs = rng.normal(size=(3, spec.bridge_dim))
-        up = rng.normal(size=(3, spec.feature_dim))
-
-        def walk():
-            params = init_trunk_params(spec, np.random.default_rng(0))
-            out, cache = trunk_forward(spec, params, imgs, hs)
-            d_image, d_h = trunk_backward(spec, params, cache, up)
-            return [out, d_image, d_h] + [t.grad for _, t in params.items()]
-
-        paths = []
-
-        def spy(fn, force=None):
-            def call(*args, exact):
-                paths.append(exact)
-                return fn(*args, exact=exact if force is None else force)
-            return call
-
-        monkeypatch.setattr(net, "fc_forward", spy(ops.fc_forward))
-        gemm = walk()
-        assert paths and not any(paths)  # the trunk runs the fc's GEMM forward
-        monkeypatch.setattr(net, "fc_forward", spy(ops.fc_forward, force=True))
-        for got, want in zip(gemm, walk(), strict=True):
-            assert_forward_matches(got, want, exact=False)
-
     def test_rejects_descriptor_length_mismatch(self):
         spec = tiny_spec(bridge_dim=4)
         params = init_trunk_params(spec, np.random.default_rng(0))

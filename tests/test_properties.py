@@ -65,7 +65,7 @@ def test_conv_forward_batch_is_stack_of_singles_and_naive(case):
     singles = np.stack([conv_forward(xi[None], w, b, stride=case["stride"])[0][0] for xi in x])
     naive = np.stack([naive_conv(xi, w, b, stride=case["stride"]) for xi in x])
     np.testing.assert_array_equal(batched, singles)
-    assert_forward_matches(batched, naive, exact=False)
+    assert_forward_matches(batched, naive)
 
 
 @st.composite
