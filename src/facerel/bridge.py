@@ -357,10 +357,10 @@ def standardize_descriptor(h: np.ndarray, tree: ClusterTree) -> np.ndarray:
     standardize to zero.
     """
     h = np.asarray(h, dtype=np.float64)
-    if h.shape[-1] != tree.descriptor_length:
+    if h.shape[-1:] != (tree.descriptor_length,):
         raise ValueError(
-            f"descriptor length {h.shape[-1]} does not match bank length "
-            f"{tree.descriptor_length}"
+            f"descriptor of shape {h.shape} does not end in the bank's descriptor "
+            f"length {tree.descriptor_length}"
         )
     return (h - tree.h_mean) / np.maximum(tree.h_std, 1e-12)
 

@@ -25,7 +25,7 @@ is not an int or a wrong label count is refused before any file is written.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

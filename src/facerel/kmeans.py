@@ -58,8 +58,8 @@ def kmeans(points: np.ndarray, k: int, seed) -> KMeansResult:
     if bad.size:
         raise ValueError(f"points row {bad[0]} is not finite")
     n = points.shape[0]
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
+    if isinstance(k, bool) or not isinstance(k, int) or k <= 0:
+        raise ValueError(f"k must be a positive int, got {k!r}")
     if n < k:
         raise ValueError(f"need at least k={k} points, have {n}")
 

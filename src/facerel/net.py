@@ -1,5 +1,5 @@
 """Network assembly: layer descriptions, parameter initialization, and the
-forward/backward walk through a conv/pool/LRN/FC trunk.
+forward/backward walk through a conv/pool/LRN/FC trunk (every conv stride 1).
 
 A trunk maps a face image (plus, optionally, a bridging descriptor) to a flat
 feature vector.  The descriptor joins the data path exactly once, concatenated
@@ -36,12 +36,12 @@ keeps only what ``trunk_backward`` reads:
 =======  ==========  ======================================================
 step     rows        ctx
 =======  ==========  ======================================================
-conv     last block  ``ConvCtx``: the layer's input and weights
+conv     last block  ``LinearCtx``: the layer's input and weights
 lrn      last block  ``LrnCtx``: the layer's input (the base is recomputed)
 maxpool  last block  ``PoolArgmax``: each output's tap in its window, one byte
-relu     either      the mask ``out > 0`` packed by ``np.packbits``, one bit
-                     per element
-fc       the batch   ``FcCtx``: the layer's input and weights
+relu     either      ``(rows, mask)``: the row count and the mask ``out > 0``
+                     packed by ``np.packbits``, one bit per element
+fc       the batch   ``LinearCtx``: the layer's input and weights
 =======  ==========  ======================================================
 
 So a forward holds one block's spatial ctxs whatever N is, and a caller
@@ -93,7 +93,7 @@ from .ops import (
 from .tensor import ParameterSet, Tensor
 
 #: The fields each layer kind reads; every other field of its ``LayerSpec`` stays unset.
-LAYER_FIELDS = {"conv": ("kernel", "filters", "stride"), "maxpool": ("kernel", "stride"),
+LAYER_FIELDS = {"conv": ("kernel", "filters"), "maxpool": ("kernel", "stride"),
                 "lrn": ("lrn_n", "lrn_k", "lrn_alpha", "lrn_beta"), "fc": ("out_dim",), "relu": ()}
 
 #: Faces per sample block of the trunk's spatial steps (every step before the
@@ -107,11 +107,11 @@ TRUNK_BLOCK = 32
 @dataclass(frozen=True)
 class LayerSpec:
     """One trunk layer.  ``LAYER_FIELDS`` lists the fields each kind reads:
-    conv ``kernel``, ``filters``, ``stride``; maxpool ``kernel``, ``stride``;
-    lrn ``lrn_n``, ``lrn_k``, ``lrn_alpha``, ``lrn_beta``; fc ``out_dim``;
-    relu none.  A size a kind reads is an int >= 1 and an lrn constant a
-    finite real number; every other field stays at its default, ``None``
-    (``stride``: 1)."""
+    conv ``kernel``, ``filters`` (a conv slides one pixel at a time);
+    maxpool ``kernel``, ``stride``; lrn ``lrn_n``, ``lrn_k``, ``lrn_alpha``,
+    ``lrn_beta``; fc ``out_dim``; relu none.  A size a kind reads is an
+    int >= 1 and an lrn constant a finite real number; every other field
+    stays at its default, ``None`` (``stride``: 1)."""
 
     kind: str
     kernel: int | None = None
@@ -152,8 +152,8 @@ class LayerSpec:
         return LayerSpec(**d)
 
 
-def conv_spec(kernel: int, filters: int, stride: int = 1) -> LayerSpec:
-    return LayerSpec("conv", kernel=kernel, filters=filters, stride=stride)
+def conv_spec(kernel: int, filters: int) -> LayerSpec:
+    return LayerSpec("conv", kernel=kernel, filters=filters)
 
 
 def pool_spec(kernel: int, stride: int) -> LayerSpec:
@@ -342,7 +342,7 @@ def _step_forward(step: LayerStep, params: ParameterSet, x: np.ndarray, made: bo
     layer = step.layer
     if layer.kind == "conv":
         return conv_forward(x, params[f"trunk.{step.name}.w"].data,
-                            params[f"trunk.{step.name}.b"].data, layer.stride)
+                            params[f"trunk.{step.name}.b"].data)
     if layer.kind == "fc":
         return fc_forward(x, params[f"trunk.{step.name}.w"].data,
                           params[f"trunk.{step.name}.b"].data)
@@ -351,7 +351,7 @@ def _step_forward(step: LayerStep, params: ParameterSet, x: np.ndarray, made: bo
     if layer.kind == "lrn":
         return lrn_forward(x, layer.lrn_n, layer.lrn_k, layer.lrn_alpha, layer.lrn_beta)
     x = relu(x, out=x if made else None)
-    return x, np.packbits(x > 0)
+    return x, (len(x), np.packbits(x > 0))
 
 
 def _step_backward(cache: list, i: int, params: ParameterSet, grad: np.ndarray):
@@ -370,8 +370,11 @@ def _step_backward(cache: list, i: int, params: ParameterSet, grad: np.ndarray):
     elif kind == "lrn":
         grad = lrn_backward(ctx, grad)
     else:
-        shape = (len(grad),) + step.out_shape
-        active = np.unpackbits(ctx, count=math.prod(shape)).view(bool).reshape(shape)
+        rows, mask = ctx
+        if len(grad) != rows:
+            raise ValueError(f"{step.name}: upstream has {len(grad)} rows, the forward gated {rows}")
+        shape = (rows,) + step.out_shape
+        active = np.unpackbits(mask, count=math.prod(shape)).view(bool).reshape(shape)
         grad = relu_backward(active, grad, out=grad)
     cache[i] = None
     return grad

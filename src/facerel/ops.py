@@ -1,5 +1,5 @@
-"""Layer primitives: convolution, max-pooling, cross-channel response
-normalization, fully-connected maps, and the two activations.
+"""Layer primitives: valid (unpadded) stride-1 convolution, max-pooling,
+cross-channel response normalization, fully-connected maps, and the two activations.
 
 Every forward returns ``(output, ctx)`` where ``ctx`` carries exactly what the
 matching backward needs.  The layer ops take and return batches only:
@@ -7,11 +7,12 @@ conv, max-pooling and lrn use ``(N, C, H, W)``, fc uses ``(N, D)``, and each,
 forward and backward, refuses any other rank with a ``ValueError`` that names
 it (the activations are elementwise and take any shape).
 
-What a ctx keeps.  No ctx holds its own forward's output: conv, fc and lrn
-keep their input (lrn also its scalars; ``lrn_backward`` recomputes the
-normalization base from the input with the forward's exact expression, so it
-sees the same bits), max-pooling keeps only its ``PoolArgmax``, one small
-unsigned tap per output, and relu has no ctx: its backward takes the bool
+What a ctx keeps.  No ctx holds its own forward's output: conv and fc keep
+their input and weights (one ``LinearCtx`` type serves both), lrn its input
+and scalars (``lrn_backward`` recomputes the normalization base from the
+input with the forward's exact expression, so it sees the same bits),
+max-pooling keeps only its ``PoolArgmax``, one small unsigned tap per
+output, and relu has no ctx: its backward takes the bool
 mask ``relu(x) > 0``, which equals ``x > 0`` (a NaN is inactive either way),
 and the caller may store that mask as it likes (the trunk packs it to bits).
 So a caller may let ``relu`` write its output over an input that nothing
@@ -74,11 +75,10 @@ import numpy as np
 
 
 @dataclass
-class ConvCtx:
-    x: np.ndarray          # (N, C, H, W)
+class LinearCtx:
+    """What ``conv_backward`` and ``fc_backward`` read: the layer's input and weights."""
+    x: np.ndarray          # conv (N, C, H, W), fc (N, D)
     w: np.ndarray
-    stride: int
-    out_shape: tuple[int, ...]
 
 
 def _as_batched_images(x: np.ndarray, who: str) -> np.ndarray:
@@ -89,9 +89,9 @@ def _as_batched_images(x: np.ndarray, who: str) -> np.ndarray:
 
 
 #: Bytes of per-block scratch held by the conv forward and backward, the
-#: max-pool gather's source indices and the batched HOG.  They walk their
-#: inputs in blocks of as many samples as fit, so scratch stays bounded at
-#: any batch.
+#: max-pool gather's source indices, ``relu_backward``'s cast of its mask to
+#: the gradient's dtype and the batched HOG.  They walk their inputs in
+#: blocks of as many samples as fit, so scratch stays bounded at any batch.
 SCRATCH_BYTES = 1 << 21
 
 
@@ -102,12 +102,13 @@ def sample_blocks(n: int, per_sample_bytes: int):
         yield lo, min(n, lo + step)
 
 
-def _conv_columns(x4, k, stride, ho, wo):
+def _conv_columns(x4, k):
     """Yield ``(lo, hi, cols)``: a sample block's taps copied into one reused
     ``(hi - lo, C·k·k, Ho·Wo)`` buffer, rows in (c, i, j) order, of at most ``SCRATCH_BYTES``."""
     n, c_in = x4.shape[:2]
     windows = np.lib.stride_tricks.sliding_window_view(x4, (k, k), axis=(2, 3))
-    taps = windows[:, :, : ho * stride : stride, : wo * stride : stride].transpose(0, 1, 4, 5, 2, 3)
+    taps = windows.transpose(0, 1, 4, 5, 2, 3)
+    ho, wo = taps.shape[4:]
     buf = None
     for lo, hi in sample_blocks(n, c_in * k * k * ho * wo * x4.itemsize):
         if buf is None:
@@ -118,13 +119,13 @@ def _conv_columns(x4, k, stride, ho, wo):
 
 
 def conv_forward(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1
-) -> tuple[np.ndarray, ConvCtx]:
-    """Valid (no padding) cross-correlation with square kernels.
+    x: np.ndarray, w: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, LinearCtx]:
+    """Valid (no padding), stride-1 cross-correlation with square kernels.
 
     ``w`` has shape (filters, in_channels, k, k); ``b`` has shape (filters,).
-    Output extent per spatial axis is ``(in - k) // stride + 1``.  Each
-    sample is one GEMM (the module's determinism contract).
+    Output extent per spatial axis is ``in - k + 1``.  Each sample is one
+    GEMM (the module's determinism contract).
     """
     x4 = _as_batched_images(x, "conv_forward")
     w = np.asarray(w)
@@ -140,51 +141,49 @@ def conv_forward(
         )
     if b.shape != (f,):
         raise ValueError(f"conv_forward: bias must have shape ({f},), got {b.shape}")
-    if stride < 1:
-        raise ValueError(f"conv_forward: stride must be >= 1, got {stride}")
     if h < k:
         raise ValueError(f"conv_forward: height axis {h} admits no {k}x{k} kernel placement")
     if wd < k:
         raise ValueError(f"conv_forward: width axis {wd} admits no {k}x{k} kernel placement")
 
-    ho = (h - k) // stride + 1
-    wo = (wd - k) // stride + 1
+    ho, wo = h - k + 1, wd - k + 1
     out = np.empty((n, f, ho * wo), dtype=np.result_type(x4, w, b))
     filters = w.reshape(f, -1)
-    for lo, hi, cols in _conv_columns(x4, k, stride, ho, wo):
+    for lo, hi, cols in _conv_columns(x4, k):
         np.matmul(filters, cols, out=out[lo:hi])
     out += b[:, None]
-    return out.reshape(n, f, ho, wo), ConvCtx(x4, w, stride, (n, f, ho, wo))
+    return out.reshape(n, f, ho, wo), LinearCtx(x4, w)
 
 
 def conv_backward(
-    ctx: ConvCtx, upstream: np.ndarray
+    ctx: LinearCtx, upstream: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of ``conv_forward`` w.r.t. input, weights, and bias."""
     if ctx is None:
         raise ValueError("conv_backward: forward context is required")
     up4 = _as_batched_images(upstream, "conv_backward")
-    if up4.shape != ctx.out_shape:
+    x4, w = ctx.x, ctx.w
+    n, _, h, wd = x4.shape
+    f, c_in, k, _ = w.shape
+    ho, wo = h - k + 1, wd - k + 1
+    if up4.shape != (n, f, ho, wo):
         raise ValueError(
             f"conv_backward: upstream shape {up4.shape} does not match "
-            f"forward output {ctx.out_shape}"
+            f"forward output {(n, f, ho, wo)}"
         )
-    x4, w, s = ctx.x, ctx.w, ctx.stride
-    f, c_in, k, _ = w.shape
-    _, _, ho, wo = ctx.out_shape
 
     filters = w.reshape(f, -1)
     db = up4.sum(axis=(0, 2, 3))
     dw = np.zeros(filters.shape, dtype=w.dtype)
     dx = np.zeros_like(x4)
-    up3 = up4.reshape(len(up4), f, ho * wo)
-    for lo, hi, cols in _conv_columns(x4, k, s, ho, wo):
+    up3 = up4.reshape(n, f, ho * wo)
+    for lo, hi, cols in _conv_columns(x4, k):
         for i in range(lo, hi):
             dw += up3[i] @ cols[i - lo].T
-        # the taps' gradients overwrite the taps, then k·k strided adds scatter them
+        # the taps' gradients overwrite the taps, then k·k shifted adds scatter them
         dcols = np.matmul(filters.T, up3[lo:hi], out=cols).reshape(hi - lo, c_in, k, k, ho, wo)
         for i, j in np.ndindex(k, k):
-            dx[lo:hi, :, i : i + ho * s : s, j : j + wo * s : s] += dcols[:, :, i, j]
+            dx[lo:hi, :, i : i + ho, j : j + wo] += dcols[:, :, i, j]
     return dx, dw.reshape(w.shape), db
 
 
@@ -394,13 +393,7 @@ def lrn_backward(ctx: LrnCtx, upstream: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FcCtx:
-    x: np.ndarray
-    w: np.ndarray
-
-
-def fc_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, FcCtx]:
+def fc_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, LinearCtx]:
     """Affine map ``out = w^T x + b`` with ``w`` of shape (in, out), one GEMV per row."""
     x = np.asarray(x)
     w = np.asarray(w)
@@ -418,10 +411,10 @@ def fc_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray,
     if b.shape != (d_out,):
         raise ValueError(f"fc_forward: bias must have shape ({d_out},), got {b.shape}")
 
-    return np.matmul(x[:, None, :], w)[:, 0] + b, FcCtx(x, w)
+    return np.matmul(x[:, None, :], w)[:, 0] + b, LinearCtx(x, w)
 
 
-def fc_backward(ctx: FcCtx, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def fc_backward(ctx: LinearCtx, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if ctx is None:
         raise ValueError("fc_backward: forward context is required")
     up = np.asarray(upstream)

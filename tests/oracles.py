@@ -20,11 +20,11 @@ import numpy as np
 from facerel import ops, synth
 
 
-def naive_conv(x, w, b, stride=1):
+def naive_conv(x, w, b):
     c_in, h, wd = x.shape
     f, _, k, _ = w.shape
-    ho = (h - k) // stride + 1
-    wo = (wd - k) // stride + 1
+    ho = h - k + 1
+    wo = wd - k + 1
     out = np.zeros((f, ho, wo))
     for fi in range(f):
         for oy in range(ho):
@@ -33,12 +33,12 @@ def naive_conv(x, w, b, stride=1):
                 for c in range(c_in):
                     for i in range(k):
                         for j in range(k):
-                            acc += w[fi, c, i, j] * x[c, oy * stride + i, ox * stride + j]
+                            acc += w[fi, c, i, j] * x[c, oy + i, ox + j]
                 out[fi, oy, ox] = acc + b[fi]
     return out
 
 
-def naive_conv_backward(x, w, upstream, stride=1):
+def naive_conv_backward(x, w, upstream):
     """Gradients of ``naive_conv`` w.r.t. x, w and b for one (C,H,W) sample."""
     c_in, h, wd = x.shape
     f, _, k, _ = w.shape
@@ -54,7 +54,7 @@ def naive_conv_backward(x, w, upstream, stride=1):
                 for c in range(c_in):
                     for i in range(k):
                         for j in range(k):
-                            iy, ix = oy * stride + i, ox * stride + j
+                            iy, ix = oy + i, ox + j
                             dw[fi, c, i, j] += g * x[c, iy, ix]
                             dx[c, iy, ix] += g * w[fi, c, i, j]
     return dx, dw, db
@@ -180,7 +180,7 @@ def copying_trunk_forward(spec, params, images, h):
         if layer.kind in ("conv", "fc"):
             w, b = params[f"trunk.{step.name}.w"].data, params[f"trunk.{step.name}.b"].data
             if layer.kind == "conv":
-                out, ctx = ops.conv_forward(x, w, b, layer.stride)
+                out, ctx = ops.conv_forward(x, w, b)
             else:
                 out, ctx = ops.fc_forward(x, w, b)
         elif layer.kind == "maxpool":

@@ -211,6 +211,15 @@ class TestExtract:
         with pytest.raises(ValueError, match=f"^{want}{re.escape(str(shape))}$"):
             descriptors(np.zeros(shape), tree)
 
+    @pytest.mark.parametrize("shape", [(), (11,), (2, 9)], ids=["0d", "long", "short-rows"])
+    def test_standardization_refuses_a_wrong_length(self, shape):
+        corpus, _ = make_corpus(20, seed=13)
+        tree = build_cluster_tree(corpus, 2, 2, 2, seed=0)
+        assert tree.descriptor_length == 10
+        want = f"descriptor of shape {shape} does not end in the bank's descriptor length 10"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            standardize_descriptor(np.ones(shape), tree)
+
     def test_standardization_roundtrip(self):
         corpus, _ = make_corpus(30, seed=14)
         tree = build_cluster_tree(corpus, 2, 2, 2, seed=0)

@@ -244,6 +244,8 @@ def _infeasible_spec(meta, arrays):
         (_unknown_layer_field, r"'network'.*unknown layer field\(s\) \['dilation'\]"),
         (_fractional_kernel, "'network'.*layer field 'kernel' must be an int >= 1, got 2.5"),
         (_stray_layer_field, "'network'.*relu layer does not read field 'kernel', got 3"),
+        (lambda meta, arrays: meta["network"]["layers"][0].update(stride=2),
+         "'network'.*conv layer does not read field 'stride', got 2"),
         (lambda meta, arrays: meta["network"].update(layers="xx"),
          "'network'.*network field 'layers' must be a list of objects"),
         (lambda meta, arrays: meta["network"].update(layers=[["conv", 3]]),
@@ -267,8 +269,8 @@ def _infeasible_spec(meta, arrays):
          "parameter 'trunk.fc1.b' holds non-finite values"),
     ],
     ids=["fc1-shape", "missing-conv1-bias", "no-network", "unknown-layer-field",
-         "fractional-kernel", "stray-layer-field", "layers-not-a-list", "layer-not-an-object",
-         "infeasible", "leftover-param-order", "extra-not-dict", "no-layers",
+         "fractional-kernel", "stray-layer-field", "conv-stride", "layers-not-a-list",
+         "layer-not-an-object", "infeasible", "leftover-param-order", "extra-not-dict", "no-layers",
          "fractional-bridge-dim", "fractional-input-shape", "misspelt-bridge-dim",
          "no-bridge-dim", "nan-weight", "inf-bias"],
 )

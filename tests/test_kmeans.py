@@ -1,6 +1,6 @@
 """Lloyd's algorithm: determinism, monotonicity, and recovery of planted blobs."""
 
-import itertools
+import re
 
 import numpy as np
 import pytest
@@ -91,6 +91,9 @@ def test_rejects_bad_k():
         kmeans(pts, 0, seed=0)
     with pytest.raises(ValueError, match="at least"):
         kmeans(pts, 5, seed=0)
+    for bad in (True, 2.5):
+        with pytest.raises(ValueError, match=re.escape(f"k must be a positive int, got {bad!r}")):
+            kmeans(pts, bad, seed=0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

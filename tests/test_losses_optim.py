@@ -10,8 +10,6 @@ from facerel.optim import DivergenceError, lr_at, sgd_step
 from facerel.ops import sigmoid
 from facerel.tensor import ParameterSet, Tensor
 
-from oracles import max_rel_err
-
 
 def with_grad(data, grad) -> Tensor:
     t = Tensor(data)

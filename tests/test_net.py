@@ -27,7 +27,6 @@ from facerel.ops import fc_backward, fc_forward
 from facerel.tensor import ParameterSet
 
 from oracles import (
-    assert_forward_matches,
     central_diff_grad,
     copying_trunk_backward,
     copying_trunk_forward,
@@ -94,9 +93,9 @@ class TestSpecs:
         (lambda: LayerSpec("conv", kernel=2.5, filters=2), "layer field 'kernel' must be an int"),
         (lambda: LayerSpec("conv", kernel=3.0, filters=2), "layer field 'kernel' must be an int"),
         (lambda: LayerSpec("conv", kernel=3, filters=True), "layer field 'filters' must be an int"),
-        (lambda: LayerSpec("conv", kernel=3, filters=2, stride=2.0),
+        (lambda: LayerSpec("maxpool", kernel=2, stride=2.0),
          "layer field 'stride' must be an int"),
-        (lambda: LayerSpec("conv", kernel=3, filters=2, stride=None),
+        (lambda: LayerSpec("maxpool", kernel=2, stride=None),
          "layer field 'stride' must be an int"),
         (lambda: LayerSpec("maxpool", kernel=2, filters=2.5),
          "maxpool layer does not read field 'filters', got 2.5"),
@@ -107,6 +106,8 @@ class TestSpecs:
         (lambda: lrn_spec(alpha=np.inf), "layer field 'lrn_alpha' must be a finite real number"),
         (lambda: lrn_spec(beta=True), "layer field 'lrn_beta' must be a finite real number"),
         (lambda: LayerSpec("relu", kernel=3), "relu layer does not read field 'kernel', got 3"),
+        (lambda: LayerSpec("conv", kernel=3, filters=2, stride=2),
+         "conv layer does not read field 'stride', got 2"),
         (lambda: LayerSpec("fc", out_dim=4, stride=2),
          "fc layer does not read field 'stride', got 2"),
         (lambda: LayerSpec("fc", out_dim=4, stride=1.0),
@@ -129,8 +130,8 @@ class TestSpecs:
          "network field 'bridge_dim' must be an int >= 0"),
     ], ids=["kernel-fraction", "kernel-float", "filters-bool", "stride-float", "stride-none",
             "pool-filters-fraction", "out-dim-float", "lrn-n-int64", "lrn-k-nan",
-            "lrn-k-string", "lrn-alpha-inf", "lrn-beta-bool", "relu-kernel", "fc-stride",
-            "fc-stride-float", "fc-stride-none", "pool-out-dim", "conv-lrn-k",
+            "lrn-k-string", "lrn-alpha-inf", "lrn-beta-bool", "relu-kernel", "conv-stride",
+            "fc-stride", "fc-stride-float", "fc-stride-none", "pool-out-dim", "conv-lrn-k",
             "input-shape-fraction", "input-shape-string", "input-shape-bool",
             "bridge-dim-fraction", "bridge-dim-bool"])
     def test_rejects_non_int_layer_sizes(self, build, message):
@@ -145,7 +146,7 @@ class TestSpecs:
             {"kind": "lrn", "lrn_n": 3, "lrn_k": 2.0, "lrn_alpha": 1e-2, "lrn_beta": 0.75},
         ]
         assert fc_spec(6).to_dict() == {"kind": "fc", "out_dim": 6}
-        assert conv_spec(3, 2, stride=2).to_dict()["stride"] == 2
+        assert pool_spec(3, 2).to_dict()["stride"] == 2
 
 
 class TestTrunkForward:
@@ -522,8 +523,10 @@ class TestTrunkCache:
             kinds.add(step.layer.kind)
             out_size = math.prod((3,) + step.out_shape)
             if step.layer.kind == "relu":
-                assert ctx.dtype == np.uint8 and ctx.shape == (-(-out_size // 8),)
-                unpacked = np.unpackbits(ctx, count=out_size).reshape(step_in.shape)
+                rows, mask = ctx
+                assert rows == 3
+                assert mask.dtype == np.uint8 and mask.shape == (-(-out_size // 8),)
+                unpacked = np.unpackbits(mask, count=out_size).reshape(step_in.shape)
                 np.testing.assert_array_equal(unpacked, step_in > 0)
             elif step.layer.kind == "lrn":
                 held = list(_arrays_in(ctx))
@@ -612,6 +615,14 @@ class TestTrunkCache:
         _, cache = trunk_forward(spec, params, np.ones((2, 1, 4, 4)))
         with pytest.raises(ValueError, match="shape mismatch"):
             trunk_backward(spec, params, cache, np.ones((2, 1, 4, 3)))
+
+    def test_packed_relu_mask_keeps_the_upstream_row_count_check(self):
+        # the packed mask's padding bits would gate a third row
+        spec = NetworkSpec((1, 4, 4), (relu_spec(),))
+        params = init_trunk_params(spec, np.random.default_rng(0))
+        _, cache = trunk_forward(spec, params, np.ones((2, 1, 4, 4)))
+        with pytest.raises(ValueError, match="relu: upstream has 3 rows, the forward gated 2"):
+            trunk_backward(spec, params, cache, np.ones((3, 1, 4, 4)))
 
     @pytest.mark.parametrize("before_pool", [
         (conv_spec(3, 2), relu_spec()),

@@ -49,7 +49,6 @@ def conv_cases(draw):
         "w": draw(st.integers(k, k + 6)),
         "f": draw(st.integers(1, 4)),
         "k": k,
-        "stride": draw(st.integers(1, 3)),
         "seed": draw(st.integers(0, 2**32 - 1)),
     }
 
@@ -61,9 +60,9 @@ def test_conv_forward_batch_is_stack_of_singles_and_naive(case):
     x = rng.normal(size=(case["n"], case["c"], case["h"], case["w"]))
     w = rng.normal(size=(case["f"], case["c"], case["k"], case["k"]))
     b = rng.normal(size=case["f"])
-    batched, _ = conv_forward(x, w, b, stride=case["stride"])
-    singles = np.stack([conv_forward(xi[None], w, b, stride=case["stride"])[0][0] for xi in x])
-    naive = np.stack([naive_conv(xi, w, b, stride=case["stride"]) for xi in x])
+    batched, _ = conv_forward(x, w, b)
+    singles = np.stack([conv_forward(xi[None], w, b)[0][0] for xi in x])
+    naive = np.stack([naive_conv(xi, w, b) for xi in x])
     np.testing.assert_array_equal(batched, singles)
     assert_forward_matches(batched, naive)
 
@@ -150,12 +149,12 @@ def _drawn_spec(draw, input_shape, kinds):
     for kind in kinds:
         if kind in ("conv", "maxpool"):
             k = draw(st.integers(1, min(3, hh, ww)))
-            s = draw(st.integers(1, 2))
             if kind == "conv":
-                layers.append(conv_spec(k, draw(st.integers(1, 3)), s))
+                layer = conv_spec(k, draw(st.integers(1, 3)))
             else:
-                layers.append(pool_spec(k, s))
-            hh, ww = (hh - k) // s + 1, (ww - k) // s + 1
+                layer = pool_spec(k, draw(st.integers(1, 2)))
+            layers.append(layer)
+            hh, ww = (hh - k) // layer.stride + 1, (ww - k) // layer.stride + 1
         elif kind == "lrn":
             layers.append(lrn_spec(n=draw(st.integers(1, 3)), k=2.0, alpha=1e-2, beta=0.75))
         else:

@@ -13,7 +13,6 @@ from facerel.synth import (
     CORPUS_GROUPS,
     N_EXPR,
     POSE_MODES,
-    RELATION_IMBALANCE_COUNTS,
     RELATION_RATES,
     SCENE_HEIGHT,
     SCENE_WIDTH,
