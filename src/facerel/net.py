@@ -20,10 +20,12 @@ block of at most ``TRUNK_BLOCK`` faces at a time: a block goes through all
 of them before the next block starts, and its output rows are written into
 one (N, ...) array.  The fc tail (the flatten step and all after it) then
 runs once over the whole batch.  ``trunk_backward`` walks the tail once,
-then each block's spatial steps in reverse, writing that block's rows of
-the image gradient and adding its parameter gradients, blocks in ascending
-order.  Every op is batch invariant, so outputs and input gradients carry
-the bits of a one-block walk; a parameter gradient sums its blocks' parts,
+then each block's spatial steps in reverse, adding its parameter gradients,
+blocks in ascending order.  It returns the descriptor's gradient ``d_h``
+only: no gradient for the image is formed.  The steps before the plan's
+first parameter step are skipped, and a conv in that place forms no input
+gradient.  Every op is batch invariant, so outputs and ``d_h`` carry the
+bits of a one-block walk; a parameter gradient sums its blocks' parts,
 which may round differently (within 1e-12 of its largest magnitude).
 
 ``trunk_forward``'s cache is a list of entries: one ``(None, rows)`` per
@@ -354,17 +356,24 @@ def _step_forward(step: LayerStep, params: ParameterSet, x: np.ndarray, made: bo
     return x, (len(x), np.packbits(x > 0))
 
 
-def _step_backward(cache: list, i: int, params: ParameterSet, grad: np.ndarray):
-    """The gradient at the input of cache entry ``i``'s step; adds its
-    parameter grads, then clears the entry, so its ctx is freed on return.
-    A relu gates ``grad`` in place: the walk owns every gradient it holds."""
+def _step_backward(cache: list, i: int, params: ParameterSet, grad: np.ndarray,
+                   input_grad: bool = True):
+    """The gradient at the input of cache entry ``i``'s step, or ``None``
+    when ``input_grad`` is false (then a step without parameters does no
+    work); adds its parameter grads, then clears the entry, so its ctx is
+    freed on return.  A relu gates ``grad`` in place: the walk owns every
+    gradient it holds."""
     step, ctx = cache[i]
     kind = step.layer.kind
     if kind in ("conv", "fc"):
-        backward = conv_backward if kind == "conv" else fc_backward
-        grad, dw, db = backward(ctx, grad)
+        if kind == "conv":
+            grad, dw, db = conv_backward(ctx, grad, input_grad=input_grad)
+        else:
+            grad, dw, db = fc_backward(ctx, grad)
         params[f"trunk.{step.name}.w"].accumulate_grad(dw)
         params[f"trunk.{step.name}.b"].accumulate_grad(db)
+    elif not input_grad:
+        grad = None
     elif kind == "maxpool":
         grad = maxpool_backward(ctx, grad)
     elif kind == "lrn":
@@ -447,8 +456,10 @@ def trunk_backward(
     params: ParameterSet,
     cache: list[tuple[LayerStep | None, Any]],
     upstream: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Accumulate parameter grads; returns (d_image, d_descriptor).
+) -> np.ndarray | None:
+    """Accumulate parameter grads; returns the descriptor's gradient
+    ``d_h``, ``None`` when ``bridge_dim`` is 0.  No gradient for the image
+    is formed.
 
     ``upstream`` is the gradient at the features of the batch ``cache``
     came from; the walk starts from a float64 copy, so it is never written.
@@ -482,10 +493,9 @@ def trunk_backward(
                 d_h = grad[:, -spec.bridge_dim:]
                 grad = grad[:, : -spec.bridge_dim]
             grad = grad.reshape((len(grad),) + step.in_shape)
-    if not blocks:
-        return grad, d_h
+    # no gradient at or before the input of the plan's first parameter step is read
+    lead = next((i for i, step in enumerate(spec.plan) if step.param_shapes), len(spec.plan))
     last = len(blocks) - 1
-    d_image = np.empty((len(grad),) + spec.input_shape) if last else None
     for b, (lo, hi) in enumerate(blocks):
         if b < last:  # an earlier block kept its input: re-run its spatial steps
             entries, first = [], 0
@@ -495,9 +505,5 @@ def trunk_backward(
             entries, first = cache, last
         g = grad[lo:hi]
         for i in reversed(range(first, first + len(spatial))):
-            g = _step_backward(entries, i, params, g)
-        if d_image is None:  # one block: its gradient is the batch's
-            d_image = g
-        else:
-            d_image[lo:hi] = g
-    return d_image, d_h
+            g = _step_backward(entries, i, params, g, input_grad=i - first > lead)
+    return d_h

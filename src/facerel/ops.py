@@ -35,17 +35,29 @@ Determinism contract.  Every layer forward has one path.  It agrees with the
 naive loops to within 1e-12 of the output's largest magnitude (elementwise
 relative error can be larger where terms cancel; max-pooling and lrn keep
 the stronger contracts above and below), and at a fixed BLAS thread count it
-is bitwise batch invariant.  Conv and fc make one BLAS call per sample
-(conv: one GEMM of the filter matrix with the sample's tap columns; fc: one
-GEMV per row), bias added last.  The BLAS picks the summation order, but it
-is the same call whatever the batch and whatever sample blocks the conv cuts
-the batch into; its bits may change with the thread count.
+is bitwise batch invariant.  A conv makes one GEMM per sample, of the
+filter matrix with the sample's tap columns.  An fc makes one GEMV per row
+per chunk of at most ``FC_CHUNK_BYTES`` of weight rows, and adds each row's
+partial sums in ascending chunk order; a weight that fits one chunk is one
+GEMV per row.  Bias is added last.  The BLAS picks the summation order, but
+it is the same call whatever the batch and whatever sample blocks the conv
+cuts the batch into; its bits may change with the thread count.
 
 The backward passes are BLAS GEMMs; the tests hold them to the naive loops
 at a relative tolerance, not bitwise, and their bits may change with the
 BLAS thread count.  The conv backward makes one GEMM per sample on the
-forward's tap columns, so ``dx`` is batch invariant and ``dw`` sums the
-samples in ascending order whatever the sample blocks.
+forward's tap columns, so ``dw`` sums the samples in ascending order
+whatever the sample blocks.  Its ``dx`` adds no strided views.  Per sample,
+one GEMM multiplies the filters, rows in tap-major (i, j, c) order, by the
+upstream widened with zero columns to the input's row width W, into one
+reused ``(k*k, C, H*W)`` buffer whose columns from ``Ho*W`` on stay zero.  Then
+each tap (i, j) adds the buffer's ``C*H*W`` values as one contiguous run at
+flat offset ``i*W + j`` of the sample's ``dx``, taps in ascending order.
+The zero columns and rows add exact zeros only, and spill at most
+``(k-1)*(W+1)`` zeros past the sample, onto the next sample's still-zero
+gradient or a spare tail that the returned view leaves out.  So ``dx`` is
+batch invariant.  ``input_grad=False`` forms no ``dx`` (it is ``None``)
+and leaves the bits of ``dw`` and ``db`` as they are.
 
 Pooling contract.  ``maxpool_forward`` is bitwise equal, output bytes and
 taps alike, to stacking every window's k*k elements in (dy, dx) order and
@@ -156,9 +168,10 @@ def conv_forward(
 
 
 def conv_backward(
-    ctx: LinearCtx, upstream: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of ``conv_forward`` w.r.t. input, weights, and bias."""
+    ctx: LinearCtx, upstream: np.ndarray, *, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients of ``conv_forward`` w.r.t. input, weights, and bias; with
+    ``input_grad=False`` the input gradient is not formed and is ``None``."""
     if ctx is None:
         raise ValueError("conv_backward: forward context is required")
     up4 = _as_batched_images(upstream, "conv_backward")
@@ -172,19 +185,38 @@ def conv_backward(
             f"forward output {(n, f, ho, wo)}"
         )
 
-    filters = w.reshape(f, -1)
+    # dx comes first, its output allocated before its scratch: the other
+    # orders raised the peak RSS of a 32-face paper48 training process by
+    # 2-8 MB, from heap layout alone
+    dx = _conv_input_grad(w, up4, x4.shape) if input_grad else None
     db = up4.sum(axis=(0, 2, 3))
-    dw = np.zeros(filters.shape, dtype=w.dtype)
-    dx = np.zeros_like(x4)
+    dw = np.zeros((f, c_in * k * k), dtype=w.dtype)
     up3 = up4.reshape(n, f, ho * wo)
     for lo, hi, cols in _conv_columns(x4, k):
         for i in range(lo, hi):
             dw += up3[i] @ cols[i - lo].T
-        # the taps' gradients overwrite the taps, then k·k shifted adds scatter them
-        dcols = np.matmul(filters.T, up3[lo:hi], out=cols).reshape(hi - lo, c_in, k, k, ho, wo)
-        for i, j in np.ndindex(k, k):
-            dx[lo:hi, :, i : i + ho, j : j + wo] += dcols[:, :, i, j]
     return dx, dw.reshape(w.shape), db
+
+
+def _conv_input_grad(w: np.ndarray, up4: np.ndarray, x_shape) -> np.ndarray:
+    """The conv's ``dx`` by the module's contiguous-add layout."""
+    n, c_in, h, wd = x_shape
+    f, _, k, _ = w.shape
+    ho, wo = up4.shape[2:]
+    size = c_in * h * wd
+    dtype = np.result_type(w, up4)
+    taps = w.transpose(2, 3, 1, 0).reshape(k * k * c_in, f)  # rows in (i, j, c) order
+    flat = np.zeros(n * size + (k - 1) * (wd + 1), dtype=dtype)
+    wide = np.zeros((f, ho, wd), dtype=dtype)  # columns wo.. of each row stay zero
+    buf = np.zeros((k * k, size), dtype=dtype)  # (k·k, C, H·W): each channel's ho·W.. stay zero
+    rows = buf.reshape(k * k * c_in, h * wd)[:, : ho * wd]
+    for s in range(n):
+        wide[:, :, :wo] = up4[s]
+        np.matmul(taps, wide.reshape(f, ho * wd), out=rows)
+        for t, (i, j) in enumerate(np.ndindex(k, k)):
+            at = s * size + i * wd + j
+            flat[at : at + size] += buf[t]
+    return flat[: n * size].reshape(x_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +425,15 @@ def lrn_backward(ctx: LrnCtx, upstream: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+#: Bytes of weight rows per chunk of ``fc_forward``.  Every row of the batch
+#: reads a chunk before the next chunk is read, so the chunk comes from cache
+#: for all rows but the first.  A weight of at most this size is one chunk.
+FC_CHUNK_BYTES = 1 << 20
+
+
 def fc_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, LinearCtx]:
-    """Affine map ``out = w^T x + b`` with ``w`` of shape (in, out), one GEMV per row."""
+    """Affine map ``out = w^T x + b`` with ``w`` of shape (in, out), one GEMV
+    per row per weight chunk (the module's determinism contract)."""
     x = np.asarray(x)
     w = np.asarray(w)
     b = np.asarray(b)
@@ -411,7 +450,11 @@ def fc_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray,
     if b.shape != (d_out,):
         raise ValueError(f"fc_forward: bias must have shape ({d_out},), got {b.shape}")
 
-    return np.matmul(x[:, None, :], w)[:, 0] + b, LinearCtx(x, w)
+    rows = max(1, FC_CHUNK_BYTES // (d_out * w.itemsize))
+    out = np.matmul(x[:, None, :rows], w[:rows])[:, 0]
+    for lo in range(rows, d_in, rows):
+        out += np.matmul(x[:, None, lo : lo + rows], w[lo : lo + rows])[:, 0]
+    return out + b, LinearCtx(x, w)
 
 
 def fc_backward(ctx: LinearCtx, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

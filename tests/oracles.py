@@ -4,12 +4,15 @@ The kernels here are written as plain nested loops over scalars, directly
 from the defining formulas, and share no code with the package under test.
 ``copying_trunk_forward`` and ``copying_trunk_backward`` are the exception:
 they compose ``ops`` layer calls, to hold the trunk walk itself (its cache,
-its in-place relu) to them; ``kink_margin`` reads that forward's inputs.
+its in-place relu) to them; ``blocked_copying_grads`` walks them one sample
+block at a time, and ``kink_margin`` reads that forward's inputs.
 ``spoil_entry`` is not an oracle: it is the one corruption helper the
 checkpoint and bank loader tests share.
 ``naive_render_face`` is vectorised too: it is the face renderer with every
 grid, background and glyph mask rebuilt on each call, to hold the cached
 renderer to it.
+``tap_conv_input_grad`` is vectorised too: the conv input gradient's loops
+with only the kernel taps left as loops.
 ``lrn_expr_forward`` and ``lrn_expr_backward`` are vectorised too: each LRN
 kernel written as one expression, temporaries and all, whose bits the
 library's scratch-reusing kernels must keep.
@@ -17,7 +20,7 @@ library's scratch-reusing kernels must keep.
 
 import numpy as np
 
-from facerel import ops, synth
+from facerel import net, ops, synth
 
 
 def naive_conv(x, w, b):
@@ -58,6 +61,19 @@ def naive_conv_backward(x, w, upstream):
                             dw[fi, c, i, j] += g * x[c, iy, ix]
                             dx[c, iy, ix] += g * w[fi, c, i, j]
     return dx, dw, db
+
+
+def tap_conv_input_grad(w, upstream):
+    """The input gradient of ``naive_conv_backward`` for an (N,F,Ho,Wo)
+    upstream batch, one kernel tap (i, j) at a time with every other sum
+    vectorised: for shapes too large for the naive loops."""
+    n, _, ho, wo = upstream.shape
+    _, c_in, k, _ = w.shape
+    dx = np.zeros((n, c_in, ho + k - 1, wo + k - 1))
+    for i in range(k):
+        for j in range(k):
+            dx[:, :, i : i + ho, j : j + wo] += np.einsum("fc,nfyx->ncyx", w[:, :, i, j], upstream)
+    return dx
 
 
 def naive_maxpool(x, kernel, stride):
@@ -221,6 +237,27 @@ def copying_trunk_backward(spec, kept, upstream):
                 grad = grad[:, : -spec.bridge_dim]
             grad = grad.reshape((len(grad),) + step.in_shape)
     return grad, d_h, grads
+
+
+def blocked_copying_grads(spec, params, images, h, upstream, block):
+    """(d_h, {parameter name: gradient}) of a trunk walk whose spatial steps
+    (every step before the first fc) run ``block`` faces at a time, from
+    ``copying_trunk_*``: the fc tail once over the batch, then each block's
+    spatial steps, their gradients added in ascending block order."""
+    split = next((i for i, step in enumerate(spec.plan) if step.flatten), len(spec.plan))
+    x, d_x, d_h, grads = images, upstream, None, {}
+    if split:
+        spatial = net.NetworkSpec(spec.input_shape, spec.layers[:split])
+        x, _ = copying_trunk_forward(spatial, params, images, None)
+    if split < len(spec.plan):
+        tail = net.NetworkSpec(x.shape[1:], spec.layers[split:], spec.bridge_dim)
+        _, kept = copying_trunk_forward(tail, params, x, h)
+        d_x, d_h, grads = copying_trunk_backward(tail, kept, upstream)
+    for lo in range(0, len(images), block) if split else ():
+        _, kept = copying_trunk_forward(spatial, params, images[lo : lo + block], None)
+        for name, g in copying_trunk_backward(spatial, kept, d_x[lo : lo + block])[2].items():
+            grads[name] = grads[name] + g if name in grads else g
+    return d_h, grads
 
 
 def kink_margin(spec, params, images, h=None):

@@ -27,8 +27,8 @@ from facerel.ops import fc_backward, fc_forward
 from facerel.tensor import ParameterSet
 
 from oracles import (
+    blocked_copying_grads,
     central_diff_grad,
-    copying_trunk_backward,
     copying_trunk_forward,
     kink_margin,
     max_rel_err,
@@ -251,12 +251,12 @@ class TestSampleBlocks:
         image_bytes, up_bytes = imgs.tobytes(), up.tobytes()
 
         def walk(rows):
-            """One walk over ``imgs[rows]``: (out, d_image, d_h, grads, cache length)."""
+            """One walk over ``imgs[rows]``: (out, d_h, grads, cache length)."""
             out, cache = trunk_forward(spec, params, imgs[rows], hs[rows])
-            d_image, d_h = trunk_backward(spec, params, cache, up[rows])
+            d_h = trunk_backward(spec, params, cache, up[rows])
             grads = {name: t.grad.copy() for name, t in params.items()}
             params.clear_grads()
-            return out, d_image, d_h, grads, len(cache)
+            return out, d_h, grads, len(cache)
 
         def close(got, want):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -266,15 +266,21 @@ class TestSampleBlocks:
         blocked = walk(slice(None))
         assert imgs.tobytes() == image_bytes and up.tobytes() == up_bytes
         # the two earlier blocks keep one entry each, the last its 6 steps before fc1
-        assert one[4] == len(spec.plan) and blocked[4] == 2 + 6 + 3
-        for got, want in zip(blocked[:3], one[:3], strict=True):
+        assert one[3] == len(spec.plan) and blocked[3] == 2 + 6 + 3
+        for got, want in zip(blocked[:2], one[:2], strict=True):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        for name, want in one[3].items():
-            close(blocked[3][name], want)
+        # each walk is its blocks' copying walks, gradients added block by block
+        for (_, d_h, grads, _), block in ((one, 5), (blocked, 2)):
+            want_d_h, want = blocked_copying_grads(spec, params, imgs, hs, up, block)
+            assert d_h.tobytes() == want_d_h.tobytes()
+            assert {name: g.tobytes() for name, g in grads.items()} == {
+                name: g.tobytes() for name, g in want.items()}
+        for name, want in one[2].items():
+            close(blocked[2][name], want)
         # the Siamese tying holds across blocks: the left faces, rows 0, 2
         # and 4, walk as two blocks, the right faces as one
-        left, right = walk(slice(0, None, 2))[3], walk(slice(1, None, 2))[3]
-        for name, tied in blocked[3].items():
+        left, right = walk(slice(0, None, 2))[2], walk(slice(1, None, 2))[2]
+        for name, tied in blocked[2].items():
             close(tied, left[name] + right[name])
 
     @pytest.mark.parametrize("layers", [
@@ -288,13 +294,42 @@ class TestSampleBlocks:
         imgs = rng.normal(size=(3,) + spec.input_shape)
         up = rng.normal(size=(3,) + spec.plan[-1].out_shape)
         up_bytes = up.tobytes()
-        _, kept = copying_trunk_forward(spec, params, imgs, None)
-        want, _, _ = copying_trunk_backward(spec, kept, up)
+        _, want = blocked_copying_grads(spec, params, imgs, None, up, block=2)
         monkeypatch.setattr(net, "TRUNK_BLOCK", 2)
         _, cache = trunk_forward(spec, params, imgs)
-        d_image, _ = trunk_backward(spec, params, cache, up)
+        assert trunk_backward(spec, params, cache, up) is None
         assert up.tobytes() == up_bytes
-        assert d_image.tobytes() == want.tobytes()
+        assert {name: t.grad.tobytes() for name, t in params.items()} == {
+            name: g.tobytes() for name, g in want.items()}
+
+    @pytest.mark.parametrize("first", [
+        relu_spec(), pool_spec(2, 1), lrn_spec(n=3, k=2.0, alpha=1e-2, beta=0.75),
+    ], ids=["relu", "maxpool", "lrn"])
+    @pytest.mark.parametrize("block", [32, 2], ids=["one-block", "two-blocks"])
+    def test_no_gradient_for_the_image(self, monkeypatch, first, block):
+        spec = NetworkSpec((1, 9, 9), (first, conv_spec(3, 2), relu_spec(), pool_spec(2, 2),
+                                       fc_spec(3)), bridge_dim=2)
+        params = init_trunk_params(spec, np.random.default_rng(0))
+        rng = np.random.default_rng(11)
+        imgs = rng.normal(size=(3,) + spec.input_shape)
+        hs = rng.normal(size=(3, spec.bridge_dim))
+        up = rng.normal(size=(3, spec.feature_dim))
+        calls = []
+        for name in ("conv_backward", "maxpool_backward", "lrn_backward", "relu_backward"):
+            def logged(*args, _fn=getattr(net, name), _name=name, **kwargs):
+                calls.append((_name, kwargs.get("input_grad")))
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(net, name, logged)
+        monkeypatch.setattr(net, "TRUNK_BLOCK", block)
+        _, cache = trunk_forward(spec, params, imgs, hs)
+        d_h = trunk_backward(spec, params, cache, up)
+        # per block, conv1 forms no dx and the step before it runs no backward
+        per_block = [("maxpool_backward", None), ("relu_backward", None), ("conv_backward", False)]
+        assert calls == per_block * len(range(0, 3, block))
+        want_d_h, want = blocked_copying_grads(spec, params, imgs, hs, up, block)
+        assert d_h.tobytes() == want_d_h.tobytes()
+        assert {name: t.grad.tobytes() for name, t in params.items()} == {
+            name: g.tobytes() for name, g in want.items()}
 
     def test_backward_refuses_a_cache_of_another_batch(self, monkeypatch):
         spec = tiny_spec(bridge_dim=0)
@@ -417,7 +452,7 @@ class TestTrunkGradients:
         r = rng.normal(size=(1, spec.feature_dim))
 
         feat, cache = trunk_forward(spec, params, img, h)
-        _, dh = trunk_backward(spec, params, cache, r)
+        dh = trunk_backward(spec, params, cache, r)
         assert dh is not None and dh.shape == (1, 4)
 
         def loss():
@@ -610,7 +645,8 @@ class TestTrunkCache:
         assert _paper48_peak(128, backward) < bound * 2**20
 
     def test_packed_relu_mask_keeps_the_upstream_shape_check(self):
-        spec = NetworkSpec((1, 4, 4), (relu_spec(),))
+        # a relu behind a conv: a first relu's backward does not run
+        spec = NetworkSpec((1, 4, 4), (conv_spec(1, 1), relu_spec()))
         params = init_trunk_params(spec, np.random.default_rng(0))
         _, cache = trunk_forward(spec, params, np.ones((2, 1, 4, 4)))
         with pytest.raises(ValueError, match="shape mismatch"):
@@ -618,7 +654,7 @@ class TestTrunkCache:
 
     def test_packed_relu_mask_keeps_the_upstream_row_count_check(self):
         # the packed mask's padding bits would gate a third row
-        spec = NetworkSpec((1, 4, 4), (relu_spec(),))
+        spec = NetworkSpec((1, 4, 4), (conv_spec(1, 1), relu_spec()))
         params = init_trunk_params(spec, np.random.default_rng(0))
         _, cache = trunk_forward(spec, params, np.ones((2, 1, 4, 4)))
         with pytest.raises(ValueError, match="relu: upstream has 3 rows, the forward gated 2"):

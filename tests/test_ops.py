@@ -37,6 +37,7 @@ from oracles import (
     naive_fc,
     naive_lrn,
     naive_maxpool,
+    tap_conv_input_grad,
 )
 
 
@@ -226,6 +227,27 @@ class TestConvBackward:
         monkeypatch.setattr(ops, "SCRATCH_BYTES", 2048)
         for got, want in zip(conv_backward(ctx, up), (dx, dw, db), strict=True):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("c, f, k, side", [(1, 16, 5, 48), (16, 32, 5, 22), (32, 48, 3, 9)],
+                             ids=["conv1", "conv2", "conv3"])
+    def test_paper48_input_grad_is_batch_invariant_and_naive(self, c, f, k, side):
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(32, c, side, side))
+        w = rng.normal(size=(f, c, k, k))
+        up = rng.normal(size=(32, f, side - k + 1, side - k + 1))
+        want = tap_conv_input_grad(w, up)
+        scale = tap_conv_input_grad(abs(w), abs(up))  # the summed terms' magnitudes
+        whole = None
+        for n in (32, 2, 1):
+            _, ctx = conv_forward(x[:n], w, np.zeros(f))
+            dx, dw, db = conv_backward(ctx, up[:n])
+            assert np.all(np.abs(dx - want[:n]) <= 1e-12 * scale[:n])
+            if whole is None:
+                whole = dx
+            assert dx.tobytes() == whole[:n].tobytes()  # dx is batch invariant
+            no_dx, dw_only, db_only = conv_backward(ctx, up[:n], input_grad=False)
+            assert no_dx is None
+            assert dw_only.tobytes() == dw.tobytes() and db_only.tobytes() == db.tobytes()
 
     def test_zero_upstream_gives_zero_grads(self):
         x = np.random.default_rng(3).normal(size=(1, 4, 4))
@@ -436,19 +458,48 @@ class TestFc:
             assert_forward_matches(single, naive_fc(xs[i], w, b))
 
     def test_multi_chunk_matches_naive_oracle(self, monkeypatch):
-        # the fc forward takes no scratch: a scratch bound that would cut the
-        # other ops' inputs into many chunks changes none of its bits
-        monkeypatch.setattr(ops, "SCRATCH_BYTES", 256)
+        # chunks of 3 weight rows: d_in a multiple of the chunk, one more
+        # and one less, and a weight of one chunk
+        monkeypatch.setattr(ops, "FC_CHUNK_BYTES", 3 * 8 * 5)
         rng = np.random.default_rng(15)
-        for n, d_in, d_out in ((3, 37, 5), (1, 40, 1), (4, 23, 1), (2, 19, 6)):
+        for n, d_in in ((3, 36), (1, 37), (4, 35), (2, 3)):
             xs = rng.normal(size=(n, d_in))
-            w = rng.normal(size=(d_in, d_out))
-            b = rng.normal(size=d_out)
+            w = rng.normal(size=(d_in, 5))
+            b = rng.normal(size=5)
             batched, _ = fc_forward(xs, w, b)
             for i in range(n):
                 single, _ = _one(fc_forward, xs[i], w, b)
                 assert_forward_matches(single, naive_fc(xs[i], w, b))
                 np.testing.assert_array_equal(batched[i], single)
+            # the chunks are not the scratch: a scratch bound that cuts the
+            # other ops' inputs into many blocks changes none of the bits
+            with monkeypatch.context() as m:
+                m.setattr(ops, "SCRATCH_BYTES", 256)
+                assert fc_forward(xs, w, b)[0].tobytes() == batched.tobytes()
+
+    def test_paper48_fc1_rows_are_batch_invariant(self):
+        # 2562 rows of weight are chunks of 512, 512, 512, 512, 512 and 2
+        rng = np.random.default_rng(23)
+        xs = rng.normal(size=(33, 2562))
+        w = rng.normal(size=(2562, 256))
+        b = rng.normal(size=256)
+        alone = [_one(fc_forward, x, w, b)[0] for x in xs]
+        for n in (1, 2, 31, 32, 33):
+            batched, _ = fc_forward(xs[:n], w, b)
+            assert batched.tobytes() == np.stack(alone[:n]).tobytes()
+        for i in (0, 32):
+            assert_forward_matches(alone[i], naive_fc(xs[i], w, b))
+
+    @pytest.mark.parametrize("n, d_in, d_out", [(32, 256, 20), (64, 523, 8)],
+                             ids=["attr-head", "rel-head"])
+    def test_one_chunk_weight_is_one_gemv_per_row(self, n, d_in, d_out):
+        rng = np.random.default_rng(24)
+        xs = rng.normal(size=(n, d_in))
+        w = rng.normal(size=(d_in, d_out))
+        b = rng.normal(size=d_out)
+        assert w.nbytes <= ops.FC_CHUNK_BYTES
+        want = np.matmul(xs[:, None, :], w)[:, 0] + b
+        assert fc_forward(xs, w, b)[0].tobytes() == want.tobytes()
 
     def test_unaligned_views_give_the_same_bits(self):
         rng = np.random.default_rng(21)

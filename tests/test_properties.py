@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facerel import ops
+from facerel import net, ops
 from facerel.bridge import build_cluster_tree, load_bank, save_bank
 from facerel.checkpoint import load_checkpoint, save_checkpoint
 from facerel.data import AttrRecord, Box, PairRecord, read_manifest, write_manifest
@@ -31,6 +31,7 @@ from facerel.ops import conv_forward, maxpool_backward, maxpool_forward
 
 from oracles import (
     assert_forward_matches,
+    blocked_copying_grads,
     copying_trunk_backward,
     copying_trunk_forward,
     naive_conv,
@@ -189,28 +190,32 @@ def test_trunk_walks_the_plan(case):
     up = rng.normal(size=(2 * n,) + spec.plan[-1].out_shape)
 
     def walk(rows):
-        """One trunk walk over ``faces[rows]``: (out, d_image, d_h, grads)."""
+        """One trunk walk over ``faces[rows]``: (out, d_h, grads)."""
         out, cache = trunk_forward(spec, params, faces[rows], None if h is None else h[rows])
-        d_image, d_h = trunk_backward(spec, params, cache, up[rows])
+        d_h = trunk_backward(spec, params, cache, up[rows])
         grads = {name: t.grad for name, t in params.items()}
         params.clear_grads()
-        return out, d_image, d_h, grads
+        return out, d_h, grads
 
     def close(got, want):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    out, d_image, d_h, tied = walk(slice(None))
-    assert out.shape == up.shape and d_image.shape == faces.shape
+    out, d_h, tied = walk(slice(None))
+    assert out.shape == up.shape
     assert (d_h is None) if h is None else (d_h.shape == h.shape)
+    # every parameter gradient and d_h are the copying walk's bits
+    want_d_h, want = blocked_copying_grads(spec, params, faces, h, up, net.TRUNK_BLOCK)
+    assert (d_h is None and want_d_h is None) or d_h.tobytes() == want_d_h.tobytes()
+    assert {name: g.tobytes() for name, g in tied.items()} == {
+        name: g.tobytes() for name, g in want.items()}
     for i in range(2 * n):
-        one_out, one_d_image, one_d_h, _ = walk(slice(i, i + 1))
+        one_out, one_d_h, _ = walk(slice(i, i + 1))
         np.testing.assert_array_equal(out[i : i + 1], one_out)
-        close(d_image[i : i + 1], one_d_image)
         if h is not None:
             close(d_h[i : i + 1], one_d_h)
     # the Siamese tying: both branches' gradients add into the same tensors
-    left, right = walk(slice(0, None, 2))[3], walk(slice(1, None, 2))[3]
+    left, right = walk(slice(0, None, 2))[2], walk(slice(1, None, 2))[2]
     assert tied.keys() == left.keys() == right.keys()
     for name in tied:
         close(tied[name], left[name] + right[name])
@@ -218,9 +223,12 @@ def test_trunk_walks_the_plan(case):
 
 #: Layer orderings whose caches alias most easily: a relu reading the
 #: caller's image, a relu over a relu's output, and a relu over the output of
-#: an lrn, a pool and a conv whose output a pool then reads.
+#: an lrn, a pool and a conv whose output a pool then reads.  The ``-first``
+#: orderings start the trunk, so its first step has no backward.
 RELU_ORDERINGS = {
     "relu-first": ["relu"],
+    "pool-first": ["maxpool", "relu"],
+    "lrn-first": ["lrn", "relu"],
     "relu-relu": ["relu", "relu"],
     "lrn-relu": ["lrn", "relu"],
     "pool-relu": ["maxpool", "relu"],
@@ -234,7 +242,7 @@ def relu_stacks(draw):
     with relus, and a batch whose values tie and hit 0.0 and -0.0."""
     name = draw(st.sampled_from(sorted(RELU_ORDERINGS)))
     spatial = st.lists(st.sampled_from(SPATIAL_KINDS), max_size=2)
-    lead = [] if name == "relu-first" else draw(spatial)
+    lead = [] if name.endswith("-first") else draw(spatial)
     shape = draw(st.integers(1, 2)), draw(st.integers(3, 10)), draw(st.integers(3, 10))
     spec = _drawn_spec(draw, shape, lead + RELU_ORDERINGS[name] + draw(spatial))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -254,14 +262,13 @@ def test_trunk_matches_the_copying_walk_bitwise(case):
     up = rng.normal(size=(n, spec.feature_dim))
     image_bytes, up_bytes = images.tobytes(), up.tobytes()
     want_out, kept = copying_trunk_forward(spec, params, images, h)
-    want_d_image, want_d_h, want_grads = copying_trunk_backward(spec, kept, up)
+    _, want_d_h, want_grads = copying_trunk_backward(spec, kept, up)
 
     out, cache = trunk_forward(spec, params, images, h)
-    d_image, d_h = trunk_backward(spec, params, cache, up)
+    d_h = trunk_backward(spec, params, cache, up)
     # the caller's image and upstream are never written
     assert images.tobytes() == image_bytes and up.tobytes() == up_bytes
-    for got, want in ((out, want_out), (d_image, want_d_image)):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert out.shape == want_out.shape and out.tobytes() == want_out.tobytes()
     assert (d_h is None and want_d_h is None) or d_h.tobytes() == want_d_h.tobytes()
     assert {name: t.grad.tobytes() for name, t in params.items()} == {
         name: g.tobytes() for name, g in want_grads.items()
