@@ -256,7 +256,12 @@ def build_cluster_tree(
             f"U={u_children}, L={l_children}"
         )
 
-    landmarks = np.stack([check_landmarks(lm) for lm, _ in corpus])
+    landmarks = np.empty((n, len(POINT_NAMES), 2))
+    for k, (lm, _) in enumerate(corpus):
+        try:
+            landmarks[k] = check_landmarks(lm)
+        except ValueError as e:
+            raise ValueError(f"corpus face {k}: {e}") from None
     hogs = compute_hog_batch([img for _, img in corpus])
 
     # the blocks the matrix is stacked from die with the helper's frame, so

@@ -384,7 +384,7 @@ def _step_backward(cache: list, i: int, params: ParameterSet, grad: np.ndarray,
             raise ValueError(f"{step.name}: upstream has {len(grad)} rows, the forward gated {rows}")
         shape = (rows,) + step.out_shape
         active = np.unpackbits(mask, count=math.prod(shape)).view(bool).reshape(shape)
-        grad = relu_backward(active, grad, out=grad)
+        grad = relu_backward(active, grad)
     cache[i] = None
     return grad
 

@@ -17,9 +17,9 @@ mask ``relu(x) > 0``, which equals ``x > 0`` (a NaN is inactive either way),
 and the caller may store that mask as it likes (the trunk packs it to bits).
 So a caller may let ``relu`` write its output over an input that nothing
 else holds (``relu(x, out=x)``) without spoiling any ctx.  Likewise
-``relu_backward(active, up, out=up)`` gates a gradient in place; it casts
-the mask to the gradient's dtype one sample block at a time, so its scratch
-beyond ``out`` stays within ``SCRATCH_BYTES``.
+``relu_backward(active, up)`` gates its upstream in place and returns it; it
+casts the mask to the gradient's dtype one sample block at a time, so its
+scratch stays within ``SCRATCH_BYTES``.
 
 LRN scratch.  ``lrn_forward`` works in two input-sized arrays, its output
 and the base, and ``lrn_backward`` in three, its output among them: every
@@ -479,28 +479,22 @@ def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(np.asarray(x), 0.0, out=out)
 
 
-def relu_backward(
-    active: np.ndarray, upstream: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Gate ``upstream`` by ``active``, the forward's bool mask ``x > 0``
-    (equivalently ``relu(x) > 0``; a NaN input is inactive); with
-    ``out=upstream`` it overwrites its upstream."""
+def relu_backward(active: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """Gate ``upstream`` in place by ``active``, the forward's bool mask
+    ``x > 0`` (equivalently ``relu(x) > 0``; a NaN input is inactive), and
+    return it."""
     active = np.asarray(active)
     up = np.asarray(upstream)
     if active.dtype != bool:
         raise ValueError(f"relu_backward: expected a bool mask, got dtype {active.dtype}")
     if up.shape != active.shape:
         raise ValueError(f"relu_backward: shape mismatch {up.shape} vs {active.shape}")
-    if out is None:
-        out = np.empty_like(up)
-    elif out.shape != up.shape:
-        raise ValueError(f"relu_backward: out has shape {out.shape}, upstream {up.shape}")
     # a same-dtype multiply (the bool-times-float one costs twice as much),
     # with the mask cast to that dtype one sample block at a time
-    a1, up1, out1 = np.atleast_1d(active, up, out)
+    a1, up1 = np.atleast_1d(active, up)
     for lo, hi in sample_blocks(len(up1), up1[:1].nbytes):
-        np.multiply(up1[lo:hi], a1[lo:hi].astype(up.dtype), out=out1[lo:hi])
-    return out
+        np.multiply(up1[lo:hi], a1[lo:hi].astype(up.dtype), out=up1[lo:hi])
+    return up
 
 
 def sigmoid(z):

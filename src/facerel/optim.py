@@ -48,10 +48,3 @@ def sgd_step(params: ParameterSet, lr: float, lam: float = 0.0) -> None:
         t.data -= t.grad
     params.clear_grads()
 
-
-def lr_at(epoch: int, total_epochs: int, base_lr: float,
-          decay_factor: float = 0.1, decay_point: float = 2.0 / 3.0) -> float:
-    """Step schedule: ``base_lr`` until ``decay_point`` of the budget, then scaled."""
-    if total_epochs <= 0:
-        return base_lr
-    return base_lr * decay_factor if epoch >= decay_point * total_epochs else base_lr

@@ -136,7 +136,18 @@ class TestBuild:
     def test_rejects_non_finite_landmarks(self, bad):
         corpus, _ = make_corpus(24, n_modes=2)
         corpus[5][0][3, 1] = bad
-        with pytest.raises(ValueError, match="landmark coordinates must be finite"):
+        with pytest.raises(ValueError, match="corpus face 5: landmark coordinates must be finite"):
+            build_cluster_tree(corpus, t_top=2, u_children=3, l_children=3, seed=0)
+
+    @pytest.mark.parametrize("spoil, match", [
+        (lambda lm: lm[:9], r"landmarks must have shape \(10, 2\), got \(9, 2\)"),
+        (lambda lm: np.full_like(lm, 1.5),
+         r"landmark coordinates must be box-normalized to \[0, 1\]"),
+    ], ids=["shape", "range"])
+    def test_names_the_face_with_malformed_landmarks(self, spoil, match):
+        corpus, _ = make_corpus(20, n_modes=2)
+        corpus[7] = (spoil(corpus[7][0]), corpus[7][1])
+        with pytest.raises(ValueError, match=f"^corpus face 7: {match}"):
             build_cluster_tree(corpus, t_top=2, u_children=3, l_children=3, seed=0)
 
     @pytest.mark.parametrize("field, value", [

@@ -14,6 +14,8 @@ from facerel.data import (
     Box,
     PairRecord,
     PairSample,
+    Sample,
+    attr_batch_arrays,
     batch_iter,
     load_manifest,
     read_manifest,
@@ -364,6 +366,23 @@ class TestBatchIter:
     def test_rejects_a_batch_size_that_is_not_an_int(self, size):
         with pytest.raises(ValueError, match=f"batch_size must be an int >= 1, got {size!r}"):
             next(batch_iter(list(range(10)), size, seed=0, epoch=0))
+
+
+def test_attr_batch_arrays_stacks_each_sample_in_input_order():
+    rng = np.random.default_rng(5)
+    samples = [
+        Sample(image=rng.random((6, 5)), landmarks=rng.random((10, 2)),
+               labels=rng.integers(0, 2, 20).astype(np.float64), mask=rng.random(20) < 0.5,
+               dataset_id="src-a")
+        for _ in range(3)
+    ]
+    images, labels, mask = attr_batch_arrays(samples)
+    assert (images.shape, labels.shape, mask.shape) == ((3, 1, 6, 5), (3, 20), (3, 20))
+    assert (images.dtype, labels.dtype, mask.dtype) == (np.float64, np.float64, bool)
+    for k, s in enumerate(samples):
+        assert images[k, 0].tobytes() == s.image.tobytes()
+        assert labels[k].tobytes() == s.labels.tobytes()
+        assert mask[k].tobytes() == s.mask.tobytes()
 
 
 class TestSpatialCues:

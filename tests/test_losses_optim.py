@@ -6,7 +6,7 @@ import pytest
 from facerel.checkpoint import load_checkpoint, save_checkpoint
 from facerel.losses import bce_from_logit, masked_attr_loss, weight_decay_term
 from facerel.net import NetworkSpec, conv_spec, fc_spec, init_trunk_params
-from facerel.optim import DivergenceError, lr_at, sgd_step
+from facerel.optim import DivergenceError, sgd_step
 from facerel.ops import sigmoid
 from facerel.tensor import ParameterSet, Tensor
 
@@ -249,12 +249,6 @@ def test_decay_term_and_step_refuse_the_same_coefficients(lam):
         with pytest.raises(ValueError, match="decay coefficient must be finite and >= 0"):
             call()
     assert ps["fc1.w"].data[0] == 1.0 and ps["fc1.w"].grad is not None
-
-
-def test_lr_schedule_steps_down():
-    assert lr_at(0, 30, 0.01) == 0.01
-    assert lr_at(19, 30, 0.01) == 0.01
-    assert lr_at(20, 30, 0.01) == pytest.approx(0.001)
 
 
 class TestParameterSet:
